@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .residues import OddPrime
+from .residues import OddPrime, inverse_range
 
 __all__ = [
     "BernoulliResidue",
@@ -112,8 +112,9 @@ def power_sum_mod(p: int, exp: int, e: int = 2) -> int:
 def bernoulli_mod_p(p: int, index: int) -> int:
     """B_index mod p for an even index with 2 <= index <= p-3, p >= 5.
 
-    Power-sum extraction: with S = sum_{k=1}^{p-1} k^index mod p^2,
-    we have S == p * B_index (mod p^2), so B_index == (S/p) mod p.
+    Power-sum extraction, the oracle route for the Voronoi kernel below:
+    with S = sum_{k=1}^{p-1} k^index mod p^2, we have
+    S == p * B_index (mod p^2), so B_index == (S/p) mod p.
     Why: sum_{k<p} k^index = (B_{index+1}(p) - B_{index+1})/(index+1)
     expands to binomial(index+1, index) B_index p / (index+1) = B_index p
     plus terms carrying p^2 or more.  The nearest such term involves
@@ -134,59 +135,75 @@ def bernoulli_mod_p(p: int, index: int) -> int:
 
 
 def bernoulli_pm3_mod_p(p: int) -> BernoulliResidue:
-    """B_(p-3) mod p for p >= 5, by power-sum extraction at exponent p-3."""
+    """B_(p-3) mod p for p >= 5, by Voronoi's congruence."""
     p = int(OddPrime(p))
     if p < 5:
         raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
-    return BernoulliResidue(p, bernoulli_mod_p(p, p - 3))
+    return BernoulliResidue(p, _voronoi_window(p, [3])[3])
 
 
 def bernoulli_window_mod_p(p: int, offsets: "list[int] | tuple[int, ...]") -> dict[int, int]:
-    """B_(p-j) mod p for each odd offset j in `offsets` (3 <= j <= p-2), one pass.
+    """B_(p-j) mod p for each odd offset j in `offsets` (3 <= j <= p-2).
 
-    Single sweep over k = 1..p-1: k^(p-jmax) comes from the multiplicative
-    sieve, then consecutive even exponents are reached by repeated
-    multiplication with k^2, accumulating each requested power sum.
-    Extraction per offset is the same S == p * B (mod p^2) identity as
-    bernoulli_mod_p.
+    Same kernel as bernoulli_pm3_mod_p: one inverse table of 1..p/3
+    serves every offset.
     """
     p = int(OddPrime(p))
     if p < 5:
         raise ValueError("p must be >= 5")
-    offs = sorted(set(int(j) for j in offsets), reverse=True)
+    offs = sorted(set(int(j) for j in offsets))
     for j in offs:
         if j % 2 == 0 or not 3 <= j <= p - 2:
             raise ValueError(f"offsets must be odd in 3..p-2, got {j}")
-    m = p * p
-    jmax = offs[0]
-    base_exp = p - jmax
-    spf = smallest_prime_factors(p - 1)
-    powv = [0] * p
-    powv[1] = 1
-    acc = {j: 0 for j in offs}
-    # exponent ladder per k: p-jmax, p-jmax+2, ..., p-3 (all even)
-    steps = [(jmax - j) // 2 for j in offs]
-    for k in range(1, p):
-        if k == 1:
-            v = 1
-        else:
-            s = spf[k]
-            v = pow(k, base_exp, m) if s == k else powv[s] * powv[k // s] % m
-            powv[k] = v
-        k2 = k * k % m
-        t = v
-        prev = 0
-        for j, st in zip(offs, steps):
-            for _ in range(st - prev):
-                t = t * k2 % m
-            prev = st
-            acc[j] += t
+    return _voronoi_window(p, offs)
+
+
+def _voronoi_window(p: int, offsets: list[int]) -> dict[int, int]:
+    """B_(p-j) mod p for ascending odd j in 3..p-2 by Voronoi's congruence.
+
+    For an odd c coprime to p, with k = p - j even and x^(k-1) == x^(-j),
+    Voronoi's congruence (c^k - 1) B_k == k c^(k-1) sum_x x^(k-1) floor(cx/p)
+    folds under x -> p - x to
+
+        (c - c^j) B_(p-j) == 2 j sum_{i=1}^{(c-1)/2} S(floor(i p / c))  (mod p),
+
+    where S(n) = sum_{x=1}^{n} x^(-j).  At c = 3 this is
+    2 j T_j / (3 - 3^j) with T_j the sum of x^(-j) over x < p/3.  The
+    third-range sum appears in no checked identity (c = 2 would give the
+    half-range sum of Lemma 2.1(ii)).  Where 3^(j-1) == 1 (mod p)
+    (p = 13, 41, 61, 73 for j <= 13) the next odd c with c^(j-1) != 1
+    takes over; one exists below p, since the x with x^(j-1) == 1 form a
+    proper subgroup, which cannot be {1, 3, 5, ..., p-2}: that set would
+    be the squares, yet 4 is a square.
+    """
+    out: dict[int, int] = {}
+    c = 3
+    while len(out) < len(offsets):
+        todo = [j for j in offsets if j not in out and (c - pow(c, j, p)) % p]
+        if todo:
+            out.update(_voronoi_sums(p, c, todo))
+        c += 2
+    return out
+
+
+def _voronoi_sums(p: int, c: int, offsets: list[int]) -> dict[int, int]:
+    """The folded Voronoi sums at one odd c, for ascending odd offsets."""
+    half = c // 2
+    cuts = [i * p // c for i in range(half + 1)]
+    inv = inverse_range(cuts[-1], p)
+    sq = [v * v % p for v in inv]
+    powers, exp = inv, 1
     out = {}
-    for j in offs:
-        s = acc[j] % m
-        if s % p != 0:
-            raise AssertionError(f"power sum not divisible by p={p}")
-        out[j] = (s // p) % p
+    for j in offsets:
+        # exponent ladder x^(-1) -> x^(-j) by the gaps between offsets
+        step = sq if j - exp == 2 else [pow(v, j - exp, p) for v in inv]
+        powers = [a * b % p for a, b in zip(powers, step)]
+        exp = j
+        run = total = 0
+        for lo, hi in zip(cuts, cuts[1:]):
+            run += sum(powers[lo + 1 : hi + 1])
+            total += run
+        out[j] = 2 * j * total * pow(c - pow(c, j, p), -1, p) % p
     return out
 
 

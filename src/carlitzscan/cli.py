@@ -227,10 +227,21 @@ def _prime_task(args: tuple) -> list[ReportRecord]:
     bpm3_tags = {"theorem_1_1", "corollary", "carlitz", "lemma_2_2"} | DERIVED_TAGS
     q2_tags = {"lemma_2_1", "lemma_2_1_i", "lemma_2_1_ii"} | DERIVED_TAGS
 
+    lemma_tags = idents & {"lemma_2_1", "lemma_2_1_i", "lemma_2_1_ii"}
+    n_cap = 1 if lemma_tags == {"lemma_2_1_i"} else hm.N_CAP_DEFAULT
+
     need_table = bool(idents & {"theorem_1_1", "corollary", "cai_granville"})
     table = cg.binom_pm1(p, 4) if need_table else None
-    bpm3 = bn.bernoulli_pm3_mod_p(p).value if p >= 5 and idents & bpm3_tags else None
+    # one Bernoulli window per prime: lemma_2_1's offsets when it runs,
+    # else B_(p-3) alone; every other check reads bern[3]
+    bern = None
+    if p >= 5 and lemma_tags:
+        bern = bn.bernoulli_window_mod_p(p, hm.lemma_2_1_offsets(p, n_cap))
+    elif p >= 5 and idents & bpm3_tags:
+        bern = {3: bn.bernoulli_pm3_mod_p(p).value}
+    bpm3 = bern[3] if bern else None
     q2 = bn.fermat_quotient_2(p).value if p >= 5 and idents & q2_tags else None
+    central = rs.signed_central_binomial(p, 4) if idents & {"morley", "carlitz"} else None
 
     if "theorem_1_1" in idents or "cai_granville" in idents:
         t0 = _now_us()
@@ -261,12 +272,12 @@ def _prime_task(args: tuple) -> list[ReportRecord]:
 
     if "morley" in idents and p >= 5:
         t0 = _now_us()
-        c = cg.verify_morley(p)
+        c = cg.verify_morley(p, central % p**3)
         records.append(ReportRecord.from_check(c, 0 if no_timing else _now_us() - t0))
 
     if "carlitz" in idents:
         t0 = _now_us()
-        c = cg.verify_carlitz(p, None, bpm3)
+        c = cg.verify_carlitz(p, central, bpm3)
         records.append(ReportRecord.from_check(c, 0 if no_timing else _now_us() - t0))
 
     if "chamberland_dilcher" in idents and p >= 5:
@@ -275,11 +286,9 @@ def _prime_task(args: tuple) -> list[ReportRecord]:
             c = cg.verify_chamberland_dilcher(p, eps, a, b)
             records.append(ReportRecord.from_check(c, 0 if no_timing else _now_us() - t0))
 
-    lemma_tags = idents & {"lemma_2_1", "lemma_2_1_i", "lemma_2_1_ii"}
     if lemma_tags and p >= 5:
         t0 = _now_us()
-        n_cap = 1 if lemma_tags == {"lemma_2_1_i"} else hm.N_CAP_DEFAULT
-        checks = hm.verify_lemma_2_1(p, n_cap, q2)
+        checks = hm.verify_lemma_2_1(p, n_cap, q2, bern)
         if lemma_tags == {"lemma_2_1_i"}:
             checks = [c for c in checks if c.identity == "lemma_2_1_i"]
         elif lemma_tags == {"lemma_2_1_ii"}:
@@ -346,14 +355,10 @@ def run_verify(cfg: ScanConfig) -> tuple[list[ReportRecord], int]:
             c = cg.verify_p3_special(a)
             records.append(ReportRecord.from_check(c, 0 if cfg.no_timing else _now_us() - t0))
 
-    if cfg.oracle_cap:
-        bad = run_oracle_quantities(cfg, quiet=True)
-        if bad:
-            print(f"oracle disagreement: {bad}", file=sys.stderr)
-            return records, 1
-
     records.sort(key=lambda r: (r.p, r.identity, r.params))
     code = 0 if all(r.match for r in records) else 1
+    if cfg.oracle_cap and run_oracle_quantities(cfg):
+        code = 1
     return records, code
 
 
@@ -492,14 +497,19 @@ def _oracle_even_sums(p: int) -> "str | None":
 
 
 def _oracle_bernoulli(p: int) -> "str | None":
-    b = bn.bernoulli_exact(p - 3)
-    want = b.numerator * pow(b.denominator, -1, p) % p
-    if bn.bernoulli_pm3_mod_p(p).value != want:
+    """Voronoi's congruence against power-sum extraction at every p, and
+    against the exact recurrence where p - j <= BERNOULLI_CAP."""
+    want = {}
+    for j in range(3, min(13, p - 2) + 1, 2):
+        want[j] = bn.bernoulli_mod_p(p, p - j)
+        if p - j <= bn.BERNOULLI_CAP:
+            b = bn.bernoulli_exact(p - j)
+            if want[j] != b.numerator * pow(b.denominator, -1, p) % p:
+                return f"bernoulli_mod_p(p={p}, index={p - j})"
+    if bn.bernoulli_pm3_mod_p(p).value != want[3]:
         return f"bernoulli_pm3(p={p})"
-    window = bn.bernoulli_window_mod_p(p, [j for j in range(3, 14, 2) if j <= p - 2])
-    for j, got in window.items():
-        bj = bn.bernoulli_exact(p - j)
-        if got != bj.numerator * pow(bj.denominator, -1, p) % p:
+    for j, got in bn.bernoulli_window_mod_p(p, list(want)).items():
+        if got != want[j]:
             return f"bernoulli_window(p={p}, j={j})"
     m2 = p * p
     for exp in (p - 3, p - 5):
@@ -562,17 +572,13 @@ def run_oracle_quantities(cfg: ScanConfig, quiet: bool = False) -> "str | None":
     order = [q for q in ORACLE_QUANTITIES if q in quantities]
     tasks = [(p, order) for p in primes]
     if cfg.jobs == 1:
-        results = map(_oracle_task, tasks)
+        bad = next(filter(None, map(_oracle_task, tasks)), None)
     else:
-        pool = ProcessPoolExecutor(max_workers=cfg.jobs)
-        results = pool.map(_oracle_task, tasks)
-    bad = None
-    for res in results:
-        if res:
-            bad = res
-            break
-    if cfg.jobs > 1:
-        pool.shutdown(cancel_futures=True)
+        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+            try:
+                bad = next(filter(None, pool.map(_oracle_task, tasks)), None)
+            finally:
+                pool.shutdown(cancel_futures=True)
     if bad and not quiet:
         print(f"oracle disagreement: {bad}", file=sys.stderr)
     return bad

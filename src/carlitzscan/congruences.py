@@ -78,8 +78,11 @@ class ExcludedTriple(ValueError):
 CD_EXCLUDED = ((0, 0, 1), (0, 1, 0))
 
 
-def _check(identity: str, p: int, params, modulus: int, lhs: int, rhs: int) -> CongruenceCheck:
-    return CongruenceCheck(identity, int(p), tuple(params), modulus, lhs, rhs, lhs == rhs)
+def _check(
+    identity: str, p: int, params, modulus: int, lhs: int, rhs: int, holds: bool = True
+) -> CongruenceCheck:
+    """A check whose verdict is lhs == rhs, and False where a side fact fails."""
+    return CongruenceCheck(identity, int(p), tuple(params), modulus, lhs, rhs, lhs == rhs and holds)
 
 
 def theorem_coefficient(a: int) -> Fraction:
@@ -194,13 +197,12 @@ def verify_corollary(
     """The a = 3, 4, 5 specializations with their stated coefficients.
 
     The right side is rebuilt from the stated coefficient (5/8, 2,
-    55/12), which is also asserted to equal a(a-1)(3a-4)/48.
+    55/12); the verdict also requires it to equal a(a-1)(3a-4)/48.
     """
     p = int(OddPrime(p))
     if a not in COROLLARY_COEFFICIENTS:
         raise ValueError(f"corollary is stated for a in (3, 4, 5), got {a}")
     coef = COROLLARY_COEFFICIENTS[a]
-    assert coef == theorem_coefficient(a)
     ring = make_ring(p, 4)
     if p == 3:
         corr = reduce_rational(coef * 27, ring)
@@ -210,7 +212,7 @@ def verify_corollary(
         corr = reduce_rational(coef * (bpm3 * p**3), ring)
     lhs = lhs_power_sum(p, a, table)
     rhs = (pow(2, a * (p - 1), ring.modulus) + corr) % ring.modulus
-    return _check(f"corollary_a{a}", p, (a,), p**4, lhs, rhs)
+    return _check(f"corollary_a{a}", p, (a,), p**4, lhs, rhs, coef == theorem_coefficient(a))
 
 
 def verify_morley(p: int, central3: "int | None" = None) -> CongruenceCheck:
@@ -373,7 +375,7 @@ def exact_identity_1_3(n: int) -> CongruenceCheck:
     """Exact: sum (-1)^k binomial(2n,k)^2 = (-1)^n binomial(2n,n) over the full range 0..2n.
 
     The companion exact identity sum_k binomial(n,k)^2 = binomial(2n,n)
-    is asserted alongside.
+    is checked alongside: the verdict is False if it fails.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -381,8 +383,7 @@ def exact_identity_1_3(n: int) -> CongruenceCheck:
     central = comb(2 * n, n)
     rhs = central if n % 2 == 0 else -central
     vandermonde = sum(comb(n, k) ** 2 for k in range(n + 1))
-    assert vandermonde == central
-    return _check("exact_1_3", n, (n,), 0, lhs, rhs)
+    return _check("exact_1_3", n, (n,), 0, lhs, rhs, vandermonde == central)
 
 
 def exact_identity_1_4(n: int) -> CongruenceCheck:
@@ -405,7 +406,7 @@ def verify_p3_special(a: int) -> CongruenceCheck:
 
     The combined correction (a(a-1)(3a-4)/48) * 27 + 9a(a-1) equals
     (27/16) a(a-1)(a+4) exactly and is divisible by 81 because
-    3 | a(a-1)(a+4) for every a; both facts are asserted.
+    3 | a(a-1)(a+4) for every a; the verdict is False unless both hold.
     """
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
@@ -413,7 +414,9 @@ def verify_p3_special(a: int) -> CongruenceCheck:
     lhs = (2 ** (2 * a) - s) % 81
     rhs = 9 * a * (a - 1) % 81
     combined = theorem_coefficient(a) * 27 + 9 * a * (a - 1)
-    assert combined == Fraction(27, 16) * a * (a - 1) * (a + 4)
-    assert a * (a - 1) * (a + 4) % 3 == 0
-    assert reduce_rational(combined, make_ring(3, 4)) == 0
-    return _check("p3_special", 3, (a,), 81, lhs, rhs)
+    bookkeeping = (
+        combined == Fraction(27, 16) * a * (a - 1) * (a + 4)
+        and a * (a - 1) * (a + 4) % 3 == 0
+        and reduce_rational(combined, make_ring(3, 4)) == 0
+    )
+    return _check("p3_special", 3, (a,), 81, lhs, rhs, bookkeeping)

@@ -9,7 +9,7 @@ the Fermat quotient q2 = (2^(p-1)-1)/p and Bernoulli residues mod p.
 
 from dataclasses import dataclass, field
 
-from .bernoulli import bernoulli_window_mod_p, fermat_quotient_2
+from .bernoulli import bernoulli_pm3_mod_p, bernoulli_window_mod_p, fermat_quotient_2
 from .congruences import CongruenceCheck
 from .residues import OddPrime, inverse_range, invert_mod
 
@@ -24,6 +24,7 @@ __all__ = [
     "naive_even_single",
     "naive_even_double",
     "naive_even_triple",
+    "lemma_2_1_offsets",
     "verify_lemma_2_1",
     "verify_lemma_2_2",
     "verify_derived_sums",
@@ -218,6 +219,14 @@ def naive_even_triple(p: int) -> int:
     return acc
 
 
+def lemma_2_1_offsets(p: int, n_cap: int = N_CAP_DEFAULT) -> list[int]:
+    """The offsets j of the B_(p-j) that verify_lemma_2_1 reads at p."""
+    offsets = {3}
+    for n in range(2, min(n_cap, p - 2) + 1):
+        offsets.add(n + 1 if n % 2 == 0 else n)
+    return sorted(offsets)
+
+
 def verify_lemma_2_1(
     p: int,
     n_cap: int = N_CAP_DEFAULT,
@@ -235,13 +244,10 @@ def verify_lemma_2_1(
     p = _validate(p, 1)
     m3, m2 = p**3, p * p
     nmax = min(n_cap, p - 2)
-    offsets = {3}
-    for n in range(2, nmax + 1):
-        offsets.add(n + 1 if n % 2 == 0 else n)
     if q2 is None:
         q2 = fermat_quotient_2(p).value
     if bern is None:
-        bern = bernoulli_window_mod_p(p, sorted(offsets))
+        bern = bernoulli_window_mod_p(p, lemma_2_1_offsets(p, n_cap))
 
     mid = (p - 1) // 2
     inv3 = inverse_range(mid, m3)
@@ -287,7 +293,7 @@ def verify_lemma_2_2(p: int, bpm3: "int | None" = None) -> list[CongruenceCheck]
     """
     p = _validate(p, 1)
     if bpm3 is None:
-        bpm3 = bernoulli_window_mod_p(p, (3,))[3]
+        bpm3 = bernoulli_pm3_mod_p(p).value
     inv = inverse_range(p - 1, p)
     pf1 = pf2 = d121 = d211 = 0
     for k in range(1, p):
@@ -327,7 +333,7 @@ def verify_derived_sums(
     if q2 is None:
         q2 = fermat_quotient_2(p).value
     if bpm3 is None:
-        bpm3 = bernoulli_window_mod_p(p, (3,))[3]
+        bpm3 = bernoulli_pm3_mod_p(p).value
 
     inv = inverse_range(p - 1, m2)
     inv2p = invert_mod(2, p)

@@ -229,22 +229,16 @@ def invert_mod(a: int, m: int) -> int:
 
 
 def inverse_range(n: int, m: int) -> list[int]:
-    """Inverses of 1..n mod m with one extended Euclid (Montgomery's trick).
+    """Inverses of 1..n mod m by the recurrence 1/k == -(m // k) / (m % k).
 
-    Entry 0 is unused (set to 0).  Requires every k <= n to be coprime
-    to m, which holds whenever m is a power of a prime > n.
+    Entry 0 is unused (set to 0).  Since m % k < k, each entry reads an
+    earlier one.  Requires m to be a power of a prime > n, so that every
+    k <= n and every m % k is a unit.
     """
-    pref = [1] * (n + 1)
-    acc = 1
-    for k in range(1, n + 1):
-        acc = acc * k % m
-        pref[k] = acc
-    inv = [0] * (n + 1)
-    t = invert_mod(acc, m)
-    for k in range(n, 0, -1):
-        inv[k] = t * pref[k - 1] % m
-        t = t * k % m
-    return inv
+    inv = [0, 1]
+    for k in range(2, n + 1):
+        inv.append((m - m // k) * inv[m % k] % m)
+    return inv[: n + 1]
 
 
 def batch_invert(values: list[int], m: int) -> list[int]:

@@ -213,7 +213,7 @@ def test_criterion_09_bernoulli_two_routes():
         if bernoulli_pm3_mod_p(p).value != want:
             failures.append(p)
     ok = not failures
-    report(9, ok, f"power-sum extraction equals exact recurrence at "
+    report(9, ok, f"Voronoi's congruence equals exact recurrence at "
                   f"{len(primes)} primes 5..199")
     assert ok, failures
 

@@ -170,3 +170,48 @@ def test_power_sum_times_p_matches_exact_bernoulli():
 
 def test_is_odd_prime_consistency_with_tables():
     assert all(is_odd_prime(p) for p in PRIMES_TO_61)
+
+
+def _odd_primes_to(n):
+    return [p for p in range(5, n + 1, 2) if is_odd_prime(p)]
+
+
+def test_voronoi_window_matches_power_sum_extraction_to_3000():
+    # the fast path (Voronoi's congruence) against the oracle route, for
+    # every window offset the harmonic checks read
+    for p in _odd_primes_to(3000):
+        offsets = [j for j in range(3, 14, 2) if j <= p - 2]
+        window = bernoulli_window_mod_p(p, offsets)
+        for j in offsets:
+            assert window[j] == bernoulli_mod_p(p, p - j), (p, j)
+
+
+def test_voronoi_fallback_primes():
+    # 3 - 3^j == 0 (mod p) exactly at these (p, j) for p <= 3000 and odd
+    # j <= 13; there the kernel switches to another c
+    degenerate = {
+        (p, j)
+        for p in _odd_primes_to(3000)
+        for j in range(3, min(13, p - 2) + 1, 2)
+        if pow(3, j - 1, p) == 1
+    }
+    assert degenerate == {(13, 7), (41, 9), (61, 11), (73, 13)}
+    for p, j in sorted(degenerate):
+        assert bernoulli_window_mod_p(p, [j]) == {j: bernoulli_mod_p(p, p - j)}
+        b = bernoulli_exact(p - j)
+        assert bernoulli_window_mod_p(p, [j])[j] == b.numerator * pow(b.denominator, -1, p) % p
+
+
+def test_wolstenholme_prime_16843_both_routes():
+    assert bernoulli_pm3_mod_p(16843).value == 0
+    assert bernoulli_mod_p(16843, 16840) == 0
+
+
+def test_wolstenholme_prime_2124679_voronoi():
+    # McIntosh and Roettger, Math. Comp. 76 (2007)
+    assert bernoulli_pm3_mod_p(2124679).value == 0
+
+
+def test_wieferich_primes_q2_vanishes():
+    for p in (1093, 3511):
+        assert fermat_quotient_2(p).value % p == 0

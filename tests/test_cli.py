@@ -2,11 +2,13 @@
 
 import csv
 import json
+import multiprocessing
 import subprocess
 import sys
 
 import pytest
 
+from carlitzscan import cli
 from carlitzscan.cli import (
     CSV_HEADER,
     DEFAULT_IDENTITIES,
@@ -143,6 +145,30 @@ def test_oracle_quantity_filter_runs_clean():
     assert run_oracle_quantities(cfg, quiet=True) is None
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched oracle table only when forked")
+    monkeypatch.setitem(cli._ORACLE_FUNCS, "fermat", lambda p: f"injected(p={p})")
+    cfg = ScanConfig(p_min=3, p_max=60, oracle_cap=31, jobs=jobs, no_timing=True)
+    assert run_oracle_quantities(cfg, quiet=True) == "injected(p=5)"
+    records, code = run_verify(cfg)
+    assert code == 1
+    assert records and all(r.match for r in records)
+    keys = [(r.p, r.identity, r.params) for r in records]
+    assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("p", [1093, 3511, 16843])
+def test_default_set_matches_at_degenerate_primes(p):
+    # q2 == 0 (mod p) at the Wieferich primes 1093 and 3511, and
+    # B_(p-3) == 0 (mod p) at 16843, so those correction terms vanish
+    records, code = run_verify(ScanConfig(p_min=p, p_max=p, no_timing=True))
+    assert code == 0
+    assert {r.identity for r in records} >= {"theorem_1_1", "carlitz", "lemma_2_2_a", "eq_2_10"}
+    assert all(r.match for r in records)
+
+
 # ---------------------------------------------------------------------------
 # subprocess-level contract
 
@@ -238,6 +264,16 @@ def test_cli_sums_3_rejected():
 def test_cli_oracle_small():
     res = run_cli("oracle", "--p-max", "31", "--identity", "lemma_2_2")
     assert res.returncode == 0, res.stderr
+
+
+def test_cli_oracle_beyond_exact_bernoulli_cap():
+    # B_(p-3) exceeds the exact recurrence's cap from p = 409 on; the
+    # oracle then compares Voronoi's congruence with power-sum extraction
+    res = run_cli("oracle", "--p-min", "409", "--p-max", "409")
+    assert res.returncode == 0, res.stderr
+    res = run_cli("oracle", "--identity", "carlitz", "--p-min", "401", "--p-max", "1000")
+    assert res.returncode == 0, res.stderr
+    assert "agreement over 90 primes" in res.stdout
 
 
 def test_cli_oracle_cap_exceeded():

@@ -1,5 +1,7 @@
 """Tests for the congruence checkers and exact identities."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -258,3 +260,17 @@ def test_check_records_are_hashable_and_frozen():
     assert hash(c)
     with pytest.raises(Exception):
         c.lhs = 0
+
+
+def test_side_facts_decide_the_verdict_under_python_O():
+    # the coefficient and bookkeeping checks are explicit code, not
+    # asserts, so a broken side fact still fails the verdict under -O
+    code = (
+        "from fractions import Fraction\n"
+        "import carlitzscan.congruences as cg\n"
+        "cg.theorem_coefficient = lambda a: Fraction(0)\n"
+        "print(cg.verify_corollary(7, 3).verdict, cg.verify_p3_special(2).verdict)\n"
+    )
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "False"]
