@@ -14,121 +14,21 @@ Everything is integer arithmetic: a check compares two canonical
 residues and reports equality, never "close enough".
 """
 
-from .bernoulli import (
-    BernoulliResidue,
-    FermatQuotient,
-    bernoulli_exact,
-    bernoulli_mod_p,
-    bernoulli_pm3_mod_p,
-    bernoulli_window_mod_p,
-    fermat_quotient_2,
-    fermat_quotients_all_bases,
-    power_sum_mod,
-)
-from .congruences import (
-    COROLLARY_COEFFICIENTS,
-    CongruenceCheck,
-    ExcludedTriple,
-    alternating_square_sum,
-    chamberland_dilcher_exact,
-    chamberland_dilcher_u,
-    exact_identity_1_3,
-    exact_identity_1_4,
-    lhs_power_sum,
-    lhs_power_sum_exact,
-    lhs_power_sums_batch,
-    rhs_theorem,
-    theorem_coefficient,
-    verify_cai_granville,
-    verify_carlitz,
-    verify_chamberland_dilcher,
-    verify_corollary,
-    verify_morley,
-    verify_p3_special,
-    verify_theorem_1_1,
-)
-from .harmonic import (
-    HarmonicProfile,
-    even_restricted_sums,
-    half_harmonic,
-    verify_derived_sums,
-    verify_lemma_2_1,
-    verify_lemma_2_2,
-)
-from .residues import (
-    NegativeValuation,
-    NotInvertible,
-    OddPrime,
-    Residue,
-    ResidueRing,
-    batch_invert,
-    binom_pm1,
-    egcd,
-    inverse_range,
-    invert_mod,
-    is_odd_prime,
-    make_ring,
-    mod_inv,
-    mod_pow,
-    reduce_rational,
-    signed_central_binomial,
-    symmetric_inverse_sums,
-)
+from . import bernoulli, congruences, context, harmonic, residues
+from .bernoulli import *  # noqa: F401,F403
+from .congruences import *  # noqa: F401,F403
+from .context import *  # noqa: F401,F403
+from .harmonic import *  # noqa: F401,F403
+from .residues import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# each module's __all__ declares its public names once
 __all__ = [
     "__version__",
-    "BernoulliResidue",
-    "FermatQuotient",
-    "bernoulli_exact",
-    "bernoulli_mod_p",
-    "bernoulli_pm3_mod_p",
-    "bernoulli_window_mod_p",
-    "fermat_quotient_2",
-    "fermat_quotients_all_bases",
-    "power_sum_mod",
-    "COROLLARY_COEFFICIENTS",
-    "CongruenceCheck",
-    "ExcludedTriple",
-    "alternating_square_sum",
-    "chamberland_dilcher_exact",
-    "chamberland_dilcher_u",
-    "exact_identity_1_3",
-    "exact_identity_1_4",
-    "lhs_power_sum",
-    "lhs_power_sum_exact",
-    "lhs_power_sums_batch",
-    "rhs_theorem",
-    "theorem_coefficient",
-    "verify_cai_granville",
-    "verify_carlitz",
-    "verify_chamberland_dilcher",
-    "verify_corollary",
-    "verify_morley",
-    "verify_p3_special",
-    "verify_theorem_1_1",
-    "HarmonicProfile",
-    "even_restricted_sums",
-    "half_harmonic",
-    "verify_derived_sums",
-    "verify_lemma_2_1",
-    "verify_lemma_2_2",
-    "NegativeValuation",
-    "NotInvertible",
-    "OddPrime",
-    "Residue",
-    "ResidueRing",
-    "batch_invert",
-    "binom_pm1",
-    "egcd",
-    "inverse_range",
-    "invert_mod",
-    "is_odd_prime",
-    "make_ring",
-    "mod_inv",
-    "mod_pow",
-    "reduce_rational",
-    "signed_central_binomial",
-    "symmetric_inverse_sums",
+    *bernoulli.__all__,
+    *congruences.__all__,
+    *context.__all__,
+    *harmonic.__all__,
+    *residues.__all__,
 ]

@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 all checks match, 1 any mismatch, 2 usage error, 3 I/O
 failure.  Reports are sorted by (p, identity, params) regardless of
-worker scheduling, so runs with --no-timing are byte-identical.
+worker scheduling, so two runs of one configuration are byte-identical.
 """
 
 import argparse
@@ -17,15 +17,15 @@ import csv
 import json
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, isqrt
 
 from . import bernoulli as bn
 from . import congruences as cg
 from . import harmonic as hm
 from . import residues as rs
+from .context import DEFAULT_A, DEFAULT_CD_TRIPLES, IDENTITIES, PrimeContext
 
 __all__ = [
     "UsageError",
@@ -37,41 +37,8 @@ __all__ = [
     "main",
 ]
 
-EXACT_CAPS = {"exact_1_3": 300, "exact_1_4": 200}
 ORACLE_CAP_LIMIT = 1000
-
-DEFAULT_IDENTITIES = (
-    "theorem_1_1",
-    "carlitz",
-    "morley",
-    "lemma_2_1",
-    "lemma_2_2",
-    "eq_2_9",
-    "eq_2_10",
-)
-
-IDENTITY_CHOICES = (
-    "theorem_1_1",
-    "corollary",
-    "morley",
-    "carlitz",
-    "cai_granville",
-    "chamberland_dilcher",
-    "lemma_2_1",
-    "lemma_2_1_i",
-    "lemma_2_1_ii",
-    "lemma_2_2",
-    "eq_2_7",
-    "eq_2_8",
-    "eq_2_9",
-    "eq_2_10",
-    "exact_1_3",
-    "exact_1_4",
-    "p3_special",
-)
-
-DERIVED_TAGS = frozenset(("eq_2_7", "eq_2_8", "eq_2_9", "eq_2_10"))
-DEFAULT_CD_TRIPLES = ((0, 2, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1), (0, 3, 0))
+DEFAULT_IDENTITIES = tuple(tag for tag, e in IDENTITIES.items() if e.default)
 
 
 class UsageError(Exception):
@@ -82,14 +49,13 @@ class UsageError(Exception):
 class ScanConfig:
     p_min: int = 3
     p_max: int = 1000
-    a_values: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8)
+    a_values: tuple[int, ...] = DEFAULT_A
     identities: tuple[str, ...] = DEFAULT_IDENTITIES
     n_max: int = 100
     jobs: int = 1
     fmt: str = "jsonl"
     out: "str | None" = None
     oracle_cap: int = 0
-    no_timing: bool = False
     cd_triples: tuple[tuple[int, int, int], ...] = DEFAULT_CD_TRIPLES
 
     def validate(self) -> None:
@@ -110,9 +76,9 @@ class ScanConfig:
         if self.n_max < 1:
             raise UsageError(f"n_max must be >= 1, got {self.n_max}")
         for ident in self.identities:
-            if ident not in IDENTITY_CHOICES:
+            if ident not in IDENTITIES:
                 raise UsageError(f"unknown identity {ident!r}")
-            cap = EXACT_CAPS.get(ident)
+            cap = IDENTITIES[ident].n_cap
             if cap is not None and self.n_max > cap:
                 raise UsageError(f"{ident} is capped at n <= {cap}, got {self.n_max}")
         for trip in self.cd_triples:
@@ -124,6 +90,9 @@ class ScanConfig:
 
 @dataclass(frozen=True)
 class ReportRecord:
+    """One report line.  The `us` column of the report format is kept for
+    readers of earlier reports and is always 0."""
+
     identity: str
     p: int
     params: tuple[int, ...]
@@ -131,46 +100,20 @@ class ReportRecord:
     lhs: int
     rhs: int
     match: bool
-    us: int
 
     @classmethod
-    def from_check(cls, check: cg.CongruenceCheck, us: int) -> "ReportRecord":
-        return cls(
-            check.identity,
-            check.p,
-            check.params,
-            check.modulus,
-            check.lhs,
-            check.rhs,
-            check.verdict,
-            us,
-        )
+    def from_check(cls, check: cg.CongruenceCheck) -> "ReportRecord":
+        return cls(check.identity, check.p, check.params, check.modulus, check.lhs, check.rhs, check.verdict)
+
+    def _values(self) -> list:
+        # one value per CSV_HEADER column; the big residues as decimal strings
+        return [self.identity, self.p, list(self.params), str(self.modulus), str(self.lhs), str(self.rhs), self.match, 0]
 
     def jsonl(self) -> str:
-        return json.dumps(
-            {
-                "identity": self.identity,
-                "p": self.p,
-                "params": list(self.params),
-                "modulus": str(self.modulus),
-                "lhs": str(self.lhs),
-                "rhs": str(self.rhs),
-                "match": self.match,
-                "us": self.us,
-            }
-        )
+        return json.dumps(dict(zip(CSV_HEADER, self._values())))
 
     def csv_row(self) -> list[str]:
-        return [
-            self.identity,
-            str(self.p),
-            json.dumps(list(self.params)),
-            str(self.modulus),
-            str(self.lhs),
-            str(self.rhs),
-            "true" if self.match else "false",
-            str(self.us),
-        ]
+        return [v if isinstance(v, str) else json.dumps(v) for v in self._values()]
 
 
 CSV_HEADER = ["identity", "p", "params", "modulus", "lhs", "rhs", "match", "us"]
@@ -209,151 +152,40 @@ def sieve_odd_primes(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _now_us() -> int:
-    return time.perf_counter_ns() // 1000
-
-
-def _stamp(checks: list[cg.CongruenceCheck], t0: int, no_timing: bool) -> list[ReportRecord]:
-    us = 0 if no_timing else max(0, (_now_us() - t0) // max(1, len(checks)))
-    return [ReportRecord.from_check(c, us) for c in checks]
-
-
-def _prime_task(args: tuple) -> list[ReportRecord]:
-    """All selected checks at one prime; shared tables are built once."""
-    p, idents, a_values, cd_triples, no_timing = args
-    idents = set(idents)
-    records: list[ReportRecord] = []
-
-    bpm3_tags = {"theorem_1_1", "corollary", "carlitz", "lemma_2_2"} | DERIVED_TAGS
-    q2_tags = {"lemma_2_1", "lemma_2_1_i", "lemma_2_1_ii"} | DERIVED_TAGS
-
-    lemma_tags = idents & {"lemma_2_1", "lemma_2_1_i", "lemma_2_1_ii"}
-    n_cap = 1 if lemma_tags == {"lemma_2_1_i"} else hm.N_CAP_DEFAULT
-
-    need_table = bool(idents & {"theorem_1_1", "corollary", "cai_granville"})
-    table = cg.binom_pm1(p, 4) if need_table else None
-    # one Bernoulli window per prime: lemma_2_1's offsets when it runs,
-    # else B_(p-3) alone; every other check reads bern[3]
-    bern = None
-    if p >= 5 and lemma_tags:
-        bern = bn.bernoulli_window_mod_p(p, hm.lemma_2_1_offsets(p, n_cap))
-    elif p >= 5 and idents & bpm3_tags:
-        bern = {3: bn.bernoulli_pm3_mod_p(p).value}
-    bpm3 = bern[3] if bern else None
-    q2 = bn.fermat_quotient_2(p).value if p >= 5 and idents & q2_tags else None
-    central = rs.signed_central_binomial(p, 4) if idents & {"morley", "carlitz"} else None
-
-    if "theorem_1_1" in idents or "cai_granville" in idents:
-        t0 = _now_us()
-        amax = max(a_values)
-        lhs_all = cg.lhs_power_sums_batch(p, amax, table)
-        prep_us = 0 if no_timing else (_now_us() - t0) // len(a_values)
-        for a in a_values:
-            if "theorem_1_1" in idents:
-                t0 = _now_us()
-                rhs = cg.rhs_theorem(p, a, bpm3)
-                c = cg.CongruenceCheck(
-                    "theorem_1_1", p, (a,), p**4, lhs_all[a], rhs, lhs_all[a] == rhs
-                )
-                us = 0 if no_timing else prep_us + (_now_us() - t0)
-                records.append(ReportRecord.from_check(c, us))
-            if "cai_granville" in idents and p >= 5:
-                m3 = p**3
-                lhs = lhs_all[a] % m3
-                rhs = pow(2, a * (p - 1), m3)
-                c = cg.CongruenceCheck("cai_granville", p, (a,), m3, lhs, rhs, lhs == rhs)
-                records.append(ReportRecord.from_check(c, 0 if no_timing else prep_us))
-
-    if "corollary" in idents and p >= 3:
-        for a in (3, 4, 5):
-            t0 = _now_us()
-            c = cg.verify_corollary(p, a, table, bpm3)
-            records.append(ReportRecord.from_check(c, 0 if no_timing else _now_us() - t0))
-
-    if "morley" in idents and p >= 5:
-        t0 = _now_us()
-        c = cg.verify_morley(p, central % p**3)
-        records.append(ReportRecord.from_check(c, 0 if no_timing else _now_us() - t0))
-
-    if "carlitz" in idents:
-        t0 = _now_us()
-        c = cg.verify_carlitz(p, central, bpm3)
-        records.append(ReportRecord.from_check(c, 0 if no_timing else _now_us() - t0))
-
-    if "chamberland_dilcher" in idents and p >= 5:
-        for eps, a, b in cd_triples:
-            t0 = _now_us()
-            c = cg.verify_chamberland_dilcher(p, eps, a, b)
-            records.append(ReportRecord.from_check(c, 0 if no_timing else _now_us() - t0))
-
-    if lemma_tags and p >= 5:
-        t0 = _now_us()
-        checks = hm.verify_lemma_2_1(p, n_cap, q2, bern)
-        if lemma_tags == {"lemma_2_1_i"}:
-            checks = [c for c in checks if c.identity == "lemma_2_1_i"]
-        elif lemma_tags == {"lemma_2_1_ii"}:
-            checks = [c for c in checks if c.identity == "lemma_2_1_ii"]
-        records.extend(_stamp(checks, t0, no_timing))
-
-    if "lemma_2_2" in idents and p >= 5:
-        t0 = _now_us()
-        records.extend(_stamp(hm.verify_lemma_2_2(p, bpm3), t0, no_timing))
-
-    derived = idents & DERIVED_TAGS
-    if derived and p >= 5:
-        t0 = _now_us()
-        checks = [c for c in hm.verify_derived_sums(p, q2, bpm3) if c.identity in derived]
-        records.extend(_stamp(checks, t0, no_timing))
-
-    return records
-
-
-def _exact_task(args: tuple) -> list[ReportRecord]:
-    ident, n_lo, n_hi, no_timing = args
-    fn = cg.exact_identity_1_3 if ident == "exact_1_3" else cg.exact_identity_1_4
-    records = []
-    for n in range(n_lo, n_hi + 1):
-        t0 = _now_us()
-        c = fn(n)
-        records.append(ReportRecord.from_check(c, 0 if no_timing else _now_us() - t0))
-    return records
+def _scan_prime(args: tuple) -> list[ReportRecord]:
+    """Every selected per-prime check at p, all reading one PrimeContext."""
+    p, tags, a_values, cd_triples, window = args
+    ctx = PrimeContext(p, a_values, cd_triples, window)
+    entries = [IDENTITIES[t] for t in tags]
+    return [ReportRecord.from_check(c) for e in entries if p >= e.p_min for c in e.check(ctx)]
 
 
 def run_verify(cfg: ScanConfig) -> tuple[list[ReportRecord], int]:
     """Execute a verify scan; returns (sorted records, exit code 0/1)."""
     cfg.validate()
-    idents = set(cfg.identities)
-    records: list[ReportRecord] = []
-
+    chosen = set(cfg.identities)
+    entries = [e for tag, e in IDENTITIES.items() if tag in chosen and e.part_of not in chosen]
+    prime_tags = tuple(e.tag for e in entries if e.over == "p")
+    window = any(e.window for e in entries)
     tasks = []
-    prime_idents = idents - set(EXACT_CAPS) - {"p3_special"}
-    if prime_idents:
+    if prime_tags:
         for p in sieve_odd_primes(cfg.p_min, cfg.p_max):
-            tasks.append((p, tuple(sorted(prime_idents)), cfg.a_values, cfg.cd_triples, cfg.no_timing))
+            tasks.append((p, prime_tags, cfg.a_values, cfg.cd_triples, window))
 
-    exact_tasks = []
-    for ident in sorted(idents & set(EXACT_CAPS)):
-        for lo in range(1, cfg.n_max + 1, 32):
-            exact_tasks.append((ident, lo, min(lo + 31, cfg.n_max), cfg.no_timing))
-
+    records: list[ReportRecord] = []
     if cfg.jobs == 1:
         for t in tasks:
-            records.extend(_prime_task(t))
-        for t in exact_tasks:
-            records.extend(_exact_task(t))
+            records.extend(_scan_prime(t))
     else:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             chunk = max(1, len(tasks) // (cfg.jobs * 8))
-            for recs in pool.map(_prime_task, tasks, chunksize=chunk):
+            for recs in pool.map(_scan_prime, tasks, chunksize=chunk):
                 records.extend(recs)
-            for recs in pool.map(_exact_task, exact_tasks):
-                records.extend(recs)
-
-    if "p3_special" in idents:
-        for a in cfg.a_values:
-            t0 = _now_us()
-            c = cg.verify_p3_special(a)
-            records.append(ReportRecord.from_check(c, 0 if cfg.no_timing else _now_us() - t0))
+    # the exact identities and p = 3's wrap-up take well under a second
+    for e in entries:
+        if e.over != "p":
+            index = range(1, cfg.n_max + 1) if e.over == "n" else cfg.a_values
+            records.extend(ReportRecord.from_check(e.check(i)) for i in index)
 
     records.sort(key=lambda r: (r.p, r.identity, r.params))
     code = 0 if all(r.match for r in records) else 1
@@ -381,47 +213,13 @@ def write_records(records: list[ReportRecord], cfg: ScanConfig) -> None:
 # ---------------------------------------------------------------------------
 # oracle mode: fast path vs naive enumeration
 
-ORACLE_QUANTITIES = (
-    "binom_table",
-    "sigma",
-    "power_sum",
-    "half_harmonic",
-    "even_sums",
-    "bernoulli",
-    "fermat",
-    "cd",
-)
-
-_IDENTITY_QUANTITIES = {
-    "theorem_1_1": {"binom_table", "power_sum", "bernoulli"},
-    "corollary": {"binom_table", "power_sum", "bernoulli"},
-    "cai_granville": {"binom_table", "power_sum"},
-    "morley": {"binom_table"},
-    "carlitz": {"binom_table", "bernoulli"},
-    "chamberland_dilcher": {"cd"},
-    "lemma_2_1": {"half_harmonic", "bernoulli", "fermat"},
-    "lemma_2_1_i": {"half_harmonic", "bernoulli", "fermat"},
-    "lemma_2_1_ii": {"half_harmonic", "bernoulli"},
-    "lemma_2_2": {"even_sums", "bernoulli"},
-    "eq_2_7": {"even_sums", "bernoulli", "fermat"},
-    "eq_2_8": {"even_sums", "bernoulli", "fermat"},
-    "eq_2_9": {"even_sums", "bernoulli", "fermat"},
-    "eq_2_10": {"even_sums", "bernoulli", "fermat"},
-    "exact_1_3": set(),
-    "exact_1_4": set(),
-    "p3_special": set(),
-}
-
-
 def _oracle_binom_table(p: int) -> "str | None":
-    for e in range(1, 5):
-        if cg.binom_pm1(p, e) != rs.binom_pm1_naive(p, e):
-            return f"binom_table(p={p}, e={e})"
-    for e in (3, 4):
-        mid = (p - 1) // 2
-        want = (-1) ** mid * comb(p - 1, mid) % p**e
-        if rs.signed_central_binomial(p, e) != want:
-            return f"central_binomial(p={p}, e={e})"
+    ctx = PrimeContext(p)
+    if ctx.binom_row != rs.binom_pm1_naive(p, 4):
+        return f"binom_table(p={p}, e=4)"
+    mid = (p - 1) // 2
+    if ctx.central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
+        return f"central_binomial(p={p}, e=4)"
     return None
 
 
@@ -433,12 +231,10 @@ def _oracle_sigma(p: int) -> "str | None":
     the inverse power sums P1, P2, P3 via Newton's identities instead
     (a different recursion than the production update).
     """
-    ring = rs.make_ring(p, 4)
-    m = ring.modulus
+    m = p**4
     if p <= 101:
         for r in range(p):
-            got = rs.symmetric_inverse_sums(p, r, ring)
-            if got != rs.symmetric_inverse_sums_naive(p, r, ring):
+            if rs.symmetric_inverse_sums(p, r, 4) != rs.symmetric_inverse_sums_naive(p, r, 4):
                 return f"sigma(p={p}, r={r})"
         return None
     inv2 = pow(2, -1, m)
@@ -453,52 +249,46 @@ def _oracle_sigma(p: int) -> "str | None":
             p3 = (p3 + xx * x) % m
         e2 = (p1 * p1 - p2) * inv2 % m
         e3 = (p1 * p1 % m * p1 - 3 * p1 * p2 + 2 * p3) * inv6 % m
-        if rs.symmetric_inverse_sums(p, r, ring) != (p1, e2, e3):
+        if rs.symmetric_inverse_sums(p, r, 4) != (p1, e2, e3):
             return f"sigma(p={p}, r={r})"
     return None
 
 
 def _oracle_power_sum(p: int) -> "str | None":
-    table = cg.binom_pm1(p, 4)
-    batch = cg.lhs_power_sums_batch(p, 5, table)
+    power_sums = PrimeContext(p, a_values=range(1, 6)).power_sums
     for a in range(1, 6):
-        want = cg.lhs_power_sum_exact(p, a)
-        if cg.lhs_power_sum(p, a, table) != want or batch[a] != want:
+        if power_sums[a] != cg.lhs_power_sum_exact(p, a):
             return f"power_sum(p={p}, a={a})"
     return None
 
 
 def _oracle_half_harmonic(p: int) -> "str | None":
-    if hm.half_harmonic(p, 1, 3) != hm.naive_half_harmonic(p, 1, 3):
-        return f"half_harmonic(p={p}, n=1)"
-    for n in range(2, min(12, p - 2) + 1):
-        for e in (1, 2):
-            if hm.half_harmonic(p, n, e) != hm.naive_half_harmonic(p, n, e):
-                return f"half_harmonic(p={p}, n={n}, e={e})"
+    half = PrimeContext(p).half_sums
+    if half.h1 != hm.naive_half_harmonic(p, 1, 3):
+        return f"half_h1(p={p})"
+    for n, v in half.hn.items():
+        if v != hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1):
+            return f"half_hn(p={p}, n={n})"
     return None
 
 
 def _oracle_even_sums(p: int) -> "str | None":
-    prof = hm.even_restricted_sums(p)
-    for (n, e), v in prof.even_single.items():
+    even = PrimeContext(p).even_sums
+    for (n, e), v in even.single.items():
         if v != hm.naive_even_single(p, n, e):
             return f"even_single(p={p}, n={n}, e={e})"
-    for (s, t, e), v in prof.even_double.items():
+    for (s, t, e), v in even.double.items():
         if v != hm.naive_even_double(p, s, t, e):
             return f"even_double(p={p}, s={s}, t={t}, e={e})"
-    if prof.even_triple != hm.naive_even_triple(p):
+    if even.triple != hm.naive_even_triple(p):
         return f"even_triple(p={p})"
-    if prof.half_h1 != hm.naive_half_harmonic(p, 1, 3):
-        return f"profile_half_h1(p={p})"
-    for n, v in prof.half_hn.items():
-        if v != hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1):
-            return f"profile_half_hn(p={p}, n={n})"
     return None
 
 
 def _oracle_bernoulli(p: int) -> "str | None":
-    """Voronoi's congruence against power-sum extraction at every p, and
-    against the exact recurrence where p - j <= BERNOULLI_CAP."""
+    """Both Bernoulli fields (B_(p-3) alone and lemma_2_1's window) against
+    power-sum extraction at every p, and against the exact recurrence
+    where p - j <= BERNOULLI_CAP."""
     want = {}
     for j in range(3, min(13, p - 2) + 1, 2):
         want[j] = bn.bernoulli_mod_p(p, p - j)
@@ -506,11 +296,10 @@ def _oracle_bernoulli(p: int) -> "str | None":
             b = bn.bernoulli_exact(p - j)
             if want[j] != b.numerator * pow(b.denominator, -1, p) % p:
                 return f"bernoulli_mod_p(p={p}, index={p - j})"
-    if bn.bernoulli_pm3_mod_p(p).value != want[3]:
+    if PrimeContext(p, window=False).bern != {3: want[3]}:
         return f"bernoulli_pm3(p={p})"
-    for j, got in bn.bernoulli_window_mod_p(p, list(want)).items():
-        if got != want[j]:
-            return f"bernoulli_window(p={p}, j={j})"
+    if PrimeContext(p).bern != want:
+        return f"bernoulli_window(p={p})"
     m2 = p * p
     for exp in (p - 3, p - 5):
         if exp < 2:
@@ -522,7 +311,7 @@ def _oracle_bernoulli(p: int) -> "str | None":
 
 
 def _oracle_fermat(p: int) -> "str | None":
-    if bn.fermat_quotient_2(p).value != (pow(2, p - 1) - 1) // p % p**3:
+    if PrimeContext(p).q2 != (pow(2, p - 1) - 1) // p % p**3:
         return f"fermat_quotient_2(p={p})"
     qs = bn.fermat_quotients_all_bases(p)
     for k in range(2, p):
@@ -560,17 +349,18 @@ def _oracle_task(args: tuple) -> "str | None":
 
 
 def run_oracle_quantities(cfg: ScanConfig, quiet: bool = False) -> "str | None":
-    """Compare fast paths against naive enumeration; returns first mismatch name."""
+    """Compare the PrimeContext fields (and the other fast paths) against
+    naive enumeration; returns the first mismatch name.  The default
+    identity set compares every quantity."""
     quantities = set()
     for ident in cfg.identities:
-        quantities |= _IDENTITY_QUANTITIES.get(ident, set())
+        quantities.update(IDENTITIES[ident].oracle)
     if cfg.identities == DEFAULT_IDENTITIES:
-        quantities = set(ORACLE_QUANTITIES)
+        quantities = set(_ORACLE_FUNCS)
     cap = cfg.oracle_cap or ORACLE_CAP_LIMIT
     hi = min(cfg.p_max, cap)
-    primes = [p for p in sieve_odd_primes(max(cfg.p_min, 5), hi)]
-    order = [q for q in ORACLE_QUANTITIES if q in quantities]
-    tasks = [(p, order) for p in primes]
+    order = [q for q in _ORACLE_FUNCS if q in quantities]
+    tasks = [(p, order) for p in sieve_odd_primes(max(cfg.p_min, 5), hi)]
     if cfg.jobs == 1:
         bad = next(filter(None, map(_oracle_task, tasks)), None)
     else:
@@ -602,21 +392,20 @@ def run_oracle(cfg: ScanConfig) -> int:
 def run_sums(p: int) -> int:
     if not rs.is_odd_prime(p) or p < 5:
         raise UsageError(f"sums needs an odd prime >= 5, got {p}")
-    prof = hm.even_restricted_sums(p)
-    q2 = bn.fermat_quotient_2(p).value
-    bpm3 = bn.bernoulli_pm3_mod_p(p).value
+    ctx = PrimeContext(p, window=False)
+    half, even = ctx.half_sums, ctx.even_sums
     print(f"p = {p}")
-    print(f"q2 = (2^(p-1)-1)/p           mod p^3 = {q2}")
-    print(f"B_(p-3)                      mod p   = {bpm3}")
-    print(f"half sum 1/k                 mod p^3 = {prof.half_h1}")
-    for n in sorted(prof.half_hn):
+    print(f"q2 = (2^(p-1)-1)/p           mod p^3 = {ctx.q2}")
+    print(f"B_(p-3)                      mod p   = {ctx.bpm3}")
+    print(f"half sum 1/k                 mod p^3 = {half.h1}")
+    for n in sorted(half.hn):
         e = 2 if n % 2 == 0 else 1
-        print(f"half sum 1/k^{n:<2}              mod p^{e} = {prof.half_hn[n]}")
-    for (n, e) in sorted(prof.even_single):
-        print(f"even sum 1/k^{n}               mod p^{e} = {prof.even_single[(n, e)]}")
-    for (s, t, e) in sorted(prof.even_double):
-        print(f"even double 1/(j^{s} k^{t})      mod p^{e} = {prof.even_double[(s, t, e)]}")
-    print(f"even triple 1/(ijk)          mod p   = {prof.even_triple}")
+        print(f"half sum 1/k^{n:<2}              mod p^{e} = {half.hn[n]}")
+    for (n, e) in sorted(even.single):
+        print(f"even sum 1/k^{n}               mod p^{e} = {even.single[(n, e)]}")
+    for (s, t, e) in sorted(even.double):
+        print(f"even double 1/(j^{s} k^{t})      mod p^{e} = {even.double[(s, t, e)]}")
+    print(f"even triple 1/(ijk)          mod p   = {even.triple}")
     return 0
 
 
@@ -669,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument(
         "--identity",
         action="append",
-        choices=IDENTITY_CHOICES,
+        choices=tuple(IDENTITIES),
         help="repeatable; defaults to the standard set",
     )
     v.add_argument("--jobs", type=int, default=1)
@@ -677,7 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--out", default=None)
     v.add_argument("--oracle-cap", type=int, default=0,
                    help="also run naive oracles for primes up to this bound")
-    v.add_argument("--no-timing", action="store_true")
     v.add_argument("--cd", action="append", metavar="EPS,A,B",
                    help="triple for the u-sum identity, repeatable")
 
@@ -687,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="compare fast paths against naive enumeration")
     o.add_argument("--p-min", type=int, default=3)
     o.add_argument("--p-max", type=int, default=101)
-    o.add_argument("--identity", action="append", choices=IDENTITY_CHOICES)
+    o.add_argument("--identity", action="append", choices=tuple(IDENTITIES))
     o.add_argument("--jobs", type=int, default=1)
     o.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_LIMIT)
     return ap
@@ -718,7 +506,6 @@ def main(argv: "list[str] | None" = None) -> int:
             fmt=ns.format,
             out=ns.out,
             oracle_cap=ns.oracle_cap,
-            no_timing=ns.no_timing,
             cd_triples=_parse_cd(ns.cd),
         )
         records, code = run_verify(cfg)

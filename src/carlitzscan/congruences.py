@@ -19,14 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from .bernoulli import bernoulli_pm3_mod_p
-from .residues import (
-    OddPrime,
-    binom_pm1,
-    invert_mod,
-    make_ring,
-    reduce_rational,
-    signed_central_binomial,
-)
+from .residues import OddPrime, binom_pm1, reduce_rational, signed_central_binomial
 
 __all__ = [
     "CongruenceCheck",
@@ -34,7 +27,6 @@ __all__ = [
     "CD_EXCLUDED",
     "COROLLARY_COEFFICIENTS",
     "theorem_coefficient",
-    "lhs_power_sum",
     "lhs_power_sums_batch",
     "lhs_power_sum_exact",
     "rhs_theorem",
@@ -98,27 +90,9 @@ def _sign_is_negative(a: int, k: int) -> bool:
     return (a & 1) == 0 and (k & 1) == 1
 
 
-def lhs_power_sum(p: int, a: int, table: "list[int] | None" = None) -> int:
-    """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4.
-
-    The binomial table mod p^4 is built once (or passed in) and each
-    term is raised by square-and-multiply.
-    """
-    p = int(OddPrime(p))
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
-    m = p**4
-    if table is None:
-        table = binom_pm1(p, 4)
-    acc = 0
-    for k in range(p):
-        t = pow(table[k], a, m)
-        acc = (acc - t) if _sign_is_negative(a, k) else (acc + t)
-    return acc % m
-
-
 def lhs_power_sums_batch(p: int, a_max: int, table: "list[int] | None" = None) -> list[int]:
-    """lhs_power_sum for every a = 1..a_max in one sweep; entry [a] is the sum.
+    """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4 for every
+    a = 1..a_max in one sweep; entry [a] is the sum.
 
     Exploits binomial(p-1, k) == binomial(p-1, p-1-k) together with the
     matching sign (p-1 is even), so only half the range is visited, and
@@ -169,50 +143,46 @@ def rhs_theorem(p: int, a: int, bpm3: "int | None" = None) -> int:
     p = int(OddPrime(p))
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
-    ring = make_ring(p, 4)
-    base = pow(2, a * (p - 1), ring.modulus)
+    m = p**4
     coef = theorem_coefficient(a)
     if p == 3:
-        corr = reduce_rational(coef * 27, ring)
+        corr = reduce_rational(coef * 27, p, 4)
     else:
         if bpm3 is None:
             bpm3 = bernoulli_pm3_mod_p(p).value
-        corr = reduce_rational(coef * (bpm3 * p**3), ring)
-    return (base + corr) % ring.modulus
+        corr = reduce_rational(coef * (bpm3 * p**3), p, 4)
+    return (pow(2, a * (p - 1), m) + corr) % m
+
+
+def _power_sums(p: int, a: int, power_sums: "list[int] | None") -> list[int]:
+    return power_sums if power_sums is not None else lhs_power_sums_batch(p, a)
 
 
 def verify_theorem_1_1(
-    p: int, a: int, table: "list[int] | None" = None, bpm3: "int | None" = None
+    p: int, a: int, power_sums: "list[int] | None" = None, bpm3: "int | None" = None
 ) -> CongruenceCheck:
-    """Check the headline congruence at (p, a), both sides mod p^4."""
-    p = int(OddPrime(p))
-    lhs = lhs_power_sum(p, a, table)
-    rhs = rhs_theorem(p, a, bpm3)
-    return _check("theorem_1_1", p, (a,), p**4, lhs, rhs)
+    """Check the headline congruence at (p, a), both sides mod p^4.
+
+    `power_sums` is lhs_power_sums_batch output reaching a, if at hand.
+    """
+    rhs = rhs_theorem(p, a, bpm3)  # validates p and a
+    lhs = _power_sums(p, a, power_sums)[a]
+    return _check("theorem_1_1", p, (a,), int(p) ** 4, lhs, rhs)
 
 
 def verify_corollary(
-    p: int, a: int, table: "list[int] | None" = None, bpm3: "int | None" = None
+    p: int, a: int, power_sums: "list[int] | None" = None, bpm3: "int | None" = None
 ) -> CongruenceCheck:
     """The a = 3, 4, 5 specializations with their stated coefficients.
 
-    The right side is rebuilt from the stated coefficient (5/8, 2,
-    55/12); the verdict also requires it to equal a(a-1)(3a-4)/48.
+    Both sides are the theorem's at a; the verdict also requires the
+    stated coefficient (5/8, 2, 55/12) to equal a(a-1)(3a-4)/48.
     """
-    p = int(OddPrime(p))
     if a not in COROLLARY_COEFFICIENTS:
         raise ValueError(f"corollary is stated for a in (3, 4, 5), got {a}")
-    coef = COROLLARY_COEFFICIENTS[a]
-    ring = make_ring(p, 4)
-    if p == 3:
-        corr = reduce_rational(coef * 27, ring)
-    else:
-        if bpm3 is None:
-            bpm3 = bernoulli_pm3_mod_p(p).value
-        corr = reduce_rational(coef * (bpm3 * p**3), ring)
-    lhs = lhs_power_sum(p, a, table)
-    rhs = (pow(2, a * (p - 1), ring.modulus) + corr) % ring.modulus
-    return _check(f"corollary_a{a}", p, (a,), p**4, lhs, rhs, coef == theorem_coefficient(a))
+    c = verify_theorem_1_1(p, a, power_sums, bpm3)
+    holds = COROLLARY_COEFFICIENTS[a] == theorem_coefficient(a)
+    return _check(f"corollary_a{a}", c.p, (a,), c.modulus, c.lhs, c.rhs, holds)
 
 
 def verify_morley(p: int, central3: "int | None" = None) -> CongruenceCheck:
@@ -235,25 +205,24 @@ def verify_carlitz(
         == 4^(p-1) + (1/12) p^3 B_(p-3)   (mod p^4).
     """
     p = int(OddPrime(p))
-    ring = make_ring(p, 4)
+    m = p**4
     lhs = central4 if central4 is not None else signed_central_binomial(p, 4)
     if p == 3:
-        corr = reduce_rational(Fraction(27, 12), ring)
+        corr = reduce_rational(Fraction(27, 12), p, 4)
     else:
         if bpm3 is None:
             bpm3 = bernoulli_pm3_mod_p(p).value
-        corr = reduce_rational(Fraction(bpm3 * p**3, 12), ring)
-    rhs = (pow(4, p - 1, ring.modulus) + corr) % ring.modulus
-    return _check("carlitz", p, (), ring.modulus, lhs, rhs)
+        corr = reduce_rational(Fraction(bpm3 * p**3, 12), p, 4)
+    return _check("carlitz", p, (), m, lhs, (pow(4, p - 1, m) + corr) % m)
 
 
-def verify_cai_granville(p: int, a: int, table: "list[int] | None" = None) -> CongruenceCheck:
+def verify_cai_granville(p: int, a: int, power_sums: "list[int] | None" = None) -> CongruenceCheck:
     """The mod-p^3 statement: the alternating power sum == 2^(a(p-1)), p >= 5."""
     p = int(OddPrime(p))
     if p < 5:
         raise ValueError("the mod-p^3 statement needs p >= 5")
     m = p**3
-    lhs = lhs_power_sum(p, a, table) % m
+    lhs = _power_sums(p, a, power_sums)[a] % m
     rhs = pow(2, a * (p - 1), m)
     return _check("cai_granville", p, (a,), m, lhs, rhs)
 
@@ -272,7 +241,7 @@ def _vu_binomial_row(n: int, p: int, m3: int, kmax: int) -> list[tuple[int, int]
         while g % p == 0:
             val -= 1
             g //= p
-        unit = unit * invert_mod(g, m3) % m3
+        unit = unit * pow(g, -1, m3) % m3
         if val < 0:
             raise AssertionError("binomial coefficient with negative valuation")
         out.append((val, unit))
@@ -417,6 +386,6 @@ def verify_p3_special(a: int) -> CongruenceCheck:
     bookkeeping = (
         combined == Fraction(27, 16) * a * (a - 1) * (a + 4)
         and a * (a - 1) * (a + 4) % 3 == 0
-        and reduce_rational(combined, make_ring(3, 4)) == 0
+        and reduce_rational(combined, 3, 4) == 0
     )
     return _check("p3_special", 3, (a,), 81, lhs, rhs, bookkeeping)

@@ -31,8 +31,9 @@ from carlitzscan.congruences import (
     verify_morley,
     verify_p3_special,
 )
+from carlitzscan.context import PrimeContext
 from carlitzscan.harmonic import verify_derived_sums, verify_lemma_2_1, verify_lemma_2_2
-from carlitzscan.residues import make_ring, signed_central_binomial, symmetric_inverse_sums
+from carlitzscan.residues import signed_central_binomial, symmetric_inverse_sums
 
 THEOREM_P_MAX = 10**4
 CENTRAL_P_MAX = 10**5
@@ -117,11 +118,9 @@ def test_criterion_03_spot_values_with_local_oracle():
     assert carlitz5 == 6
     assert x.numerator * pow(x.denominator, -1, 625) % 625 == 6
 
-    from carlitzscan.congruences import lhs_power_sum
-
     ok = (
-        lhs_power_sum(5, 3) == rhs_theorem(5, 3) == 346
-        and lhs_power_sum(3, 2) == rhs_theorem(3, 2) == 79
+        lhs_power_sums_batch(5, 3)[3] == rhs_theorem(5, 3) == 346
+        and lhs_power_sums_batch(3, 2)[2] == rhs_theorem(3, 2) == 79
         and verify_carlitz(5).lhs == verify_carlitz(5).rhs == 6
     )
     report(3, ok, "spot values 346 mod 625, 79 mod 81, 6 mod 625 rebuilt "
@@ -163,12 +162,12 @@ def test_criterion_06_even_restricted_closed_forms(oracle_gate):
     failures = []
     primes = sieve_odd_primes(5, LEMMA_P_MAX)
     for p in primes:
-        q2 = fermat_quotient_2(p).value
-        bpm3 = bernoulli_pm3_mod_p(p).value
-        for c in verify_lemma_2_2(p, bpm3):
+        # both checks read one sweep of the even-index sums
+        ctx = PrimeContext(p, window=False)
+        for c in verify_lemma_2_2(p, ctx.bpm3, ctx.even_sums):
             if not c.verdict:
                 failures.append((p, c.identity))
-        for c in verify_derived_sums(p, q2, bpm3):
+        for c in verify_derived_sums(p, ctx.q2, ctx.bpm3, ctx.even_sums):
             if c.identity in ("eq_2_9", "eq_2_10") and not c.verdict:
                 failures.append((p, c.identity))
     a7, b7 = verify_lemma_2_2(7)
@@ -238,10 +237,9 @@ def test_criterion_11_product_expansion():
     primes = sieve_odd_primes(3, 101)
     for p in primes:
         m = p**4
-        ring = make_ring(p, 4)
         row = binom_pm1(p, 4)
         for r in range(p):
-            s1, s2, s3 = symmetric_inverse_sums(p, r, ring)
+            s1, s2, s3 = symmetric_inverse_sums(p, r, 4)
             want = (1 - p * s1 + p * p * s2 - p**3 * s3) % m
             got = row[r] if r % 2 == 0 else (m - row[r]) % m
             if got != want:

@@ -1,6 +1,7 @@
 """End-to-end and unit tests for the command-line front end."""
 
 import csv
+import hashlib
 import json
 import multiprocessing
 import subprocess
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from carlitzscan import cli
+from carlitzscan import harmonic as hm
 from carlitzscan.cli import (
     CSV_HEADER,
     DEFAULT_IDENTITIES,
@@ -89,35 +91,40 @@ def test_scan_config_validation():
 
 def test_report_record_serialization():
     c = CongruenceCheck("morley", 7, (), 343, 323, 323, True)
-    r = ReportRecord.from_check(c, 12)
+    r = ReportRecord.from_check(c)
     obj = json.loads(r.jsonl())
     assert list(obj) == ["identity", "p", "params", "modulus", "lhs", "rhs", "match", "us"]
     assert obj["modulus"] == "343" and obj["lhs"] == "323" and obj["rhs"] == "323"
-    assert obj["match"] is True and obj["us"] == 12
+    assert obj["match"] is True and obj["us"] == 0
     row = r.csv_row()
-    assert row == ["morley", "7", "[]", "343", "323", "323", "true", "12"]
+    assert row == ["morley", "7", "[]", "343", "323", "323", "true", "0"]
 
 
 def test_run_verify_identity_filters():
-    cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1_i",), no_timing=True)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1_i",))
     records, code = run_verify(cfg)
     assert code == 0
     assert {r.identity for r in records} == {"lemma_2_1_i"}
     assert len(records) == len(sieve_odd_primes(5, 31))
 
-    cfg = ScanConfig(p_min=5, p_max=31, identities=("eq_2_9",), no_timing=True)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("eq_2_9",))
     records, code = run_verify(cfg)
     assert code == 0
     assert {r.identity for r in records} == {"eq_2_9"}
 
-    cfg = ScanConfig(p_min=3, p_max=31, identities=("corollary",), no_timing=True)
+    cfg = ScanConfig(p_min=3, p_max=31, identities=("corollary",))
     records, code = run_verify(cfg)
     assert code == 0
     assert {r.identity for r in records} == {"corollary_a3", "corollary_a4", "corollary_a5"}
 
+    # a part of lemma_2_1 adds no records next to the whole lemma
+    whole, _ = run_verify(ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1",)))
+    both, _ = run_verify(ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1", "lemma_2_1_ii")))
+    assert both == whole
+
 
 def test_run_verify_sorted_output():
-    cfg = ScanConfig(p_min=3, p_max=60, no_timing=True)
+    cfg = ScanConfig(p_min=3, p_max=60)
     records, code = run_verify(cfg)
     assert code == 0
     keys = [(r.p, r.identity, r.params) for r in records]
@@ -132,7 +139,6 @@ def test_run_verify_reports_failures_with_exit_1():
         p_max=11,
         identities=("chamberland_dilcher",),
         cd_triples=((1, 0, 1),),
-        no_timing=True,
     )
     records, code = run_verify(cfg)
     assert code == 1
@@ -150,7 +156,7 @@ def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers see the patched oracle table only when forked")
     monkeypatch.setitem(cli._ORACLE_FUNCS, "fermat", lambda p: f"injected(p={p})")
-    cfg = ScanConfig(p_min=3, p_max=60, oracle_cap=31, jobs=jobs, no_timing=True)
+    cfg = ScanConfig(p_min=3, p_max=60, oracle_cap=31, jobs=jobs)
     assert run_oracle_quantities(cfg, quiet=True) == "injected(p=5)"
     records, code = run_verify(cfg)
     assert code == 1
@@ -159,11 +165,66 @@ def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
     assert keys == sorted(keys)
 
 
+# sha256 of the JSONL report of each identity over 3 <= p <= 200 with
+# a = 1..8, n_max = 50 and the default --cd triples, as written by the
+# code before the per-prime context existed (commit 9a4e1d2, run with
+# its --no-timing flag, which set the us column to 0 as it always is now)
+GOLDEN_DIGESTS = {
+    "theorem_1_1": "8789f638f45caa80839c5eb2c39a6962d55edc25683b6029f6a9803be3ac1428",
+    "corollary": "05d168a2a03a6f1097a2ea07bdd90cc62689c0ba940407df6e311ca40b48a01e",
+    "morley": "565806166f03a5620cccd15fa187350cab211912b07575169aa1504d7fe916af",
+    "carlitz": "5f3b53861741d2238c001c1620cc607d8a290eeb21b47ee4afd035aba08167f9",
+    "cai_granville": "e9fceb33239fc1cd46ddc60df1396a2acd796caa57628dd2ab707bca6c571117",
+    "chamberland_dilcher": "425200747d6a5ee28c7496f17d752ebff1b2e5e6b5c2fe4e00ee0e1eeab8602e",
+    "lemma_2_1": "0d68c518ff73e3f2d679801da30f97a76ac9078f187244ef390d434593fe2a24",
+    "lemma_2_1_i": "0e5851d4785f3ed9ea834505c6e830d747a6138207e78ed59fda46c9c84e5854",
+    "lemma_2_1_ii": "93cb9f8fb7a1bb5d51ace39c5ebcf699dddfe50fda86bc97a27501d1e305c6a5",
+    "lemma_2_2": "9bf19eb83072f372beae5574d68999c6faa5243842a638dc8151949bdd25e6da",
+    "eq_2_7": "f6079cf42c49f6c7328e2f435cd552aaed93f08091129906d96fd4413b128b25",
+    "eq_2_8": "7f404bf885b30b0fe47baf827890d7c23f25b622bf02e286dbdf22dcdb5a4735",
+    "eq_2_9": "1ddb102cfd545590561c588179db5105e9d945fa7db0550fd4c431a7b80305f5",
+    "eq_2_10": "5aca2b48b97270069c418aefa9e240828a3546e98d7ed89510341af63f1435e0",
+    "exact_1_3": "32ce06253612600126b4af59f692d4ee645c7709c38b255f0ba4a2b3ae4ba8f4",
+    "exact_1_4": "501fd0e47f4b69de8b3db4b11f28e6ad59d79e9e349cd5e17fba28213386dd77",
+    "p3_special": "e2d0bc2383aabb0c1dca21c3145b30244239cd6bb1b48038b051590e871d7791",
+}
+
+
+def test_reports_match_golden_digests():
+    assert set(GOLDEN_DIGESTS) == set(cli.IDENTITIES)
+    changed = []
+    for tag, want in GOLDEN_DIGESTS.items():
+        records, code = run_verify(ScanConfig(p_min=3, p_max=200, identities=(tag,), n_max=50))
+        text = "".join(r.jsonl() + "\n" for r in records)
+        if code != 0 or hashlib.sha256(text.encode()).hexdigest() != want:
+            changed.append(tag)
+    assert changed == []
+
+
+def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
+    # corrupt one even-index sum at p = 13 where the context computes it:
+    # the lemma_2_2 verdict and the oracle must both see the damage
+    fast = hm.even_index_sums
+
+    def corrupted(p):
+        sums = fast(p)
+        if p == 13:
+            sums.double[(1, 2, 1)] = (sums.double[(1, 2, 1)] + 1) % p
+        return sums
+
+    monkeypatch.setattr(hm, "even_index_sums", corrupted)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_2",))
+    records, code = run_verify(cfg)
+    assert code == 1
+    assert [(r.p, r.identity) for r in records if not r.match] == [(13, "lemma_2_2_a")]
+    assert run_oracle_quantities(cfg, quiet=True) == "even_double(p=13, s=1, t=2, e=1)"
+
+
 @pytest.mark.parametrize("p", [1093, 3511, 16843])
 def test_default_set_matches_at_degenerate_primes(p):
     # q2 == 0 (mod p) at the Wieferich primes 1093 and 3511, and
     # B_(p-3) == 0 (mod p) at 16843, so those correction terms vanish
-    records, code = run_verify(ScanConfig(p_min=p, p_max=p, no_timing=True))
+    records, code = run_verify(ScanConfig(p_min=p, p_max=p))
     assert code == 0
     assert {r.identity for r in records} >= {"theorem_1_1", "carlitz", "lemma_2_2_a", "eq_2_10"}
     assert all(r.match for r in records)
@@ -224,7 +285,7 @@ def test_cli_csv_format(tmp_path):
     out = tmp_path / "report.csv"
     res = run_cli(
         "verify", "--identity", "morley", "--p-min", "5", "--p-max", "31",
-        "--format", "csv", "--out", str(out), "--no-timing",
+        "--format", "csv", "--out", str(out),
     )
     assert res.returncode == 0, res.stderr
     rows = list(csv.reader(out.open()))
@@ -235,7 +296,7 @@ def test_cli_csv_format(tmp_path):
 
 def test_cli_jobs_do_not_change_output(tmp_path):
     f1, f2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    args = ["verify", "--p-min", "3", "--p-max", "80", "--no-timing"]
+    args = ["verify", "--p-min", "3", "--p-max", "80"]
     r1 = run_cli(*args, "--jobs", "1", "--out", str(f1))
     r2 = run_cli(*args, "--jobs", "2", "--out", str(f2))
     assert r1.returncode == 0 and r2.returncode == 0
@@ -282,7 +343,7 @@ def test_cli_oracle_cap_exceeded():
 
 
 def test_cli_default_identity_set():
-    res = run_cli("verify", "--p-max", "20", "--no-timing")
+    res = run_cli("verify", "--p-max", "20")
     assert res.returncode == 0
     tags = {json.loads(l)["identity"] for l in res.stdout.strip().splitlines()}
     assert tags == {

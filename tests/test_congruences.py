@@ -19,7 +19,6 @@ from carlitzscan.congruences import (
     chamberland_dilcher_u,
     exact_identity_1_3,
     exact_identity_1_4,
-    lhs_power_sum,
     lhs_power_sum_exact,
     lhs_power_sums_batch,
     rhs_theorem,
@@ -38,9 +37,9 @@ SMALL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
 
 def test_lhs_power_sum_frozen_values():
-    assert lhs_power_sum(5, 3) == 346
-    assert lhs_power_sum(3, 2) == 79
-    assert lhs_power_sum(5, 1) == 16
+    assert lhs_power_sums_batch(5, 3)[3] == 346
+    assert lhs_power_sums_batch(3, 2)[2] == 79
+    assert lhs_power_sums_batch(5, 1)[1] == 16
 
 
 def test_rhs_theorem_frozen_values():
@@ -51,15 +50,17 @@ def test_rhs_theorem_frozen_values():
 
 def test_lhs_power_sum_matches_exact_small():
     for p in SMALL:
+        batch = lhs_power_sums_batch(p, 5)
         for a in range(1, 6):
-            assert lhs_power_sum(p, a) == lhs_power_sum_exact(p, a), (p, a)
+            assert batch[a] == lhs_power_sum_exact(p, a), (p, a)
 
 
 def test_batch_matches_single():
+    # a batch reaching only a agrees with the longer batch at a
     for p in SMALL:
         batch = lhs_power_sums_batch(p, 8)
         for a in range(1, 9):
-            assert batch[a] == lhs_power_sum(p, a), (p, a)
+            assert batch[a] == lhs_power_sums_batch(p, a)[a], (p, a)
 
 
 def test_power_sum_a1_is_trivial():
@@ -73,7 +74,7 @@ def test_power_sum_a2_equals_signed_central_binomial():
     # binomial coefficient, so the two fast paths must agree exactly
     for p in range(3, 102, 2):
         if is_odd_prime(p):
-            assert lhs_power_sum(p, 2) == signed_central_binomial(p, 4), p
+            assert lhs_power_sums_batch(p, 2)[2] == signed_central_binomial(p, 4), p
 
 
 def test_theorem_coefficient_values():

@@ -8,11 +8,9 @@ import pytest
 from carlitzscan.bernoulli import bernoulli_window_mod_p, fermat_quotient_2
 from carlitzscan.harmonic import (
     HarmonicProfile,
-    even_double,
+    even_index_sums,
     even_restricted_sums,
-    even_single,
-    even_triple,
-    half_harmonic,
+    half_range_sums,
     naive_even_double,
     naive_even_single,
     naive_even_triple,
@@ -28,79 +26,70 @@ MEDIUM = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
 
 
 def test_half_harmonic_frozen_values():
-    assert half_harmonic(5, 1, 3) == 64
-    assert half_harmonic(7, 1, 1) == 3
-    assert half_harmonic(5, 2, 1) == 0
+    assert half_range_sums(5).h1 == 64
+    assert half_range_sums(7).h1 % 7 == 3
+    assert half_range_sums(5).hn[2] % 5 == 0
 
 
 def test_even_sums_frozen_values():
-    assert even_double(7, 1, 2, 1) == 1
-    assert even_double(7, 2, 1, 1) == 5
-    assert even_double(5, 1, 2, 1) == 0
-    assert even_double(5, 1, 1, 2) == 2
-    assert even_triple(5) == 4
-    assert even_triple(7) == 1
+    assert even_index_sums(7).double[(1, 2, 1)] == 1
+    assert even_index_sums(7).double[(2, 1, 1)] == 5
+    assert even_index_sums(5).double[(1, 2, 1)] == 0
+    assert even_index_sums(5).double[(1, 1, 2)] == 2
+    assert even_index_sums(5).triple == 4
+    assert even_index_sums(7).triple == 1
 
 
 def test_half_harmonic_matches_naive():
     for p in SMALL + [31]:
-        assert half_harmonic(p, 1, 3) == naive_half_harmonic(p, 1, 3)
-        for n in range(2, min(13, p - 1)):
-            for e in (1, 2):
-                got = half_harmonic(p, n, e)
-                assert got == naive_half_harmonic(p, n, e), (p, n, e)
+        half = half_range_sums(p)
+        assert half.h1 == naive_half_harmonic(p, 1, 3)
+        assert set(half.hn) == set(range(2, min(13, p - 1)))
+        for n, v in half.hn.items():
+            assert v == naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1), (p, n)
 
 
 def test_even_single_matches_naive():
     for p in SMALL:
-        for n in (1, 2, 3, 4):
-            for e in (1, 2, 3):
-                assert even_single(p, n, e) == naive_even_single(p, n, e), (p, n, e)
+        for (n, e), v in even_index_sums(p).single.items():
+            assert v == naive_even_single(p, n, e), (p, n, e)
 
 
 def test_even_double_matches_naive():
     for p in SMALL:
-        for s in (1, 2, 3):
-            for t in (1, 2, 3):
-                for e in (1, 2):
-                    got = even_double(p, s, t, e)
-                    assert got == naive_even_double(p, s, t, e), (p, s, t, e)
+        for (s, t, e), v in even_index_sums(p).double.items():
+            assert v == naive_even_double(p, s, t, e), (p, s, t, e)
 
 
 def test_even_triple_matches_naive():
     for p in SMALL + [17, 19, 31]:
-        assert even_triple(p) == naive_even_triple(p), p
+        assert even_index_sums(p).triple == naive_even_triple(p), p
 
 
 def test_validation_rejects_small_or_bad_args():
-    with pytest.raises(ValueError):
-        half_harmonic(3, 1, 1)
-    with pytest.raises(ValueError):
-        half_harmonic(5, 1, 4)
-    with pytest.raises(ValueError):
-        half_harmonic(5, 2, 3)
-    with pytest.raises(ValueError):
-        half_harmonic(5, 4, 1)  # n beyond p-2
-    with pytest.raises(ValueError):
-        even_double(5, 0, 1, 1)
-    with pytest.raises(ValueError):
-        even_single(9, 1, 1)
+    for sweep in (half_range_sums, even_index_sums, even_restricted_sums):
+        with pytest.raises(ValueError):
+            sweep(3)
+        with pytest.raises(ValueError):
+            sweep(9)
 
 
 def test_profile_matches_piecewise_functions():
-    for p in SMALL + [29]:
+    # every field of the profile against its own naive enumeration,
+    # up to the oracle's cap of p <= 1000
+    for p in SMALL + [29, 499, 997]:
         prof = even_restricted_sums(p)
         assert isinstance(prof, HarmonicProfile)
         assert prof.p == p
-        assert prof.half_h1 == half_harmonic(p, 1, 3)
+        assert prof.half_h1 == naive_half_harmonic(p, 1, 3)
         for n, v in prof.half_hn.items():
             e = 2 if n % 2 == 0 else 1
-            assert v == half_harmonic(p, n, e), (p, n)
+            assert v == naive_half_harmonic(p, n, e), (p, n)
         for (n, e), v in prof.even_single.items():
-            assert v == even_single(p, n, e), (p, n, e)
+            assert v == naive_even_single(p, n, e), (p, n, e)
         for (s, t, e), v in prof.even_double.items():
-            assert v == even_double(p, s, t, e), (p, s, t, e)
-        assert prof.even_triple == even_triple(p)
+            assert v == naive_even_double(p, s, t, e), (p, s, t, e)
+        assert prof.even_triple == naive_even_triple(p)
 
 
 def test_profile_covers_the_shapes_the_closed_forms_need():

@@ -10,21 +10,11 @@ from hypothesis import strategies as st
 from carlitzscan.residues import (
     MAX_PRIME,
     NegativeValuation,
-    NotInvertible,
     OddPrime,
-    Residue,
-    ResidueRing,
-    batch_invert,
     binom_pm1,
     binom_pm1_naive,
-    egcd,
     inverse_range,
-    invert_mod,
     is_odd_prime,
-    make_ring,
-    mod_inv,
-    mod_pow,
-    p_valuation,
     reduce_rational,
     signed_central_binomial,
     symmetric_inverse_sums,
@@ -63,101 +53,6 @@ def test_odd_prime_constructor():
             OddPrime(bad)
 
 
-def test_make_ring_moduli():
-    assert make_ring(5, 4).modulus == 625
-    assert make_ring(3, 4).modulus == 81
-    assert make_ring(7, 1).modulus == 7
-    with pytest.raises(ValueError):
-        make_ring(2, 1)
-    with pytest.raises(ValueError):
-        make_ring(5, 0)
-
-
-def test_ring_equality_and_immutability():
-    r1 = make_ring(5, 3)
-    r2 = make_ring(5, 3)
-    assert r1 == r2 and hash(r1) == hash(r2)
-    assert r1 != make_ring(5, 2)
-    with pytest.raises(AttributeError):
-        r1.exponent = 5
-
-
-def test_residue_basic_arithmetic():
-    ring = make_ring(5, 4)
-    assert (ring.residue(600) + ring.residue(50)).value == 25
-    assert (ring.residue(256) + 375).value == 6
-    r81 = make_ring(3, 4)
-    assert (r81.residue(0) - 2).value == 79
-    assert (2 - r81.residue(3)).value == 80
-    assert (-r81.residue(2)).value == 79
-
-
-def test_residue_mul_pow_inverse():
-    ring = make_ring(5, 3)
-    two = ring.residue(2)
-    assert (two * 64).value == 3
-    assert (two**7).value == 3
-    assert two.inverse().value == 63
-    assert (two**-1).value == 63
-    assert (two**-2).value == (63 * 63) % 125
-    five = ring.residue(5)
-    with pytest.raises(NotInvertible):
-        five.inverse()
-
-
-def test_mod_pow_mod_inv_wrappers():
-    ring = make_ring(5, 4)
-    two = ring.residue(2)
-    assert mod_pow(two, 4).value == 16
-    assert mod_pow(two, 12).value == 346
-    assert mod_pow(two, 0).value == 1
-    assert mod_inv(make_ring(5, 3).residue(2)).value == 63
-    assert mod_inv(make_ring(7, 3).residue(100)).value == 319
-    with pytest.raises(NotInvertible):
-        mod_inv(ring.residue(10))
-
-
-def test_residue_mixed_rings_rejected():
-    a = make_ring(5, 2).residue(1)
-    b = make_ring(5, 3).residue(1)
-    with pytest.raises(ValueError):
-        a + b
-
-
-def test_residue_equality_with_int():
-    ring = make_ring(7, 2)
-    assert ring.residue(50) == 1
-    assert ring.residue(50) == ring.residue(99)
-    assert ring.residue(5) != 6
-
-
-def test_egcd_bezout_brute():
-    for a in range(-40, 41):
-        for b in range(-40, 41):
-            g, x, y = egcd(a, b)
-            assert a * x + b * y == g
-            if a or b:
-                assert g > 0
-                assert a % g == 0 and b % g == 0
-
-
-def test_invert_mod_known_values():
-    assert invert_mod(2, 125) == 63
-    assert invert_mod(72, 625) == 408
-    assert invert_mod(1, 81) == 1
-    with pytest.raises(NotInvertible):
-        invert_mod(5, 625)
-    with pytest.raises(NotInvertible):
-        invert_mod(0, 7)
-
-
-def test_invert_mod_brute():
-    for m in (9, 25, 49, 121, 625):
-        for a in range(1, m):
-            if egcd(a, m)[0] == 1:
-                assert a * invert_mod(a, m) % m == 1
-
-
 def test_inverse_range_matches_builtin():
     for p, e in [(5, 1), (5, 4), (7, 2), (31, 3), (101, 1)]:
         m = p**e
@@ -167,38 +62,19 @@ def test_inverse_range_matches_builtin():
             assert table[k] == pow(k, -1, m)
 
 
-def test_batch_invert_matches_builtin():
-    m = 7**3
-    values = [1, 2, 6, 342, 100, 2, 45]
-    out = batch_invert(values, m)
-    assert out == [pow(v, -1, m) for v in values]
-    with pytest.raises(NotInvertible):
-        batch_invert([1, 7, 2], m)
-
-
-def test_p_valuation():
-    assert p_valuation(Fraction(9, 4), 3) == 2
-    assert p_valuation(Fraction(1, 3), 3) == -1
-    assert p_valuation(Fraction(50), 5) == 2
-    assert p_valuation(12, 2) == 2
-    with pytest.raises(ValueError):
-        p_valuation(Fraction(0), 5)
-
-
 def test_reduce_rational_known_values():
-    assert reduce_rational(Fraction(9, 4), make_ring(3, 4)) == 63
-    assert reduce_rational(Fraction(1), make_ring(3, 4)) == 1
-    assert reduce_rational(Fraction(0), make_ring(3, 4)) == 0
-    assert reduce_rational(7, make_ring(5, 2)) == 7
+    assert reduce_rational(Fraction(9, 4), 3, 4) == 63
+    assert reduce_rational(Fraction(1), 3, 4) == 1
+    assert reduce_rational(Fraction(0), 3, 4) == 0
+    assert reduce_rational(7, 5, 2) == 7
     with pytest.raises(NegativeValuation):
-        reduce_rational(Fraction(1, 3), make_ring(3, 4))
+        reduce_rational(Fraction(1, 3), 3, 4)
 
 
 def test_reduce_rational_cancels_p_power_in_denominator():
     # 27/12 has denominator valuation -1 but total valuation +2, so the
     # 3-part cancels and the value agrees with 9/4
-    ring = make_ring(3, 4)
-    assert reduce_rational(Fraction(27, 12), ring) == reduce_rational(Fraction(9, 4), ring)
+    assert reduce_rational(Fraction(27, 12), 3, 4) == reduce_rational(Fraction(9, 4), 3, 4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -211,14 +87,15 @@ def test_reduce_rational_cancels_p_power_in_denominator():
 def test_reduce_rational_residue_property(num, den, p, e):
     """den * r == num mod p^e whenever the rational reduces at all."""
     q = Fraction(num, den)
-    ring = make_ring(p, e)
+    m = p**e
     try:
-        r = reduce_rational(q, ring)
+        r = reduce_rational(q, p, e)
     except NegativeValuation:
-        assert q != 0 and p_valuation(q, p) < 0
+        # p divides the reduced denominator, hence not the numerator
+        assert q.denominator % p == 0 and q.numerator % p != 0
         return
-    assert 0 <= r < ring.modulus
-    assert q.denominator * r % ring.modulus == q.numerator % ring.modulus
+    assert 0 <= r < m
+    assert q.denominator * r % m == q.numerator % m
 
 
 def test_binom_pm1_known_rows():
@@ -258,24 +135,22 @@ def test_signed_central_binomial_matches_comb():
 
 
 def test_symmetric_inverse_sums_known():
-    assert symmetric_inverse_sums(7, 3, make_ring(7, 1)) == (3, 1, 6)
-    assert symmetric_inverse_sums(7, 0, make_ring(7, 4)) == (0, 0, 0)
-    assert symmetric_inverse_sums(7, 1, make_ring(7, 2)) == (1, 0, 0)
+    assert symmetric_inverse_sums(7, 3, 1) == (3, 1, 6)
+    assert symmetric_inverse_sums(7, 0, 4) == (0, 0, 0)
+    assert symmetric_inverse_sums(7, 1, 2) == (1, 0, 0)
 
 
 def test_symmetric_inverse_sums_matches_naive():
     for p in (5, 7, 11, 13, 31):
         for e in (1, 2, 4):
-            ring = make_ring(p, e)
             for r in range(p):
-                got = symmetric_inverse_sums(p, r, ring)
-                assert got == symmetric_inverse_sums_naive(p, r, ring), (p, e, r)
+                got = symmetric_inverse_sums(p, r, e)
+                assert got == symmetric_inverse_sums_naive(p, r, e), (p, e, r)
 
 
 def test_symmetric_sums_match_exact_fractions():
     """sigma_m from exact rational arithmetic, then reduced into the ring."""
     for p in (5, 7, 11):
-        ring = make_ring(p, 4)
         for r in range(p):
             ks = range(1, r + 1)
             e1 = sum(Fraction(1, k) for k in ks)
@@ -288,8 +163,8 @@ def test_symmetric_sums_match_exact_fractions():
                 for j in range(2, k)
                 for i in range(1, j)
             )
-            want = tuple(reduce_rational(x, ring) for x in (e1, e2, e3))
-            assert symmetric_inverse_sums(p, r, ring) == want, (p, r)
+            want = tuple(reduce_rational(x, p, 4) for x in (e1, e2, e3))
+            assert symmetric_inverse_sums(p, r, 4) == want, (p, r)
 
 
 def test_newton_identities_for_inverse_sums():
