@@ -214,11 +214,10 @@ def write_records(records: list[ReportRecord], cfg: ScanConfig) -> None:
 # oracle mode: fast path vs naive enumeration
 
 def _oracle_binom_table(p: int) -> "str | None":
-    ctx = PrimeContext(p)
-    if ctx.binom_row != rs.binom_pm1_naive(p, 4):
+    if rs.binom_pm1(p, 4) != rs.binom_pm1_naive(p, 4):
         return f"binom_table(p={p}, e=4)"
     mid = (p - 1) // 2
-    if ctx.central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
+    if PrimeContext(p).central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
         return f"central_binomial(p={p}, e=4)"
     return None
 
@@ -255,9 +254,13 @@ def _oracle_sigma(p: int) -> "str | None":
 
 
 def _oracle_power_sum(p: int) -> "str | None":
-    power_sums = PrimeContext(p, a_values=range(1, 6)).power_sums
-    for a in range(1, 6):
-        if power_sums[a] != cg.lhs_power_sum_exact(p, a):
+    """The power sums the verdicts read (from the context's moments)
+    against direct powers for a <= 10 and exact binomials for a <= 5."""
+    moments = PrimeContext(p).moments
+    direct = cg.lhs_power_sums_batch(p, 10)
+    for a in range(1, 11):
+        lhs = cg.moment_power_sum(p, a, moments)
+        if lhs != direct[a] or (a <= 5 and lhs != cg.lhs_power_sum_exact(p, a)):
             return f"power_sum(p={p}, a={a})"
     return None
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb
 
 from .bernoulli import bernoulli_pm3_mod_p
-from .residues import OddPrime, binom_pm1, reduce_rational, signed_central_binomial
+from .residues import OddPrime, binom_pm1, inverse_range, reduce_rational, signed_central_binomial
 
 __all__ = [
     "CongruenceCheck",
@@ -27,6 +27,8 @@ __all__ = [
     "CD_EXCLUDED",
     "COROLLARY_COEFFICIENTS",
     "theorem_coefficient",
+    "binomial_moments",
+    "moment_power_sum",
     "lhs_power_sums_batch",
     "lhs_power_sum_exact",
     "rhs_theorem",
@@ -90,13 +92,60 @@ def _sign_is_negative(a: int, k: int) -> bool:
     return (a & 1) == 0 and (k & 1) == 1
 
 
+def binomial_moments(p: int) -> tuple[int, int, int]:
+    """(M1, M2, M3) mod p^4, where M_j = sum_{k=0}^{p-1} (-1)^k (u_k - 1)^j
+    and u_k = (-1)^k binomial(p-1, k).
+
+    u_k == 1 (mod p), so (u_k - 1)^j vanishes mod p^4 for j >= 4 and the
+    three moments give every alternating power sum (moment_power_sum).
+    One sweep over k = 1..(p-1)/2 by u_k = u_(k-1) (k - p) / k: the
+    terms at k and p-1-k are equal (p-1 is even), so each k below the
+    middle counts twice and the middle once.  u_0 = 1 adds nothing.
+    """
+    p = int(OddPrime(p))
+    m = p**4
+    mid = (p - 1) // 2
+    inv = inverse_range(mid, m)
+    s1 = s2 = s3 = 0
+    u = 1
+    for k in range(1, mid + 1):
+        u = u * (k - p) % m * inv[k] % m
+        d = u - 1
+        d2 = d * d % m
+        d3 = d2 * d % m
+        if k & 1:
+            s1 -= d
+            s2 -= d2
+            s3 -= d3
+        else:
+            s1 += d
+            s2 += d2
+            s3 += d3
+    # each k < mid stands for itself and p-1-k; the middle term counts once
+    mid_sign = -1 if mid & 1 else 1
+    return tuple((2 * s - mid_sign * t) % m for s, t in ((s1, d), (s2, d2), (s3, d3)))
+
+
+def moment_power_sum(p: int, a: int, moments: "tuple[int, int, int] | None" = None) -> int:
+    """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4, in O(1)
+    from the moments: the summand is (-1)^k u_k^a, and expanding
+    u_k^a = (1 + (u_k - 1))^a binomially up to (u_k - 1)^3 gives
+    1 + a M1 + C(a,2) M2 + C(a,3) M3 (the k-sum of (-1)^k is 1).
+    """
+    if a < 1:
+        raise ValueError(f"a must be >= 1, got {a}")
+    m1, m2, m3 = moments if moments is not None else binomial_moments(p)
+    return (1 + a * m1 + comb(a, 2) * m2 + comb(a, 3) * m3) % p**4
+
+
 def lhs_power_sums_batch(p: int, a_max: int, table: "list[int] | None" = None) -> list[int]:
     """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4 for every
     a = 1..a_max in one sweep; entry [a] is the sum.
 
-    Exploits binomial(p-1, k) == binomial(p-1, p-1-k) together with the
-    matching sign (p-1 is even), so only half the range is visited, and
-    keeps a running a-th power per term.
+    The direct-power oracle route for moment_power_sum: it keeps a
+    running a-th power of every term of the binomial row.  Exploits
+    binomial(p-1, k) == binomial(p-1, p-1-k) together with the matching
+    sign (p-1 is even), so only half the range is visited.
     """
     p = int(OddPrime(p))
     if a_max < 1:
@@ -154,24 +203,19 @@ def rhs_theorem(p: int, a: int, bpm3: "int | None" = None) -> int:
     return (pow(2, a * (p - 1), m) + corr) % m
 
 
-def _power_sums(p: int, a: int, power_sums: "list[int] | None") -> list[int]:
-    return power_sums if power_sums is not None else lhs_power_sums_batch(p, a)
-
-
 def verify_theorem_1_1(
-    p: int, a: int, power_sums: "list[int] | None" = None, bpm3: "int | None" = None
+    p: int, a: int, moments: "tuple[int, int, int] | None" = None, bpm3: "int | None" = None
 ) -> CongruenceCheck:
     """Check the headline congruence at (p, a), both sides mod p^4.
 
-    `power_sums` is lhs_power_sums_batch output reaching a, if at hand.
+    `moments` is binomial_moments(p), if at hand.
     """
     rhs = rhs_theorem(p, a, bpm3)  # validates p and a
-    lhs = _power_sums(p, a, power_sums)[a]
-    return _check("theorem_1_1", p, (a,), int(p) ** 4, lhs, rhs)
+    return _check("theorem_1_1", p, (a,), int(p) ** 4, moment_power_sum(p, a, moments), rhs)
 
 
 def verify_corollary(
-    p: int, a: int, power_sums: "list[int] | None" = None, bpm3: "int | None" = None
+    p: int, a: int, moments: "tuple[int, int, int] | None" = None, bpm3: "int | None" = None
 ) -> CongruenceCheck:
     """The a = 3, 4, 5 specializations with their stated coefficients.
 
@@ -180,7 +224,7 @@ def verify_corollary(
     """
     if a not in COROLLARY_COEFFICIENTS:
         raise ValueError(f"corollary is stated for a in (3, 4, 5), got {a}")
-    c = verify_theorem_1_1(p, a, power_sums, bpm3)
+    c = verify_theorem_1_1(p, a, moments, bpm3)
     holds = COROLLARY_COEFFICIENTS[a] == theorem_coefficient(a)
     return _check(f"corollary_a{a}", c.p, (a,), c.modulus, c.lhs, c.rhs, holds)
 
@@ -216,13 +260,13 @@ def verify_carlitz(
     return _check("carlitz", p, (), m, lhs, (pow(4, p - 1, m) + corr) % m)
 
 
-def verify_cai_granville(p: int, a: int, power_sums: "list[int] | None" = None) -> CongruenceCheck:
+def verify_cai_granville(p: int, a: int, moments: "tuple[int, int, int] | None" = None) -> CongruenceCheck:
     """The mod-p^3 statement: the alternating power sum == 2^(a(p-1)), p >= 5."""
     p = int(OddPrime(p))
     if p < 5:
         raise ValueError("the mod-p^3 statement needs p >= 5")
     m = p**3
-    lhs = _power_sums(p, a, power_sums)[a] % m
+    lhs = moment_power_sum(p, a, moments) % m
     rhs = pow(2, a * (p - 1), m)
     return _check("cai_granville", p, (a,), m, lhs, rhs)
 
@@ -290,9 +334,12 @@ def chamberland_dilcher_exact(p: int, eps: int, a: int, b: int) -> int:
     """Oracle route: the same u-sum over exact integer binomials, mod p^3."""
     m3 = int(p) ** 3
     total = 0
+    c1 = c2 = 1  # binomial(p, k) and binomial(2p, k); c1 reaches 0 past k = p
     for k in range(2 * p + 1):
-        t = comb(p, k) ** a * comb(2 * p, k) ** b
+        t = c1**a * c2**b
         total += -t if (eps and k & 1) else t
+        c1 = c1 * (p - k) // (k + 1)
+        c2 = c2 * (2 * p - k) // (k + 1)
     return total % m3
 
 
@@ -379,8 +426,9 @@ def verify_p3_special(a: int) -> CongruenceCheck:
     """
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
-    s = 2 + (2**a if a % 2 == 1 else -(2**a))  # the power sum at p = 3, exact
-    lhs = (2 ** (2 * a) - s) % 81
+    t = pow(2, a, 81)
+    s = 2 + (t if a % 2 == 1 else -t)  # the power sum at p = 3, mod 81
+    lhs = (pow(4, a, 81) - s) % 81
     rhs = 9 * a * (a - 1) % 81
     combined = theorem_coefficient(a) * 27 + 9 * a * (a - 1)
     bookkeeping = (

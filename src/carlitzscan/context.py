@@ -1,10 +1,10 @@
 """One context per prime and one registry entry per identity.
 
 A PrimeContext holds the per-prime quantities the checks read (the
-binomial row, the alternating power sums, the central binomial, the
-Bernoulli window, q2 and the two harmonic sweeps).  Each is built the
-first time a check reads it and then shared by every other check at
-that prime.  IDENTITIES declares each identity once: its tag, where it
+three binomial moments behind every alternating power sum, the central
+binomial, the Bernoulli window, q2 and the two harmonic sweeps).  Each
+is built the first time a check reads it and then shared by every other
+check at that prime.  IDENTITIES declares each identity once: its tag, where it
 applies, whether `verify` runs it by default, and its check function.
 """
 
@@ -38,14 +38,9 @@ class PrimeContext:
         self.window = window
 
     @cached_property
-    def binom_row(self) -> list[int]:
-        """binomial(p-1, k) mod p^4 for k = 0..p-1."""
-        return rs.binom_pm1(self.p, 4)
-
-    @cached_property
-    def power_sums(self) -> list[int]:
-        """The alternating a-th power sums mod p^4; entry [a] for a <= max(a_values)."""
-        return cg.lhs_power_sums_batch(self.p, max(self.a_values), self.binom_row)
+    def moments(self) -> tuple[int, int, int]:
+        """(M1, M2, M3) mod p^4; cg.moment_power_sum reads any a-th power sum from them."""
+        return cg.binomial_moments(self.p)
 
     @cached_property
     def central4(self) -> int:
@@ -110,8 +105,7 @@ def _lemma_2_1(c: PrimeContext) -> list[cg.CongruenceCheck]:
 
 def _corollary(c: PrimeContext) -> list[cg.CongruenceCheck]:
     # a = 3, 4, 5 whatever a_values holds
-    sums = c.power_sums if len(c.power_sums) > 5 else cg.lhs_power_sums_batch(c.p, 5, c.binom_row)
-    return [cg.verify_corollary(c.p, a, sums, c.bpm3) for a in (3, 4, 5)]
+    return [cg.verify_corollary(c.p, a, c.moments, c.bpm3) for a in (3, 4, 5)]
 
 
 def _derived_sums(c: PrimeContext) -> list[cg.CongruenceCheck]:
@@ -130,14 +124,14 @@ _DERIVED = ("even_sums", "bernoulli", "fermat")
 IDENTITIES: dict[str, Identity] = {
     e.tag: e
     for e in (
-        Identity("theorem_1_1", lambda c: [cg.verify_theorem_1_1(c.p, a, c.power_sums, c.bpm3) for a in c.a_values],
+        Identity("theorem_1_1", lambda c: [cg.verify_theorem_1_1(c.p, a, c.moments, c.bpm3) for a in c.a_values],
                  default=True, oracle=_THEOREM),
         Identity("corollary", _corollary, oracle=_THEOREM),
         Identity("morley", lambda c: [cg.verify_morley(c.p, c.central4 % c.p**3)],
                  p_min=5, default=True, oracle=("binom_table",)),
         Identity("carlitz", lambda c: [cg.verify_carlitz(c.p, c.central4, c.bpm3)],
                  default=True, oracle=("binom_table", "bernoulli")),
-        Identity("cai_granville", lambda c: [cg.verify_cai_granville(c.p, a, c.power_sums) for a in c.a_values],
+        Identity("cai_granville", lambda c: [cg.verify_cai_granville(c.p, a, c.moments) for a in c.a_values],
                  p_min=5, oracle=("binom_table", "power_sum")),
         Identity("chamberland_dilcher", lambda c: [cg.verify_chamberland_dilcher(c.p, *t) for t in c.cd_triples],
                  p_min=5, oracle=("cd",)),

@@ -6,11 +6,14 @@ import json
 import multiprocessing
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from carlitzscan import cli
+from carlitzscan import congruences as cg
 from carlitzscan import harmonic as hm
+from carlitzscan import residues as rs
 from carlitzscan.cli import (
     CSV_HEADER,
     DEFAULT_IDENTITIES,
@@ -218,6 +221,51 @@ def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
     assert code == 1
     assert [(r.p, r.identity) for r in records if not r.match] == [(13, "lemma_2_2_a")]
     assert run_oracle_quantities(cfg, quiet=True) == "even_double(p=13, s=1, t=2, e=1)"
+
+
+def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
+    # shift M3 by p^3 at p = 13: only the mod-p^4 power sums with
+    # C(a, 3) != 0 (mod 13) move, and the oracle must name the first
+    fast = cg.binomial_moments
+
+    def corrupted(p):
+        m1, m2, m3 = fast(p)
+        return (m1, m2, (m3 + p**3) % p**4) if p == 13 else (m1, m2, m3)
+
+    monkeypatch.setattr(cg, "binomial_moments", corrupted)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("theorem_1_1", "cai_granville"))
+    records, code = run_verify(cfg)
+    assert code == 1
+    bad = [(r.p, r.identity, r.params) for r in records if not r.match]
+    assert bad == [(13, "theorem_1_1", (a,)) for a in range(3, 9)]
+    assert run_oracle_quantities(cfg, quiet=True) == "power_sum(p=13, a=3)"
+
+
+def test_verify_never_builds_the_oracle_routes(monkeypatch):
+    # the binomial row and the direct powers belong to the oracle only
+    def forbidden(*args, **kwargs):
+        raise AssertionError("oracle route reached from verify")
+
+    for mod, name in ((rs, "binom_pm1"), (cg, "binom_pm1"), (cg, "lhs_power_sums_batch")):
+        monkeypatch.setattr(mod, name, forbidden)
+    records, code = run_verify(ScanConfig(p_max=60, identities=tuple(cli.IDENTITIES), n_max=5))
+    assert code == 0 and records
+
+
+def test_huge_a_runs_in_bounded_memory():
+    # the power sums cost O(1) per a and p = 3's wrap-up works mod 81,
+    # so a = 10^9 needs neither a list of 10^9 entries nor 2^(2a)
+    cfg = ScanConfig(p_max=13, a_values=(10**9,), identities=("theorem_1_1", "cai_granville", "p3_special"))
+    tracemalloc.start()
+    try:
+        records, code = run_verify(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert [(r.p, r.identity) for r in records][:3] == [(3, "p3_special"), (3, "theorem_1_1"), (5, "cai_granville")]
+    assert len(records) == 1 + 5 + 4
+    assert peak < 4 * 2**20, peak
 
 
 @pytest.mark.parametrize("p", [1093, 3511, 16843])

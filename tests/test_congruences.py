@@ -15,12 +15,14 @@ from carlitzscan.congruences import (
     ExcludedTriple,
     alternating_square_sum,
     alternating_square_sum_printed_limit,
+    binomial_moments,
     chamberland_dilcher_exact,
     chamberland_dilcher_u,
     exact_identity_1_3,
     exact_identity_1_4,
     lhs_power_sum_exact,
     lhs_power_sums_batch,
+    moment_power_sum,
     rhs_theorem,
     theorem_coefficient,
     verify_cai_granville,
@@ -40,6 +42,33 @@ def test_lhs_power_sum_frozen_values():
     assert lhs_power_sums_batch(5, 3)[3] == 346
     assert lhs_power_sums_batch(3, 2)[2] == 79
     assert lhs_power_sums_batch(5, 1)[1] == 16
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 1009, 1093, 10007])
+def test_moment_route_matches_direct_powers(p):
+    # p = 3 has an odd middle index; 1093 is a Wieferich prime
+    moments = binomial_moments(p)
+    assert all(mj % p**j == 0 for j, mj in enumerate(moments, 1))
+    direct = lhs_power_sums_batch(p, 40)
+    for a in range(1, 41):
+        assert moment_power_sum(p, a, moments) == direct[a], (p, a)
+    with pytest.raises(ValueError):
+        moment_power_sum(p, 0, moments)
+
+
+def test_moment_verdicts_at_vanishing_bernoulli_prime():
+    # B_(p-3) == 0 (mod 16843): the correction term drops out, and the
+    # moment route must still read the lhs the direct powers give
+    p = 16843
+    bpm3 = bernoulli_pm3_mod_p(p).value
+    assert bpm3 == 0
+    moments = binomial_moments(p)
+    direct = lhs_power_sums_batch(p, 8)
+    for a in range(1, 9):
+        t = verify_theorem_1_1(p, a, moments, bpm3)
+        c = verify_cai_granville(p, a, moments)
+        assert t.verdict and c.verdict, a
+        assert t.lhs == direct[a] and c.lhs == direct[a] % p**3, a
 
 
 def test_rhs_theorem_frozen_values():
