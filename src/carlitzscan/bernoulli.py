@@ -2,13 +2,10 @@
 
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
 
 from .residues import OddPrime, inverse_range
 
 __all__ = [
-    "BernoulliResidue",
-    "FermatQuotient",
     "bernoulli_exact",
     "bernoulli_mod_p",
     "bernoulli_pm3_mod_p",
@@ -26,20 +23,6 @@ BERNOULLI_CAP = 400
 # one process always see a consistent prefix; workers in a process pool
 # each grow their own copy.
 _bcache: list[Fraction] = [Fraction(1)]
-
-
-class BernoulliResidue(NamedTuple):
-    """B_(p-3) mod p (or another even-index Bernoulli residue)."""
-
-    p: int
-    value: int
-
-
-class FermatQuotient(NamedTuple):
-    """q_2(p) = (2^(p-1) - 1)/p as a canonical residue mod p^3."""
-
-    p: int
-    value: int
 
 
 def bernoulli_exact(n: int) -> Fraction:
@@ -134,12 +117,12 @@ def bernoulli_mod_p(p: int, index: int) -> int:
     return (s // p) % p
 
 
-def bernoulli_pm3_mod_p(p: int) -> BernoulliResidue:
+def bernoulli_pm3_mod_p(p: int) -> int:
     """B_(p-3) mod p for p >= 5, by Voronoi's congruence."""
     p = int(OddPrime(p))
     if p < 5:
         raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
-    return BernoulliResidue(p, _voronoi_window(p, [3])[3])
+    return _voronoi_window(p, [3])[3]
 
 
 def bernoulli_window_mod_p(p: int, offsets: "list[int] | tuple[int, ...]") -> dict[int, int]:
@@ -207,7 +190,7 @@ def _voronoi_sums(p: int, c: int, offsets: list[int]) -> dict[int, int]:
     return out
 
 
-def fermat_quotient_2(p: int) -> FermatQuotient:
+def fermat_quotient_2(p: int) -> int:
     """q_2(p) = (2^(p-1) - 1)/p, canonical mod p^3.
 
     Computed from 2^(p-1) mod p^4 followed by the exact division by p
@@ -215,7 +198,7 @@ def fermat_quotient_2(p: int) -> FermatQuotient:
     """
     p = int(OddPrime(p))
     t = pow(2, p - 1, p**4)
-    return FermatQuotient(p, ((t - 1) // p) % p**3)
+    return ((t - 1) // p) % p**3
 
 
 def fermat_quotients_all_bases(p: int) -> list[int]:

@@ -30,7 +30,6 @@ from .context import DEFAULT_A, DEFAULT_CD_TRIPLES, IDENTITIES, PrimeContext
 __all__ = [
     "UsageError",
     "ScanConfig",
-    "ReportRecord",
     "sieve_odd_primes",
     "run_verify",
     "run_oracle",
@@ -88,53 +87,32 @@ class ScanConfig:
                 raise UsageError(f"triple {trip} is outside the identity's domain")
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    """One report line.  The `us` column of the report format is kept for
-    readers of earlier reports and is always 0."""
-
-    identity: str
-    p: int
-    params: tuple[int, ...]
-    modulus: int
-    lhs: int
-    rhs: int
-    match: bool
-
-    @classmethod
-    def from_check(cls, check: cg.CongruenceCheck) -> "ReportRecord":
-        return cls(check.identity, check.p, check.params, check.modulus, check.lhs, check.rhs, check.verdict)
-
-    def _values(self) -> list:
-        # one value per CSV_HEADER column; the big residues as decimal strings
-        return [self.identity, self.p, list(self.params), str(self.modulus), str(self.lhs), str(self.rhs), self.match, 0]
-
-    def jsonl(self) -> str:
-        return json.dumps(dict(zip(CSV_HEADER, self._values())))
-
-    def csv_row(self) -> list[str]:
-        return [v if isinstance(v, str) else json.dumps(v) for v in self._values()]
-
-
 CSV_HEADER = ["identity", "p", "params", "modulus", "lhs", "rhs", "match", "us"]
+
+
+def _values(c: cg.CongruenceCheck) -> list:
+    # one value per CSV_HEADER column, the big residues as decimal strings;
+    # `us` is kept for readers of earlier reports and is always 0
+    return [c.identity, c.p, list(c.params), str(c.modulus), str(c.lhs), str(c.rhs), c.verdict, 0]
+
+
+def jsonl_line(c: cg.CongruenceCheck) -> str:
+    return json.dumps(dict(zip(CSV_HEADER, _values(c))))
+
+
+def csv_row(c: cg.CongruenceCheck) -> list[str]:
+    return [v if isinstance(v, str) else json.dumps(v) for v in _values(c)]
+
 
 _SEGMENT = 1 << 20
 
 
 def sieve_odd_primes(lo: int, hi: int) -> list[int]:
-    """Odd primes in [lo, hi], by a plain sieve (segmented above 10^7)."""
+    """Odd primes in [lo, hi], by a sieve segmented into windows of 2^20."""
     if hi < 3:
         return []
     lo = max(lo, 3)
-    if hi <= 10**7:
-        flags = bytearray([1]) * (hi + 1)
-        flags[0:2] = b"\x00\x00"
-        for q in range(2, isqrt(hi) + 1):
-            if flags[q]:
-                flags[q * q :: q] = bytearray(len(range(q * q, hi + 1, q)))
-        return [n for n in range(lo | 1, hi + 1, 2) if flags[n]]
-    base = sieve_odd_primes(3, isqrt(hi))
-    small = [2] + base
+    small = [2] + sieve_odd_primes(3, isqrt(hi))
     out = []
     start = lo
     while start <= hi:
@@ -145,23 +123,27 @@ def sieve_odd_primes(lo: int, hi: int) -> list[int]:
                 break
             first = max(q * q, (start + q - 1) // q * q)
             flags[first - start :: q] = bytearray(len(range(first, end + 1, q)))
-        out.extend(
-            n for n in range((start | 1), end + 1, 2) if flags[n - start] and n >= 3
-        )
+        out.extend(n for n in range(start | 1, end + 1, 2) if flags[n - start])
         start = end + 1
     return out
 
 
-def _scan_prime(args: tuple) -> list[ReportRecord]:
+def _scan_prime(args: tuple) -> list[cg.CongruenceCheck]:
     """Every selected per-prime check at p, all reading one PrimeContext."""
     p, tags, a_values, cd_triples, window = args
     ctx = PrimeContext(p, a_values, cd_triples, window)
     entries = [IDENTITIES[t] for t in tags]
-    return [ReportRecord.from_check(c) for e in entries if p >= e.p_min for c in e.check(ctx)]
+    return [c for e in entries if p >= e.p_min for c in e.check(ctx)]
 
 
-def run_verify(cfg: ScanConfig) -> tuple[list[ReportRecord], int]:
-    """Execute a verify scan; returns (sorted records, exit code 0/1)."""
+def _pool_size(jobs: int) -> int:
+    """Workers for a pool of `jobs`: no more than the CPUs, since each is a
+    process the executor forks at its first submit."""
+    return min(jobs, os.cpu_count() or 1)
+
+
+def run_verify(cfg: ScanConfig) -> tuple[list[cg.CongruenceCheck], int]:
+    """Execute a verify scan; returns (sorted checks, exit code 0/1)."""
     cfg.validate()
     chosen = set(cfg.identities)
     entries = [e for tag, e in IDENTITIES.items() if tag in chosen and e.part_of not in chosen]
@@ -172,39 +154,40 @@ def run_verify(cfg: ScanConfig) -> tuple[list[ReportRecord], int]:
         for p in sieve_odd_primes(cfg.p_min, cfg.p_max):
             tasks.append((p, prime_tags, cfg.a_values, cfg.cd_triples, window))
 
-    records: list[ReportRecord] = []
+    records: list[cg.CongruenceCheck] = []
     if cfg.jobs == 1:
         for t in tasks:
             records.extend(_scan_prime(t))
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunk = max(1, len(tasks) // (cfg.jobs * 8))
+        workers = _pool_size(cfg.jobs)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunk = max(1, len(tasks) // (workers * 8))
             for recs in pool.map(_scan_prime, tasks, chunksize=chunk):
                 records.extend(recs)
     # the exact identities and p = 3's wrap-up take well under a second
     for e in entries:
         if e.over != "p":
             index = range(1, cfg.n_max + 1) if e.over == "n" else cfg.a_values
-            records.extend(ReportRecord.from_check(e.check(i)) for i in index)
+            records.extend(e.check(i) for i in index)
 
     records.sort(key=lambda r: (r.p, r.identity, r.params))
-    code = 0 if all(r.match for r in records) else 1
+    code = 0 if all(r.verdict for r in records) else 1
     if cfg.oracle_cap and run_oracle_quantities(cfg):
         code = 1
     return records, code
 
 
-def write_records(records: list[ReportRecord], cfg: ScanConfig) -> None:
+def write_records(records: list[cg.CongruenceCheck], cfg: ScanConfig) -> None:
     out = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
     try:
         if cfg.fmt == "csv":
             w = csv.writer(out)
             w.writerow(CSV_HEADER)
             for r in records:
-                w.writerow(r.csv_row())
+                w.writerow(csv_row(r))
         else:
             for r in records:
-                out.write(r.jsonl() + "\n")
+                out.write(jsonl_line(r) + "\n")
     finally:
         if cfg.out:
             out.close()
@@ -367,7 +350,7 @@ def run_oracle_quantities(cfg: ScanConfig, quiet: bool = False) -> "str | None":
     if cfg.jobs == 1:
         bad = next(filter(None, map(_oracle_task, tasks)), None)
     else:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=_pool_size(cfg.jobs)) as pool:
             try:
                 bad = next(filter(None, pool.map(_oracle_task, tasks)), None)
             finally:
@@ -379,11 +362,8 @@ def run_oracle_quantities(cfg: ScanConfig, quiet: bool = False) -> "str | None":
 
 def run_oracle(cfg: ScanConfig) -> int:
     cfg.validate()
-    if cfg.p_max > (cfg.oracle_cap or ORACLE_CAP_LIMIT):
-        raise UsageError(
-            f"oracle scans are capped at p <= {cfg.oracle_cap or ORACLE_CAP_LIMIT}, "
-            f"got p_max={cfg.p_max}"
-        )
+    if cfg.p_max > ORACLE_CAP_LIMIT:
+        raise UsageError(f"oracle scans are capped at p <= {ORACLE_CAP_LIMIT}, got p_max={cfg.p_max}")
     bad = run_oracle_quantities(cfg)
     if bad:
         return 1
@@ -480,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--p-max", type=int, default=101)
     o.add_argument("--identity", action="append", choices=tuple(IDENTITIES))
     o.add_argument("--jobs", type=int, default=1)
-    o.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_LIMIT)
     return ap
 
 
@@ -496,7 +475,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 p_max=ns.p_max,
                 identities=tuple(ns.identity) if ns.identity else DEFAULT_IDENTITIES,
                 jobs=ns.jobs,
-                oracle_cap=ns.oracle_cap,
             )
             return run_oracle(cfg)
         cfg = ScanConfig(

@@ -11,15 +11,18 @@ binomial congruence mod p^4; dropping the correction term gives the
 mod-p^3 statement) are exposed with stable identity tags.
 
 Every check records both sides; a failed congruence produces a verdict
-of False, never an exception.
+of False, never an exception.  The per-prime checks read a PrimeContext.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import TYPE_CHECKING
 
-from .bernoulli import bernoulli_pm3_mod_p
-from .residues import OddPrime, binom_pm1, inverse_range, reduce_rational, signed_central_binomial
+from .residues import OddPrime, binom_pm1, inverse_range, reduce_rational
+
+if TYPE_CHECKING:
+    from .context import PrimeContext
 
 __all__ = [
     "CongruenceCheck",
@@ -126,7 +129,7 @@ def binomial_moments(p: int) -> tuple[int, int, int]:
     return tuple((2 * s - mid_sign * t) % m for s, t in ((s1, d), (s2, d2), (s3, d3)))
 
 
-def moment_power_sum(p: int, a: int, moments: "tuple[int, int, int] | None" = None) -> int:
+def moment_power_sum(p: int, a: int, moments: tuple[int, int, int]) -> int:
     """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4, in O(1)
     from the moments: the summand is (-1)^k u_k^a, and expanding
     u_k^a = (1 + (u_k - 1))^a binomially up to (u_k - 1)^3 gives
@@ -134,11 +137,11 @@ def moment_power_sum(p: int, a: int, moments: "tuple[int, int, int] | None" = No
     """
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
-    m1, m2, m3 = moments if moments is not None else binomial_moments(p)
+    m1, m2, m3 = moments
     return (1 + a * m1 + comb(a, 2) * m2 + comb(a, 3) * m3) % p**4
 
 
-def lhs_power_sums_batch(p: int, a_max: int, table: "list[int] | None" = None) -> list[int]:
+def lhs_power_sums_batch(p: int, a_max: int) -> list[int]:
     """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4 for every
     a = 1..a_max in one sweep; entry [a] is the sum.
 
@@ -151,8 +154,7 @@ def lhs_power_sums_batch(p: int, a_max: int, table: "list[int] | None" = None) -
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
     m = p**4
-    if table is None:
-        table = binom_pm1(p, 4)
+    table = binom_pm1(p, 4)
     mid = (p - 1) // 2
     acc = [0] * (a_max + 1)
     for k in range(mid + 1):
@@ -181,13 +183,13 @@ def lhs_power_sum_exact(p: int, a: int) -> int:
     return acc % m
 
 
-def rhs_theorem(p: int, a: int, bpm3: "int | None" = None) -> int:
+def rhs_theorem(p: int, a: int, bpm3: "int | None") -> int:
     """2^(a(p-1)) + (a(a-1)(3a-4)/48) p^3 B_(p-3) mod p^4.
 
-    For p >= 5 the Bernoulli factor enters as a residue mod p (the p^3
-    in front makes that enough).  For p = 3 the correction is formed as
-    one exact rational with B_0 = 1 so the 3 in the denominator 48
-    cancels against 27 before reduction mod 81.
+    For p >= 5 the Bernoulli factor enters as `bpm3`, B_(p-3) mod p (the
+    p^3 in front makes that enough).  For p = 3 the correction is formed
+    as one exact rational with B_0 = 1 so the 3 in the denominator 48
+    cancels against 27 before reduction mod 81; `bpm3` is not read.
     """
     p = int(OddPrime(p))
     if a < 1:
@@ -197,26 +199,17 @@ def rhs_theorem(p: int, a: int, bpm3: "int | None" = None) -> int:
     if p == 3:
         corr = reduce_rational(coef * 27, p, 4)
     else:
-        if bpm3 is None:
-            bpm3 = bernoulli_pm3_mod_p(p).value
         corr = reduce_rational(coef * (bpm3 * p**3), p, 4)
     return (pow(2, a * (p - 1), m) + corr) % m
 
 
-def verify_theorem_1_1(
-    p: int, a: int, moments: "tuple[int, int, int] | None" = None, bpm3: "int | None" = None
-) -> CongruenceCheck:
-    """Check the headline congruence at (p, a), both sides mod p^4.
-
-    `moments` is binomial_moments(p), if at hand.
-    """
-    rhs = rhs_theorem(p, a, bpm3)  # validates p and a
-    return _check("theorem_1_1", p, (a,), int(p) ** 4, moment_power_sum(p, a, moments), rhs)
+def verify_theorem_1_1(c: "PrimeContext", a: int) -> CongruenceCheck:
+    """Check the headline congruence at (c.p, a), both sides mod p^4."""
+    rhs = rhs_theorem(c.p, a, c.bpm3)  # validates a
+    return _check("theorem_1_1", c.p, (a,), c.p**4, moment_power_sum(c.p, a, c.moments), rhs)
 
 
-def verify_corollary(
-    p: int, a: int, moments: "tuple[int, int, int] | None" = None, bpm3: "int | None" = None
-) -> CongruenceCheck:
+def verify_corollary(c: "PrimeContext", a: int) -> CongruenceCheck:
     """The a = 3, 4, 5 specializations with their stated coefficients.
 
     Both sides are the theorem's at a; the verdict also requires the
@@ -224,49 +217,42 @@ def verify_corollary(
     """
     if a not in COROLLARY_COEFFICIENTS:
         raise ValueError(f"corollary is stated for a in (3, 4, 5), got {a}")
-    c = verify_theorem_1_1(p, a, moments, bpm3)
+    t = verify_theorem_1_1(c, a)
     holds = COROLLARY_COEFFICIENTS[a] == theorem_coefficient(a)
-    return _check(f"corollary_a{a}", c.p, (a,), c.modulus, c.lhs, c.rhs, holds)
+    return _check(f"corollary_a{a}", t.p, (a,), t.modulus, t.lhs, t.rhs, holds)
 
 
-def verify_morley(p: int, central3: "int | None" = None) -> CongruenceCheck:
+def verify_morley(c: "PrimeContext") -> CongruenceCheck:
     """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) == 4^(p-1) mod p^3, p >= 5."""
-    p = int(OddPrime(p))
+    p = c.p
     if p < 5:
         raise ValueError("Morley's congruence needs p >= 5")
     m = p**3
-    lhs = central3 if central3 is not None else signed_central_binomial(p, 3)
-    rhs = pow(4, p - 1, m)
-    return _check("morley", p, (), m, lhs, rhs)
+    return _check("morley", p, (), m, c.central4 % m, pow(4, p - 1, m))
 
 
-def verify_carlitz(
-    p: int, central4: "int | None" = None, bpm3: "int | None" = None
-) -> CongruenceCheck:
+def verify_carlitz(c: "PrimeContext") -> CongruenceCheck:
     """Central binomial congruence sharpened to mod p^4, every odd prime.
 
     (-1)^((p-1)/2) binomial(p-1, (p-1)/2)
         == 4^(p-1) + (1/12) p^3 B_(p-3)   (mod p^4).
     """
-    p = int(OddPrime(p))
+    p = c.p
     m = p**4
-    lhs = central4 if central4 is not None else signed_central_binomial(p, 4)
     if p == 3:
         corr = reduce_rational(Fraction(27, 12), p, 4)
     else:
-        if bpm3 is None:
-            bpm3 = bernoulli_pm3_mod_p(p).value
-        corr = reduce_rational(Fraction(bpm3 * p**3, 12), p, 4)
-    return _check("carlitz", p, (), m, lhs, (pow(4, p - 1, m) + corr) % m)
+        corr = reduce_rational(Fraction(c.bpm3 * p**3, 12), p, 4)
+    return _check("carlitz", p, (), m, c.central4, (pow(4, p - 1, m) + corr) % m)
 
 
-def verify_cai_granville(p: int, a: int, moments: "tuple[int, int, int] | None" = None) -> CongruenceCheck:
+def verify_cai_granville(c: "PrimeContext", a: int) -> CongruenceCheck:
     """The mod-p^3 statement: the alternating power sum == 2^(a(p-1)), p >= 5."""
-    p = int(OddPrime(p))
+    p = c.p
     if p < 5:
         raise ValueError("the mod-p^3 statement needs p >= 5")
     m = p**3
-    lhs = moment_power_sum(p, a, moments) % m
+    lhs = moment_power_sum(p, a, c.moments) % m
     rhs = pow(2, a * (p - 1), m)
     return _check("cai_granville", p, (a,), m, lhs, rhs)
 

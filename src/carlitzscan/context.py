@@ -2,10 +2,11 @@
 
 A PrimeContext holds the per-prime quantities the checks read (the
 three binomial moments behind every alternating power sum, the central
-binomial, the Bernoulli window, q2 and the two harmonic sweeps).  Each
-is built the first time a check reads it and then shared by every other
-check at that prime.  IDENTITIES declares each identity once: its tag, where it
-applies, whether `verify` runs it by default, and its check function.
+binomial, the Bernoulli window, q2 and the two harmonic sweeps).  It is
+the only producer of them: each is built the first time a check reads
+it and then shared by every other check at that prime.  IDENTITIES
+declares each identity once: its tag, where it applies, whether `verify`
+runs it by default, and its check function.
 """
 
 from dataclasses import dataclass
@@ -54,7 +55,7 @@ class PrimeContext:
             return {}
         if self.window:
             return bn.bernoulli_window_mod_p(self.p, hm.lemma_2_1_offsets(self.p))
-        return {3: bn.bernoulli_pm3_mod_p(self.p).value}
+        return {3: bn.bernoulli_pm3_mod_p(self.p)}
 
     @property
     def bpm3(self) -> "int | None":
@@ -64,7 +65,7 @@ class PrimeContext:
     @cached_property
     def q2(self) -> int:
         """The Fermat quotient (2^(p-1) - 1)/p mod p^3."""
-        return bn.fermat_quotient_2(self.p).value
+        return bn.fermat_quotient_2(self.p)
 
     @cached_property
     def half_sums(self) -> hm.HalfSums:
@@ -99,17 +100,13 @@ class Identity:
     part_of: "str | None" = None
 
 
+# checks are looked up in their modules at call time, so a wrapper rebound there (a tracer) sees each call
 def _lemma_2_1(c: PrimeContext) -> list[cg.CongruenceCheck]:
-    return hm.verify_lemma_2_1(c.p, hm.N_CAP_DEFAULT, c.q2, c.bern, c.half_sums)
-
-
-def _corollary(c: PrimeContext) -> list[cg.CongruenceCheck]:
-    # a = 3, 4, 5 whatever a_values holds
-    return [cg.verify_corollary(c.p, a, c.moments, c.bpm3) for a in (3, 4, 5)]
+    return hm.verify_lemma_2_1(c)
 
 
 def _derived_sums(c: PrimeContext) -> list[cg.CongruenceCheck]:
-    return hm.verify_derived_sums(c.p, c.q2, c.bpm3, c.even_sums)
+    return hm.verify_derived_sums(c)
 
 
 def _part(whole: Callable, tag: str) -> Callable:
@@ -124,14 +121,15 @@ _DERIVED = ("even_sums", "bernoulli", "fermat")
 IDENTITIES: dict[str, Identity] = {
     e.tag: e
     for e in (
-        Identity("theorem_1_1", lambda c: [cg.verify_theorem_1_1(c.p, a, c.moments, c.bpm3) for a in c.a_values],
+        Identity("theorem_1_1", lambda c: [cg.verify_theorem_1_1(c, a) for a in c.a_values],
                  default=True, oracle=_THEOREM),
-        Identity("corollary", _corollary, oracle=_THEOREM),
-        Identity("morley", lambda c: [cg.verify_morley(c.p, c.central4 % c.p**3)],
+        # a = 3, 4, 5 whatever a_values holds
+        Identity("corollary", lambda c: [cg.verify_corollary(c, a) for a in (3, 4, 5)], oracle=_THEOREM),
+        Identity("morley", lambda c: [cg.verify_morley(c)],
                  p_min=5, default=True, oracle=("binom_table",)),
-        Identity("carlitz", lambda c: [cg.verify_carlitz(c.p, c.central4, c.bpm3)],
+        Identity("carlitz", lambda c: [cg.verify_carlitz(c)],
                  default=True, oracle=("binom_table", "bernoulli")),
-        Identity("cai_granville", lambda c: [cg.verify_cai_granville(c.p, a, c.moments) for a in c.a_values],
+        Identity("cai_granville", lambda c: [cg.verify_cai_granville(c, a) for a in c.a_values],
                  p_min=5, oracle=("binom_table", "power_sum")),
         Identity("chamberland_dilcher", lambda c: [cg.verify_chamberland_dilcher(c.p, *t) for t in c.cd_triples],
                  p_min=5, oracle=("cd",)),
@@ -141,7 +139,7 @@ IDENTITIES: dict[str, Identity] = {
                  p_min=5, oracle=_LEMMA_2_1, window=True, part_of="lemma_2_1"),
         Identity("lemma_2_1_ii", _part(_lemma_2_1, "lemma_2_1_ii"),
                  p_min=5, oracle=("half_harmonic", "bernoulli"), window=True, part_of="lemma_2_1"),
-        Identity("lemma_2_2", lambda c: hm.verify_lemma_2_2(c.p, c.bpm3, c.even_sums),
+        Identity("lemma_2_2", lambda c: hm.verify_lemma_2_2(c),
                  p_min=5, default=True, oracle=("even_sums", "bernoulli")),
         *(Identity(tag, _part(_derived_sums, tag),
                    p_min=5, default=tag in ("eq_2_9", "eq_2_10"), oracle=_DERIVED)

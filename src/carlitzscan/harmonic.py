@@ -3,26 +3,25 @@
 The fast paths are two sweeps per prime over linear inverse tables: the
 half-range sums (HalfSums) and the sums with even largest index
 (EvenSums).  Each has naive counterparts (full loops, builtin modular
-inversion) kept as an oracle.  The verify_* functions take those sums
-(computing them when not given) and compare them with their closed
-forms, which involve the Fermat quotient q2 = (2^(p-1)-1)/p and
-Bernoulli residues mod p.
+inversion) kept as an oracle.  The verify_* functions read those sums
+from a context.PrimeContext and compare them with their closed forms,
+which involve the Fermat quotient q2 = (2^(p-1)-1)/p and Bernoulli
+residues mod p (also read from the context).
 """
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .bernoulli import bernoulli_pm3_mod_p, bernoulli_window_mod_p, fermat_quotient_2
 from .congruences import CongruenceCheck
 from .residues import OddPrime, inverse_range
+
+if TYPE_CHECKING:
+    from .context import PrimeContext
 
 __all__ = [
     "HalfSums",
     "EvenSums",
-    "HarmonicProfile",
     "half_range_sums",
     "even_index_sums",
-    "even_restricted_sums",
     "naive_half_harmonic",
     "naive_even_single",
     "naive_even_double",
@@ -33,11 +32,10 @@ __all__ = [
     "verify_derived_sums",
 ]
 
-N_CAP_DEFAULT = 12
+N_CAP = 12
 
 
 def _validate(p: int) -> int:
-    p = int(OddPrime(p))
     if p < 5:
         raise ValueError("harmonic sums here need p >= 5")
     return p
@@ -45,7 +43,7 @@ def _validate(p: int) -> int:
 
 class HalfSums(NamedTuple):
     """Half-range sums over k <= (p-1)/2: h1 = sum 1/k mod p^3, and
-    hn[n] = sum 1/k^n for 2 <= n <= min(n_cap, p-2), mod p^2 for even n
+    hn[n] = sum 1/k^n for 2 <= n <= min(N_CAP, p-2), mod p^2 for even n
     and mod p for odd n."""
 
     h1: int
@@ -62,27 +60,13 @@ class EvenSums(NamedTuple):
     triple: int
 
 
-@dataclass(frozen=True)
-class HarmonicProfile:
-    """Bundle of the parity-restricted sums at one prime: the fields of
-    HalfSums (half_h1, half_hn) and of EvenSums (even_single,
-    even_double, even_triple)."""
-
-    p: int
-    half_h1: int
-    half_hn: dict[int, int] = field(default_factory=dict)
-    even_single: dict[tuple[int, int], int] = field(default_factory=dict)
-    even_double: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    even_triple: int = 0
-
-
-def half_range_sums(p: int, n_cap: int = N_CAP_DEFAULT) -> HalfSums:
+def half_range_sums(p: int) -> HalfSums:
     """The half-range sums in one sweep over an inverse table of 1..(p-1)/2."""
-    p = _validate(p)
+    p = _validate(int(OddPrime(p)))
     m3, m2 = p**3, p * p
     mid = (p - 1) // 2
     inv3 = inverse_range(mid, m3)
-    nmax = min(n_cap, p - 2)
+    nmax = min(N_CAP, p - 2)
     sums = [0] * (nmax + 1)
     for k in range(1, mid + 1):
         v = inv3[k] % m2
@@ -102,7 +86,7 @@ def even_index_sums(p: int) -> EvenSums:
     even k; the triple sum uses sum_{i<j<=x} 1/(ij) = ((sum 1/i)^2 -
     sum 1/i^2) / 2.  The accumulators are reduced once, at the end.
     """
-    p = _validate(p)
+    p = _validate(int(OddPrime(p)))
     m3, m2 = p**3, p * p
     inv3 = inverse_range(p - 1, m3)
     pf1_2 = pf1 = pf2 = 0  # prefixes of 1/j mod p^2, and of 1/j, 1/j^2 mod p
@@ -130,11 +114,6 @@ def even_index_sums(p: int) -> EvenSums:
     single = {(1, 3): s13 % m3, (1, 2): s13 % m2, (1, 1): s13 % p, (2, 2): s22 % m2, (2, 1): s22 % p, (3, 1): s31 % p}
     double = {(1, 1, 2): d112 % m2, (1, 2, 1): d121 % p, (2, 1, 1): d211 % p}
     return EvenSums(single, double, triple * pow(2, -1, p) % p)
-
-
-def even_restricted_sums(p: int, n_cap: int = N_CAP_DEFAULT) -> HarmonicProfile:
-    """The union of half_range_sums and even_index_sums at p."""
-    return HarmonicProfile(p, *half_range_sums(p, n_cap), *even_index_sums(p))
 
 
 def naive_half_harmonic(p: int, n: int, e: int) -> int:
@@ -170,39 +149,29 @@ def naive_even_triple(p: int) -> int:
     return acc % p
 
 
-def lemma_2_1_offsets(p: int, n_cap: int = N_CAP_DEFAULT) -> list[int]:
+def lemma_2_1_offsets(p: int) -> list[int]:
     """The offsets j of the B_(p-j) that verify_lemma_2_1 reads at p."""
     offsets = {3}
-    for n in range(2, min(n_cap, p - 2) + 1):
+    for n in range(2, min(N_CAP, p - 2) + 1):
         offsets.add(n + 1 if n % 2 == 0 else n)
     return sorted(offsets)
 
 
-def verify_lemma_2_1(
-    p: int,
-    n_cap: int = N_CAP_DEFAULT,
-    q2: "int | None" = None,
-    bern: "dict[int, int] | None" = None,
-    half: "HalfSums | None" = None,
-) -> list[CongruenceCheck]:
+def verify_lemma_2_1(c: "PrimeContext") -> list[CongruenceCheck]:
     """Closed forms for the half-range sums sum_{k <= (p-1)/2} 1/k^n.
 
     Part (i), n = 1 mod p^3:
         -2 q2 + p q2^2 - (2/3) p^2 q2^3 - (7/12) p^2 B_(p-3).
-    Part (ii), 2 <= n <= min(p-2, n_cap):
+    Part (ii), 2 <= n <= min(p-2, N_CAP):
         even n, mod p^2:  n (2^(n+1) - 1) / (2(n+1)) * p * B_(p-n-1);
         odd n,  mod p:    -(2 (2^(n-1) - 1) / n) * B_(p-n).
-    """
-    p = _validate(p)
-    m3, m2 = p**3, p * p
-    if q2 is None:
-        q2 = fermat_quotient_2(p).value
-    if bern is None:
-        bern = bernoulli_window_mod_p(p, lemma_2_1_offsets(p, n_cap))
-    if half is None:
-        half = half_range_sums(p, n_cap)
 
-    q = q2 % m3
+    The B_(p-j) come from c.bern, so c must hold lemma_2_1's window.
+    """
+    p = _validate(c.p)
+    m3, m2 = p**3, p * p
+    half, bern = c.half_sums, c.bern
+    q = c.q2 % m3
     rhs1 = (
         -2 * q
         + p * q * q
@@ -222,19 +191,13 @@ def verify_lemma_2_1(
     return checks
 
 
-def verify_lemma_2_2(
-    p: int, bpm3: "int | None" = None, even: "EvenSums | None" = None
-) -> list[CongruenceCheck]:
+def verify_lemma_2_2(c: "PrimeContext") -> list[CongruenceCheck]:
     """The two mod-p double sums restricted to even larger index:
 
         sum 1/(j k^2) == (5/8) B_(p-3),   sum 1/(j^2 k) == -(3/8) B_(p-3).
     """
-    p = _validate(p)
-    if bpm3 is None:
-        bpm3 = bernoulli_pm3_mod_p(p).value
-    if even is None:
-        even = even_index_sums(p)
-    d121, d211 = even.double[(1, 2, 1)], even.double[(2, 1, 1)]
+    p, bpm3 = _validate(c.p), c.bpm3
+    d121, d211 = c.even_sums.double[(1, 2, 1)], c.even_sums.double[(2, 1, 1)]
     inv8 = pow(8, -1, p)
     rhs_a = 5 * inv8 * bpm3 % p
     rhs_b = -3 * inv8 * bpm3 % p
@@ -244,9 +207,7 @@ def verify_lemma_2_2(
     ]
 
 
-def verify_derived_sums(
-    p: int, q2: "int | None" = None, bpm3: "int | None" = None, even: "EvenSums | None" = None
-) -> list[CongruenceCheck]:
+def verify_derived_sums(c: "PrimeContext") -> list[CongruenceCheck]:
     """The double/triple sums with even larger index against their closed forms.
 
     With D = sum_{j<k, k even} 1/(jk) mod p^2 and
@@ -260,15 +221,9 @@ def verify_derived_sums(
     The first two tie D to T with coefficients 1 and 2; eliminating T
     from the pair yields the last two, so all four are checked.
     """
-    p = _validate(p)
+    p, q2, bpm3 = _validate(c.p), c.q2, c.bpm3
     m2 = p * p
-    if q2 is None:
-        q2 = fermat_quotient_2(p).value
-    if bpm3 is None:
-        bpm3 = bernoulli_pm3_mod_p(p).value
-    if even is None:
-        even = even_index_sums(p)
-    d, t = even.double[(1, 1, 2)], even.triple
+    d, t = c.even_sums.double[(1, 1, 2)], c.even_sums.triple
 
     def inv(n: int, m: int = p) -> int:
         return pow(n, -1, m)

@@ -12,11 +12,7 @@ from math import comb
 
 import pytest
 
-from carlitzscan.bernoulli import (
-    bernoulli_exact,
-    bernoulli_pm3_mod_p,
-    fermat_quotient_2,
-)
+from carlitzscan.bernoulli import bernoulli_exact, bernoulli_pm3_mod_p
 from carlitzscan.cli import DEFAULT_IDENTITIES, ScanConfig, run_oracle_quantities, sieve_odd_primes
 from carlitzscan.congruences import (
     COROLLARY_COEFFICIENTS,
@@ -33,7 +29,7 @@ from carlitzscan.congruences import (
 )
 from carlitzscan.context import PrimeContext
 from carlitzscan.harmonic import verify_derived_sums, verify_lemma_2_1, verify_lemma_2_2
-from carlitzscan.residues import signed_central_binomial, symmetric_inverse_sums
+from carlitzscan.residues import symmetric_inverse_sums
 
 THEOREM_P_MAX = 10**4
 CENTRAL_P_MAX = 10**5
@@ -62,9 +58,8 @@ def test_criterion_01_theorem_sweep(oracle_gate):
     failures = []
     primes = sieve_odd_primes(3, THEOREM_P_MAX)
     for p in primes:
-        table = binom_pm1(p, 4)
-        bpm3 = bernoulli_pm3_mod_p(p).value if p >= 5 else None
-        lhs = lhs_power_sums_batch(p, 10, table)
+        bpm3 = bernoulli_pm3_mod_p(p) if p >= 5 else None
+        lhs = lhs_power_sums_batch(p, 10)
         for a in range(1, 11):
             if lhs[a] != rhs_theorem(p, a, bpm3):
                 failures.append((p, a))
@@ -80,14 +75,10 @@ def test_criterion_02_central_binomial_sweep(oracle_gate):
     failures = []
     primes = sieve_odd_primes(3, CENTRAL_P_MAX)
     for p in primes:
-        if p >= 5:
-            c4 = signed_central_binomial(p, 4)
-            bpm3 = bernoulli_pm3_mod_p(p).value
-            if not verify_morley(p, c4 % p**3).verdict:
-                failures.append(("morley", p))
-            if not verify_carlitz(p, c4, bpm3).verdict:
-                failures.append(("carlitz", p))
-        elif not verify_carlitz(p).verdict:
+        ctx = PrimeContext(p, window=False)
+        if p >= 5 and not verify_morley(ctx).verdict:
+            failures.append(("morley", p))
+        if not verify_carlitz(ctx).verdict:
             failures.append(("carlitz", p))
     elapsed = time.perf_counter() - t0
     ok = not failures
@@ -119,9 +110,9 @@ def test_criterion_03_spot_values_with_local_oracle():
     assert x.numerator * pow(x.denominator, -1, 625) % 625 == 6
 
     ok = (
-        lhs_power_sums_batch(5, 3)[3] == rhs_theorem(5, 3) == 346
-        and lhs_power_sums_batch(3, 2)[2] == rhs_theorem(3, 2) == 79
-        and verify_carlitz(5).lhs == verify_carlitz(5).rhs == 6
+        lhs_power_sums_batch(5, 3)[3] == rhs_theorem(5, 3, bernoulli_pm3_mod_p(5)) == 346
+        and lhs_power_sums_batch(3, 2)[2] == rhs_theorem(3, 2, None) == 79
+        and verify_carlitz(PrimeContext(5)).lhs == verify_carlitz(PrimeContext(5)).rhs == 6
     )
     report(3, ok, "spot values 346 mod 625, 79 mod 81, 6 mod 625 rebuilt "
                   "from exact integers")
@@ -146,8 +137,7 @@ def test_criterion_05_half_harmonic_closed_forms(oracle_gate):
     failures = []
     primes = sieve_odd_primes(5, LEMMA_P_MAX)
     for p in primes:
-        q2 = fermat_quotient_2(p).value
-        for c in verify_lemma_2_1(p, 12, q2):
+        for c in verify_lemma_2_1(PrimeContext(p)):
             if not c.verdict:
                 failures.append((p, c.identity, c.params))
     elapsed = time.perf_counter() - t0
@@ -164,13 +154,13 @@ def test_criterion_06_even_restricted_closed_forms(oracle_gate):
     for p in primes:
         # both checks read one sweep of the even-index sums
         ctx = PrimeContext(p, window=False)
-        for c in verify_lemma_2_2(p, ctx.bpm3, ctx.even_sums):
+        for c in verify_lemma_2_2(ctx):
             if not c.verdict:
                 failures.append((p, c.identity))
-        for c in verify_derived_sums(p, ctx.q2, ctx.bpm3, ctx.even_sums):
+        for c in verify_derived_sums(ctx):
             if c.identity in ("eq_2_9", "eq_2_10") and not c.verdict:
                 failures.append((p, c.identity))
-    a7, b7 = verify_lemma_2_2(7)
+    a7, b7 = verify_lemma_2_2(PrimeContext(7))
     verbatim = (a7.lhs, a7.rhs) == (1, 1) and (b7.lhs, b7.rhs) == (5, 5)
     elapsed = time.perf_counter() - t0
     ok = not failures and verbatim
@@ -209,7 +199,7 @@ def test_criterion_09_bernoulli_two_routes():
     for p in primes:
         b = bernoulli_exact(p - 3)
         want = b.numerator * pow(b.denominator, -1, p) % p
-        if bernoulli_pm3_mod_p(p).value != want:
+        if bernoulli_pm3_mod_p(p) != want:
             failures.append(p)
     ok = not failures
     report(9, ok, f"Voronoi's congruence equals exact recurrence at "

@@ -6,8 +6,6 @@ import pytest
 
 from carlitzscan.bernoulli import (
     BERNOULLI_CAP,
-    BernoulliResidue,
-    FermatQuotient,
     bernoulli_exact,
     bernoulli_mod_p,
     bernoulli_pm3_mod_p,
@@ -72,10 +70,10 @@ def test_power_sum_mod_matches_direct():
 
 
 def test_bernoulli_mod_p_known_values():
-    assert bernoulli_pm3_mod_p(5) == BernoulliResidue(5, 1)
-    assert bernoulli_pm3_mod_p(7) == BernoulliResidue(7, 3)
-    assert bernoulli_pm3_mod_p(11).value == 4
-    assert bernoulli_pm3_mod_p(13).value == 5
+    assert bernoulli_pm3_mod_p(5) == 1
+    assert bernoulli_pm3_mod_p(7) == 3
+    assert bernoulli_pm3_mod_p(11) == 4
+    assert bernoulli_pm3_mod_p(13) == 5
 
 
 def test_bernoulli_mod_p_matches_exact_recurrence():
@@ -122,19 +120,19 @@ def test_bernoulli_window_validation():
 
 
 def test_fermat_quotient_2_known_values():
-    assert fermat_quotient_2(3) == FermatQuotient(3, 1)
-    assert fermat_quotient_2(5).value == 3
-    assert fermat_quotient_2(7).value == 9
+    assert fermat_quotient_2(3) == 1
+    assert fermat_quotient_2(5) == 3
+    assert fermat_quotient_2(7) == 9
 
 
 def test_fermat_quotient_2_defining_property():
     # p * q2 == 2^(p-1) - 1 mod p^4, with q2 canonical mod p^3
     for p in (3, 5, 7, 11, 31, 101, 1093):
-        q = fermat_quotient_2(p).value
+        q = fermat_quotient_2(p)
         assert 0 <= q < p**3
         assert p * q % p**4 == (pow(2, p - 1, p**4) - 1) % p**4, p
     # 1093 is a Wieferich prime: the quotient vanishes mod p there
-    assert fermat_quotient_2(1093).value % 1093 == 0
+    assert fermat_quotient_2(1093) % 1093 == 0
 
 
 def test_fermat_quotients_all_bases_direct():
@@ -203,15 +201,15 @@ def test_voronoi_fallback_primes():
 
 
 def test_wolstenholme_prime_16843_both_routes():
-    assert bernoulli_pm3_mod_p(16843).value == 0
+    assert bernoulli_pm3_mod_p(16843) == 0
     assert bernoulli_mod_p(16843, 16840) == 0
 
 
 def test_wolstenholme_prime_2124679_voronoi():
     # McIntosh and Roettger, Math. Comp. 76 (2007)
-    assert bernoulli_pm3_mod_p(2124679).value == 0
+    assert bernoulli_pm3_mod_p(2124679) == 0
 
 
 def test_wieferich_primes_q2_vanishes():
     for p in (1093, 3511):
-        assert fermat_quotient_2(p).value % p == 0
+        assert fermat_quotient_2(p) % p == 0

@@ -7,9 +7,11 @@ import multiprocessing
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
+from carlitzscan import bernoulli as bn
 from carlitzscan import cli
 from carlitzscan import congruences as cg
 from carlitzscan import harmonic as hm
@@ -17,7 +19,6 @@ from carlitzscan import residues as rs
 from carlitzscan.cli import (
     CSV_HEADER,
     DEFAULT_IDENTITIES,
-    ReportRecord,
     ScanConfig,
     UsageError,
     _parse_a_values,
@@ -56,6 +57,8 @@ def test_sieve_odd_primes_segmented_window():
     got = sieve_odd_primes(lo, hi)
     assert got == [n for n in range(lo, hi + 1) if is_odd_prime(n)]
     assert 10_000_019 in got
+    # crosses the 2^20 segment boundary: pi(2 * 10^6) - 1 odd primes
+    assert len(sieve_odd_primes(3, 2_000_000)) == 148932
 
 
 def test_parse_a_values():
@@ -94,12 +97,11 @@ def test_scan_config_validation():
 
 def test_report_record_serialization():
     c = CongruenceCheck("morley", 7, (), 343, 323, 323, True)
-    r = ReportRecord.from_check(c)
-    obj = json.loads(r.jsonl())
+    obj = json.loads(cli.jsonl_line(c))
     assert list(obj) == ["identity", "p", "params", "modulus", "lhs", "rhs", "match", "us"]
     assert obj["modulus"] == "343" and obj["lhs"] == "323" and obj["rhs"] == "323"
     assert obj["match"] is True and obj["us"] == 0
-    row = r.csv_row()
+    row = cli.csv_row(c)
     assert row == ["morley", "7", "[]", "343", "323", "323", "true", "0"]
 
 
@@ -145,7 +147,7 @@ def test_run_verify_reports_failures_with_exit_1():
     )
     records, code = run_verify(cfg)
     assert code == 1
-    assert records and all(not r.match for r in records)
+    assert records and all(not r.verdict for r in records)
     assert all(r.lhs == 0 for r in records)
 
 
@@ -163,7 +165,7 @@ def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
     assert run_oracle_quantities(cfg, quiet=True) == "injected(p=5)"
     records, code = run_verify(cfg)
     assert code == 1
-    assert records and all(r.match for r in records)
+    assert records and all(r.verdict for r in records)
     keys = [(r.p, r.identity, r.params) for r in records]
     assert keys == sorted(keys)
 
@@ -198,7 +200,7 @@ def test_reports_match_golden_digests():
     changed = []
     for tag, want in GOLDEN_DIGESTS.items():
         records, code = run_verify(ScanConfig(p_min=3, p_max=200, identities=(tag,), n_max=50))
-        text = "".join(r.jsonl() + "\n" for r in records)
+        text = "".join(cli.jsonl_line(r) + "\n" for r in records)
         if code != 0 or hashlib.sha256(text.encode()).hexdigest() != want:
             changed.append(tag)
     assert changed == []
@@ -219,7 +221,7 @@ def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
     cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_2",))
     records, code = run_verify(cfg)
     assert code == 1
-    assert [(r.p, r.identity) for r in records if not r.match] == [(13, "lemma_2_2_a")]
+    assert [(r.p, r.identity) for r in records if not r.verdict] == [(13, "lemma_2_2_a")]
     assert run_oracle_quantities(cfg, quiet=True) == "even_double(p=13, s=1, t=2, e=1)"
 
 
@@ -236,9 +238,71 @@ def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
     cfg = ScanConfig(p_min=5, p_max=31, identities=("theorem_1_1", "cai_granville"))
     records, code = run_verify(cfg)
     assert code == 1
-    bad = [(r.p, r.identity, r.params) for r in records if not r.match]
+    bad = [(r.p, r.identity, r.params) for r in records if not r.verdict]
     assert bad == [(13, "theorem_1_1", (a,)) for a in range(3, 9)]
     assert run_oracle_quantities(cfg, quiet=True) == "power_sum(p=13, a=3)"
+
+
+def test_each_quantity_is_computed_once_per_prime(monkeypatch):
+    # the context is the only producer: no check computes a quantity itself
+    calls = Counter()
+
+    def count(mod, name, key):
+        fn = getattr(mod, name)
+
+        def counted(p, *args, **kwargs):
+            calls[key, p] += 1
+            return fn(p, *args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    count(cg, "binomial_moments", "moments")
+    count(rs, "signed_central_binomial", "central")
+    count(bn, "bernoulli_window_mod_p", "bern")
+    count(bn, "bernoulli_pm3_mod_p", "bern")
+    count(bn, "fermat_quotient_2", "q2")
+    count(hm, "half_range_sums", "half")
+    count(hm, "even_index_sums", "even")
+    per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
+    no_window = tuple(t for t in per_prime if not cli.IDENTITIES[t].window)
+    # with lemma_2_1's window, and with B_(p-3) alone (no half-range sums then)
+    for tags, half in ((per_prime, {"half"}), (no_window, set())):
+        calls.clear()
+        records, code = run_verify(ScanConfig(p_max=200, identities=tags))
+        assert code == 0 and records
+        assert {key for key, _ in calls} == {"moments", "central", "bern", "q2", "even"} | half
+        assert max(calls.values()) == 1
+
+
+def test_pool_is_bounded_by_the_cpus(monkeypatch):
+    # each worker is a process forked at the first submit, so --jobs far
+    # above the CPU count is cut to it; the stand-in pool starts nothing
+    sizes, chunks = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            chunks.append(chunksize)
+            return map(fn, tasks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    records, code = run_verify(ScanConfig(p_max=400, jobs=100_000))
+    assert code == 0 and records
+    assert run_oracle_quantities(ScanConfig(p_max=31, jobs=100_000), quiet=True) is None
+    assert sizes == [2, 2]
+    assert chunks[0] == len(sieve_odd_primes(3, 400)) // (2 * 8)
 
 
 def test_verify_never_builds_the_oracle_routes(monkeypatch):
@@ -275,7 +339,7 @@ def test_default_set_matches_at_degenerate_primes(p):
     records, code = run_verify(ScanConfig(p_min=p, p_max=p))
     assert code == 0
     assert {r.identity for r in records} >= {"theorem_1_1", "carlitz", "lemma_2_2_a", "eq_2_10"}
-    assert all(r.match for r in records)
+    assert all(r.verdict for r in records)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +452,13 @@ def test_cli_oracle_beyond_exact_bernoulli_cap():
 def test_cli_oracle_cap_exceeded():
     res = run_cli("oracle", "--p-max", "5000")
     assert res.returncode == 2
+
+
+def test_cli_oracle_takes_no_cap_option():
+    # --p-max bounds the oracle's range; only verify has --oracle-cap
+    res = run_cli("oracle", "--oracle-cap", "50")
+    assert res.returncode == 2
+    assert "Traceback" not in res.stderr
 
 
 def test_cli_default_identity_set():

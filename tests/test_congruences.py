@@ -33,6 +33,7 @@ from carlitzscan.congruences import (
     verify_p3_special,
     verify_theorem_1_1,
 )
+from carlitzscan.context import PrimeContext
 from carlitzscan.residues import is_odd_prime, signed_central_binomial
 
 SMALL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
@@ -60,21 +61,20 @@ def test_moment_verdicts_at_vanishing_bernoulli_prime():
     # B_(p-3) == 0 (mod 16843): the correction term drops out, and the
     # moment route must still read the lhs the direct powers give
     p = 16843
-    bpm3 = bernoulli_pm3_mod_p(p).value
-    assert bpm3 == 0
-    moments = binomial_moments(p)
+    ctx = PrimeContext(p, window=False)
+    assert ctx.bpm3 == 0
     direct = lhs_power_sums_batch(p, 8)
     for a in range(1, 9):
-        t = verify_theorem_1_1(p, a, moments, bpm3)
-        c = verify_cai_granville(p, a, moments)
+        t = verify_theorem_1_1(ctx, a)
+        c = verify_cai_granville(ctx, a)
         assert t.verdict and c.verdict, a
         assert t.lhs == direct[a] and c.lhs == direct[a] % p**3, a
 
 
 def test_rhs_theorem_frozen_values():
-    assert rhs_theorem(5, 3) == 346
-    assert rhs_theorem(3, 2) == 79
-    assert rhs_theorem(5, 1) == 16
+    assert rhs_theorem(5, 3, bernoulli_pm3_mod_p(5)) == 346
+    assert rhs_theorem(3, 2, None) == 79
+    assert rhs_theorem(5, 1, bernoulli_pm3_mod_p(5)) == 16
 
 
 def test_lhs_power_sum_matches_exact_small():
@@ -121,8 +121,9 @@ def test_theorem_coefficient_values():
 
 def test_verify_theorem_small_primes():
     for p in SMALL:
+        ctx = PrimeContext(p)
         for a in range(1, 9):
-            c = verify_theorem_1_1(p, a)
+            c = verify_theorem_1_1(ctx, a)
             assert c.verdict, (p, a, c.lhs, c.rhs)
             assert c.identity == "theorem_1_1"
             assert c.modulus == p**4
@@ -134,63 +135,66 @@ def test_rhs_reduces_to_power_of_two_mod_p3():
     # dropping the p^3 correction term recovers the mod-p^3 statement
     for p in (5, 7, 11, 31):
         for a in range(1, 9):
-            assert rhs_theorem(p, a) % p**3 == pow(2, a * (p - 1), p**3), (p, a)
+            assert rhs_theorem(p, a, bernoulli_pm3_mod_p(p)) % p**3 == pow(2, a * (p - 1), p**3), (p, a)
 
 
 def test_verify_corollary_matches_theorem():
     for p in (3, 5, 7, 31):
+        ctx = PrimeContext(p)
         for a in (3, 4, 5):
-            c = verify_corollary(p, a)
-            t = verify_theorem_1_1(p, a)
+            c = verify_corollary(ctx, a)
+            t = verify_theorem_1_1(ctx, a)
             assert c.verdict, (p, a)
             assert c.identity == f"corollary_a{a}"
             assert (c.lhs, c.rhs) == (t.lhs, t.rhs)
     with pytest.raises(ValueError):
-        verify_corollary(7, 6)
+        verify_corollary(PrimeContext(7), 6)
 
 
 def test_verify_morley_known_values():
-    c5 = verify_morley(5)
+    c5 = verify_morley(PrimeContext(5))
     assert (c5.lhs, c5.rhs, c5.verdict) == (6, 6, True)
-    c7 = verify_morley(7)
+    c7 = verify_morley(PrimeContext(7))
     assert (c7.lhs, c7.rhs, c7.verdict) == (323, 323, True)
     with pytest.raises(ValueError):
-        verify_morley(3)
+        verify_morley(PrimeContext(3))
 
 
 def test_verify_morley_sweep():
     for p in SMALL[1:] + [101, 103]:
-        assert verify_morley(p).verdict, p
+        assert verify_morley(PrimeContext(p)).verdict, p
 
 
 def test_verify_carlitz_known_values():
-    c5 = verify_carlitz(5)
+    c5 = verify_carlitz(PrimeContext(5))
     assert (c5.lhs, c5.rhs, c5.verdict) == (6, 6, True)
     assert c5.modulus == 625
-    c3 = verify_carlitz(3)
+    c3 = verify_carlitz(PrimeContext(3))
     assert (c3.lhs, c3.rhs, c3.verdict) == (79, 79, True)
 
 
 def test_verify_carlitz_sweep():
     for p in SMALL + [101, 103]:
-        assert verify_carlitz(p).verdict, p
+        assert verify_carlitz(PrimeContext(p)).verdict, p
 
 
 def test_carlitz_refines_morley():
     for p in (5, 7, 11, 31):
-        c = verify_carlitz(p)
-        m = verify_morley(p)
+        ctx = PrimeContext(p)
+        c = verify_carlitz(ctx)
+        m = verify_morley(ctx)
         assert c.lhs % p**3 == m.lhs
 
 
 def test_verify_cai_granville():
-    c = verify_cai_granville(5, 3)
+    c = verify_cai_granville(PrimeContext(5), 3)
     assert (c.lhs, c.rhs, c.verdict) == (96, 96, True)
     for p in (5, 7, 11, 31):
+        ctx = PrimeContext(p)
         for a in (1, 2, 3, 6):
-            assert verify_cai_granville(p, a).verdict, (p, a)
+            assert verify_cai_granville(ctx, a).verdict, (p, a)
     with pytest.raises(ValueError):
-        verify_cai_granville(3, 2)
+        verify_cai_granville(PrimeContext(3), 2)
 
 
 def test_u_sum_frozen_values():
@@ -281,12 +285,12 @@ def test_p3_endgame_agrees_with_theorem_at_p3():
     # the difference 2^(2a) - (mod p^3 main term) reproduced by the
     # wrapped checker must equal what the full verifier sees
     for a in (1, 2, 3, 5, 8, 13):
-        th = verify_theorem_1_1(3, a)
+        th = verify_theorem_1_1(PrimeContext(3), a)
         assert th.verdict, a
 
 
 def test_check_records_are_hashable_and_frozen():
-    c = verify_theorem_1_1(5, 2)
+    c = verify_theorem_1_1(PrimeContext(5), 2)
     assert hash(c)
     with pytest.raises(Exception):
         c.lhs = 0
@@ -298,8 +302,9 @@ def test_side_facts_decide_the_verdict_under_python_O():
     code = (
         "from fractions import Fraction\n"
         "import carlitzscan.congruences as cg\n"
+        "from carlitzscan.context import PrimeContext\n"
         "cg.theorem_coefficient = lambda a: Fraction(0)\n"
-        "print(cg.verify_corollary(7, 3).verdict, cg.verify_p3_special(2).verdict)\n"
+        "print(cg.verify_corollary(PrimeContext(7), 3).verdict, cg.verify_p3_special(2).verdict)\n"
     )
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr

@@ -5,11 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from carlitzscan.bernoulli import bernoulli_window_mod_p, fermat_quotient_2
+from carlitzscan.context import PrimeContext
 from carlitzscan.harmonic import (
-    HarmonicProfile,
     even_index_sums,
-    even_restricted_sums,
     half_range_sums,
     naive_even_double,
     naive_even_single,
@@ -67,7 +65,7 @@ def test_even_triple_matches_naive():
 
 
 def test_validation_rejects_small_or_bad_args():
-    for sweep in (half_range_sums, even_index_sums, even_restricted_sums):
+    for sweep in (half_range_sums, even_index_sums):
         with pytest.raises(ValueError):
             sweep(3)
         with pytest.raises(ValueError):
@@ -78,27 +76,25 @@ def test_profile_matches_piecewise_functions():
     # every field of the profile against its own naive enumeration,
     # up to the oracle's cap of p <= 1000
     for p in SMALL + [29, 499, 997]:
-        prof = even_restricted_sums(p)
-        assert isinstance(prof, HarmonicProfile)
-        assert prof.p == p
-        assert prof.half_h1 == naive_half_harmonic(p, 1, 3)
-        for n, v in prof.half_hn.items():
+        half, even = half_range_sums(p), even_index_sums(p)
+        assert half.h1 == naive_half_harmonic(p, 1, 3)
+        for n, v in half.hn.items():
             e = 2 if n % 2 == 0 else 1
             assert v == naive_half_harmonic(p, n, e), (p, n)
-        for (n, e), v in prof.even_single.items():
+        for (n, e), v in even.single.items():
             assert v == naive_even_single(p, n, e), (p, n, e)
-        for (s, t, e), v in prof.even_double.items():
+        for (s, t, e), v in even.double.items():
             assert v == naive_even_double(p, s, t, e), (p, s, t, e)
-        assert prof.even_triple == naive_even_triple(p)
+        assert even.triple == naive_even_triple(p)
 
 
 def test_profile_covers_the_shapes_the_closed_forms_need():
-    prof = even_restricted_sums(11)
+    half, even = half_range_sums(11), even_index_sums(11)
     for key in [(1, 3), (1, 2), (1, 1), (2, 2), (2, 1), (3, 1)]:
-        assert key in prof.even_single
+        assert key in even.single
     for key in [(1, 1, 2), (1, 2, 1), (2, 1, 1)]:
-        assert key in prof.even_double
-    assert set(prof.half_hn) == set(range(2, 10))  # n_cap 12 clipped at p-2
+        assert key in even.double
+    assert set(half.hn) == set(range(2, 10))  # N_CAP 12 clipped at p-2
 
 
 def test_half_harmonic_even_n_vanishes_mod_p():
@@ -110,7 +106,7 @@ def test_half_harmonic_even_n_vanishes_mod_p():
 
 def test_lemma_2_1_all_match_small_primes():
     for p in MEDIUM:
-        checks = verify_lemma_2_1(p)
+        checks = verify_lemma_2_1(PrimeContext(p))
         tags = {c.identity for c in checks}
         assert tags == {"lemma_2_1_i", "lemma_2_1_ii"}
         for c in checks:
@@ -123,38 +119,30 @@ def test_lemma_2_1_all_match_small_primes():
                 assert c.modulus == (p * p if n % 2 == 0 else p)
 
 
-def test_lemma_2_1_respects_precomputed_inputs():
-    p = 31
-    q2 = fermat_quotient_2(p).value
-    offsets = sorted({3} | {n + 1 for n in range(2, 13, 2)} | set(range(3, 12, 2)))
-    bern = bernoulli_window_mod_p(p, [j for j in offsets if j <= p - 2])
-    assert verify_lemma_2_1(p) == verify_lemma_2_1(p, 12, q2, bern)
-
-
 def test_lemma_2_2_all_match_small_primes():
     for p in MEDIUM:
-        a, b = verify_lemma_2_2(p)
+        a, b = verify_lemma_2_2(PrimeContext(p))
         assert a.identity == "lemma_2_2_a" and b.identity == "lemma_2_2_b"
         assert a.verdict and b.verdict, p
         assert a.modulus == b.modulus == p
 
 
 def test_lemma_2_2_p7_values_verbatim():
-    a, b = verify_lemma_2_2(7)
+    a, b = verify_lemma_2_2(PrimeContext(7))
     assert (a.lhs, a.rhs) == (1, 1)
     assert (b.lhs, b.rhs) == (5, 5)
 
 
 def test_derived_sums_all_match_small_primes():
     for p in MEDIUM:
-        checks = verify_derived_sums(p)
+        checks = verify_derived_sums(PrimeContext(p))
         assert [c.identity for c in checks] == ["eq_2_7", "eq_2_8", "eq_2_9", "eq_2_10"]
         for c in checks:
             assert c.verdict, (p, c.identity, c.lhs, c.rhs)
 
 
 def test_derived_sums_share_one_double_sum():
-    checks = verify_derived_sums(61)
+    checks = verify_derived_sums(PrimeContext(61))
     d_records = [c for c in checks if c.identity in ("eq_2_7", "eq_2_8", "eq_2_9")]
     assert len({c.lhs for c in d_records}) == 1
     assert all(c.modulus == 61**2 for c in d_records)
@@ -164,7 +152,7 @@ def test_derived_right_sides_are_linear_combinations():
     # 2 * (first closed form) - (second) must reproduce the third at
     # every prime, because that is how T is eliminated from the pair
     for p in (11, 31, 61, 101):
-        c7, c8, c9, _ = verify_derived_sums(p)
+        c7, c8, c9, _ = verify_derived_sums(PrimeContext(p))
         m2 = p * p
         assert (2 * c7.rhs - c8.rhs) % m2 == c9.rhs, p
 
