@@ -11,9 +11,9 @@ __all__ = [
     "bernoulli_pm3_mod_p",
     "bernoulli_window_mod_p",
     "fermat_quotient_2",
-    "fermat_quotients_all_bases",
     "power_sum_mod",
     "smallest_prime_factors",
+    "VoronoiLadder",
 ]
 
 BERNOULLI_CAP = 400
@@ -119,30 +119,17 @@ def bernoulli_mod_p(p: int, index: int) -> int:
 
 def bernoulli_pm3_mod_p(p: int) -> int:
     """B_(p-3) mod p for p >= 5, by Voronoi's congruence."""
-    p = int(OddPrime(p))
-    if p < 5:
-        raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
-    return _voronoi_window(p, [3])[3]
+    return VoronoiLadder(p)(3)
 
 
 def bernoulli_window_mod_p(p: int, offsets: "list[int] | tuple[int, ...]") -> dict[int, int]:
-    """B_(p-j) mod p for each odd offset j in `offsets` (3 <= j <= p-2).
-
-    Same kernel as bernoulli_pm3_mod_p: one inverse table of 1..p/3
-    serves every offset.
-    """
-    p = int(OddPrime(p))
-    if p < 5:
-        raise ValueError("p must be >= 5")
-    offs = sorted(set(int(j) for j in offsets))
-    for j in offs:
-        if j % 2 == 0 or not 3 <= j <= p - 2:
-            raise ValueError(f"offsets must be odd in 3..p-2, got {j}")
-    return _voronoi_window(p, offs)
+    """B_(p-j) mod p for each odd offset j in `offsets` (3 <= j <= p-2), from one ladder."""
+    b = VoronoiLadder(p)
+    return {j: b(j) for j in sorted(set(offsets))}
 
 
-def _voronoi_window(p: int, offsets: list[int]) -> dict[int, int]:
-    """B_(p-j) mod p for ascending odd j in 3..p-2 by Voronoi's congruence.
+class VoronoiLadder:
+    """B_(p-j) mod p for odd j in 3..p-2 by Voronoi's congruence, one offset per call.
 
     For an odd c coprime to p, with k = p - j even and x^(k-1) == x^(-j),
     Voronoi's congruence (c^k - 1) B_k == k c^(k-1) sum_x x^(k-1) floor(cx/p)
@@ -158,36 +145,38 @@ def _voronoi_window(p: int, offsets: list[int]) -> dict[int, int]:
     takes over; one exists below p, since the x with x^(j-1) == 1 form a
     proper subgroup, which cannot be {1, 3, 5, ..., p-2}: that set would
     be the squares, yet 4 is a square.
+
+    Each c keeps one ladder x^(-1) -> x^(-3) -> x^(-5) ... over its cuts,
+    which the next call resumes: ascending offsets cost one product list
+    each, and a smaller offset restarts the ladder.
     """
-    out: dict[int, int] = {}
-    c = 3
-    while len(out) < len(offsets):
-        todo = [j for j in offsets if j not in out and (c - pow(c, j, p)) % p]
-        if todo:
-            out.update(_voronoi_sums(p, c, todo))
-        c += 2
-    return out
 
+    def __init__(self, p: int):
+        self.p = int(OddPrime(p))
+        if self.p < 5:
+            raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
+        self._rungs: dict[int, tuple] = {}  # c -> (cuts, x^(-2), x^(-exp), exp)
 
-def _voronoi_sums(p: int, c: int, offsets: list[int]) -> dict[int, int]:
-    """The folded Voronoi sums at one odd c, for ascending odd offsets."""
-    half = c // 2
-    cuts = [i * p // c for i in range(half + 1)]
-    inv = inverse_range(cuts[-1], p)
-    sq = [v * v % p for v in inv]
-    powers, exp = inv, 1
-    out = {}
-    for j in offsets:
-        # exponent ladder x^(-1) -> x^(-j) by the gaps between offsets
-        step = sq if j - exp == 2 else [pow(v, j - exp, p) for v in inv]
-        powers = [a * b % p for a, b in zip(powers, step)]
-        exp = j
+    def __call__(self, j: int) -> int:
+        p = self.p
+        if j % 2 == 0 or not 3 <= j <= p - 2:
+            raise ValueError(f"offsets must be odd in 3..p-2, got {j}")
+        c = 3
+        while (c - pow(c, j, p)) % p == 0:
+            c += 2
+        if c not in self._rungs or self._rungs[c][3] > j:
+            cuts = [i * p // c for i in range(c // 2 + 1)]
+            inv = inverse_range(cuts[-1], p)
+            self._rungs[c] = (cuts, [v * v % p for v in inv], inv, 1)
+        cuts, sq, powers, exp = self._rungs[c]
+        for _ in range((j - exp) // 2):
+            powers = [a * b % p for a, b in zip(powers, sq)]
+        self._rungs[c] = (cuts, sq, powers, j)
         run = total = 0
         for lo, hi in zip(cuts, cuts[1:]):
             run += sum(powers[lo + 1 : hi + 1])
             total += run
-        out[j] = 2 * j * total * pow(c - pow(c, j, p), -1, p) % p
-    return out
+        return 2 * j * total * pow(c - pow(c, j, p), -1, p) % p
 
 
 def fermat_quotient_2(p: int) -> int:
@@ -199,23 +188,3 @@ def fermat_quotient_2(p: int) -> int:
     p = int(OddPrime(p))
     t = pow(2, p - 1, p**4)
     return ((t - 1) // p) % p**3
-
-
-def fermat_quotients_all_bases(p: int) -> list[int]:
-    """q_k(p) = (k^(p-1) - 1)/p mod p for k = 0..p-1 (entries 0, 1 are 0).
-
-    Fermat quotients are additive in the base: q_(jk) == q_j + q_k
-    (mod p), so one modular exponentiation per prime base extends to all
-    composite bases through the smallest-prime-factor sieve.
-    """
-    p = int(OddPrime(p))
-    m = p * p
-    spf = smallest_prime_factors(p - 1)
-    q = [0] * p
-    for k in range(2, p):
-        s = spf[k]
-        if s == k:
-            q[k] = (pow(k, p - 1, m) - 1) // p
-        else:
-            q[k] = (q[s] + q[k // s]) % p
-    return q

@@ -4,8 +4,8 @@ Subcommands:
     verify  -- check selected identities over a prime range, emit one
                report record per check (JSONL or CSV)
     sums    -- print the harmonic profile and constants at one prime
-    oracle  -- recompute fast-path quantities by naive enumeration and
-               compare (bounded prime range)
+    oracle  -- run the selected checks and compare every per-prime
+               quantity they read with naive enumeration (bounded range)
 
 Exit codes: 0 all checks match, 1 any mismatch, 2 usage error, 3 I/O
 failure.  Reports are sorted by (p, identity, params) regardless of
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 ORACLE_CAP_LIMIT = 1000
+A_VALUES_LIMIT = 10**4  # each a adds one record per prime, all held until the scan ends
 DEFAULT_IDENTITIES = tuple(tag for tag, e in IDENTITIES.items() if e.default)
 
 
@@ -72,6 +73,8 @@ class ScanConfig:
             raise UsageError(f"format must be jsonl or csv, got {self.fmt!r}")
         if any(a < 1 for a in self.a_values) or not self.a_values:
             raise UsageError(f"a values must be >= 1, got {self.a_values}")
+        if len(self.a_values) > A_VALUES_LIMIT:
+            raise UsageError(f"at most {A_VALUES_LIMIT} a values, got {len(self.a_values)}")
         if self.n_max < 1:
             raise UsageError(f"n_max must be >= 1, got {self.n_max}")
         for ident in self.identities:
@@ -128,12 +131,15 @@ def sieve_odd_primes(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _scan_prime(args: tuple) -> list[cg.CongruenceCheck]:
-    """Every selected per-prime check at p, all reading one PrimeContext."""
-    p, tags, a_values, cd_triples, window = args
-    ctx = PrimeContext(p, a_values, cd_triples, window)
+def _run_checks(p: int, tags: tuple[str, ...], a_values, cd_triples) -> tuple[PrimeContext, list]:
+    """One PrimeContext at p and every selected per-prime check, all reading it."""
+    ctx = PrimeContext(p, a_values, cd_triples)
     entries = [IDENTITIES[t] for t in tags]
-    return [c for e in entries if p >= e.p_min for c in e.check(ctx)]
+    return ctx, [c for e in entries if p >= e.p_min for c in e.check(ctx)]
+
+
+def _scan_prime(args: tuple) -> list[cg.CongruenceCheck]:
+    return _run_checks(*args)[1]
 
 
 def _pool_size(jobs: int) -> int:
@@ -142,17 +148,22 @@ def _pool_size(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
+def _entries(cfg: ScanConfig) -> list:
+    """The selected identities, less each part whose whole is selected too."""
+    chosen = set(cfg.identities)
+    return [e for tag, e in IDENTITIES.items() if tag in chosen and e.part_of not in chosen]
+
+
+def _prime_tasks(cfg: ScanConfig, lo: int, hi: int) -> list[tuple]:
+    """One _run_checks argument tuple per prime in [lo, hi] for the per-prime checks."""
+    tags = tuple(e.tag for e in _entries(cfg) if e.over == "p")
+    return [(p, tags, cfg.a_values, cfg.cd_triples) for p in sieve_odd_primes(lo, hi)] if tags else []
+
+
 def run_verify(cfg: ScanConfig) -> tuple[list[cg.CongruenceCheck], int]:
     """Execute a verify scan; returns (sorted checks, exit code 0/1)."""
     cfg.validate()
-    chosen = set(cfg.identities)
-    entries = [e for tag, e in IDENTITIES.items() if tag in chosen and e.part_of not in chosen]
-    prime_tags = tuple(e.tag for e in entries if e.over == "p")
-    window = any(e.window for e in entries)
-    tasks = []
-    if prime_tags:
-        for p in sieve_odd_primes(cfg.p_min, cfg.p_max):
-            tasks.append((p, prime_tags, cfg.a_values, cfg.cd_triples, window))
+    tasks = _prime_tasks(cfg, cfg.p_min, cfg.p_max)
 
     records: list[cg.CongruenceCheck] = []
     if cfg.jobs == 1:
@@ -165,7 +176,7 @@ def run_verify(cfg: ScanConfig) -> tuple[list[cg.CongruenceCheck], int]:
             for recs in pool.map(_scan_prime, tasks, chunksize=chunk):
                 records.extend(recs)
     # the exact identities and p = 3's wrap-up take well under a second
-    for e in entries:
+    for e in _entries(cfg):
         if e.over != "p":
             index = range(1, cfg.n_max + 1) if e.over == "n" else cfg.a_values
             records.extend(e.check(i) for i in index)
@@ -194,52 +205,11 @@ def write_records(records: list[cg.CongruenceCheck], cfg: ScanConfig) -> None:
 
 
 # ---------------------------------------------------------------------------
-# oracle mode: fast path vs naive enumeration
+# oracle mode: each PrimeContext field the checks read vs naive enumeration
 
-def _oracle_binom_table(p: int) -> "str | None":
-    if rs.binom_pm1(p, 4) != rs.binom_pm1_naive(p, 4):
-        return f"binom_table(p={p}, e=4)"
-    mid = (p - 1) // 2
-    if PrimeContext(p).central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
-        return f"central_binomial(p={p}, e=4)"
-    return None
-
-
-def _oracle_sigma(p: int) -> "str | None":
-    """Check the elementary inverse sums against two independent routes.
-
-    Below 101 the literal tuple enumeration is affordable for every r;
-    above that the cubic loop is not, so the sums are recomputed from
-    the inverse power sums P1, P2, P3 via Newton's identities instead
-    (a different recursion than the production update).
-    """
-    m = p**4
-    if p <= 101:
-        for r in range(p):
-            if rs.symmetric_inverse_sums(p, r, 4) != rs.symmetric_inverse_sums_naive(p, r, 4):
-                return f"sigma(p={p}, r={r})"
-        return None
-    inv2 = pow(2, -1, m)
-    inv6 = pow(6, -1, m)
-    p1 = p2 = p3 = 0
-    for r in range(p):
-        if r:
-            x = pow(r, -1, m)
-            xx = x * x % m
-            p1 = (p1 + x) % m
-            p2 = (p2 + xx) % m
-            p3 = (p3 + xx * x) % m
-        e2 = (p1 * p1 - p2) * inv2 % m
-        e3 = (p1 * p1 % m * p1 - 3 * p1 * p2 + 2 * p3) * inv6 % m
-        if rs.symmetric_inverse_sums(p, r, 4) != (p1, e2, e3):
-            return f"sigma(p={p}, r={r})"
-    return None
-
-
-def _oracle_power_sum(p: int) -> "str | None":
-    """The power sums the verdicts read (from the context's moments)
-    against direct powers for a <= 10 and exact binomials for a <= 5."""
-    moments = PrimeContext(p).moments
+def _oracle_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
+    """The power sums the verdicts read (from the moments) against direct
+    powers for a <= 10 and exact binomials for a <= 5."""
     direct = cg.lhs_power_sums_batch(p, 10)
     for a in range(1, 11):
         lhs = cg.moment_power_sum(p, a, moments)
@@ -248,8 +218,34 @@ def _oracle_power_sum(p: int) -> "str | None":
     return None
 
 
-def _oracle_half_harmonic(p: int) -> "str | None":
-    half = PrimeContext(p).half_sums
+def _oracle_central4(p: int, central4: int) -> "str | None":
+    mid = (p - 1) // 2
+    if central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
+        return f"central_binomial(p={p}, e=4)"
+    return None
+
+
+def _oracle_bern(p: int, bern: dict[int, int]) -> "str | None":
+    """Each B_(p-j) built against power-sum extraction, and that against
+    the exact recurrence where p - j <= BERNOULLI_CAP."""
+    for j, v in sorted(bern.items()):
+        want = bn.bernoulli_mod_p(p, p - j)
+        if p - j <= bn.BERNOULLI_CAP:
+            b = bn.bernoulli_exact(p - j)
+            if want != b.numerator * pow(b.denominator, -1, p) % p:
+                return f"bernoulli_mod_p(p={p}, index={p - j})"
+        if v != want:
+            return f"bern(p={p}, j={j})"
+    return None
+
+
+def _oracle_q2(p: int, q2: int) -> "str | None":
+    if q2 != (pow(2, p - 1) - 1) // p % p**3:
+        return f"fermat_quotient_2(p={p})"
+    return None
+
+
+def _oracle_half_sums(p: int, half: hm.HalfSums) -> "str | None":
     if half.h1 != hm.naive_half_harmonic(p, 1, 3):
         return f"half_h1(p={p})"
     for n, v in half.hn.items():
@@ -258,8 +254,7 @@ def _oracle_half_harmonic(p: int) -> "str | None":
     return None
 
 
-def _oracle_even_sums(p: int) -> "str | None":
-    even = PrimeContext(p).even_sums
+def _oracle_even_sums(p: int, even: hm.EvenSums) -> "str | None":
     for (n, e), v in even.single.items():
         if v != hm.naive_even_single(p, n, e):
             return f"even_single(p={p}, n={n}, e={e})"
@@ -271,82 +266,43 @@ def _oracle_even_sums(p: int) -> "str | None":
     return None
 
 
-def _oracle_bernoulli(p: int) -> "str | None":
-    """Both Bernoulli fields (B_(p-3) alone and lemma_2_1's window) against
-    power-sum extraction at every p, and against the exact recurrence
-    where p - j <= BERNOULLI_CAP."""
-    want = {}
-    for j in range(3, min(13, p - 2) + 1, 2):
-        want[j] = bn.bernoulli_mod_p(p, p - j)
-        if p - j <= bn.BERNOULLI_CAP:
-            b = bn.bernoulli_exact(p - j)
-            if want[j] != b.numerator * pow(b.denominator, -1, p) % p:
-                return f"bernoulli_mod_p(p={p}, index={p - j})"
-    if PrimeContext(p, window=False).bern != {3: want[3]}:
-        return f"bernoulli_pm3(p={p})"
-    if PrimeContext(p).bern != want:
-        return f"bernoulli_window(p={p})"
-    m2 = p * p
-    for exp in (p - 3, p - 5):
-        if exp < 2:
-            continue
-        direct = sum(pow(k, exp, m2) for k in range(1, p)) % m2
-        if bn.power_sum_mod(p, exp, 2) != direct:
-            return f"power_sum_mod(p={p}, exp={exp})"
-    return None
-
-
-def _oracle_fermat(p: int) -> "str | None":
-    if PrimeContext(p).q2 != (pow(2, p - 1) - 1) // p % p**3:
-        return f"fermat_quotient_2(p={p})"
-    qs = bn.fermat_quotients_all_bases(p)
-    for k in range(2, p):
-        if qs[k] != (pow(k, p - 1, p * p) - 1) // p % p:
-            return f"fermat_quotient_base(p={p}, k={k})"
-    return None
-
-
-def _oracle_cd(p: int) -> "str | None":
-    for eps, a, b in DEFAULT_CD_TRIPLES:
-        if cg.chamberland_dilcher_u(p, eps, a, b) != cg.chamberland_dilcher_exact(p, eps, a, b):
+def _oracle_cd(p: int, cd: dict[tuple[int, int, int], int]) -> "str | None":
+    for (eps, a, b), v in sorted(cd.items()):
+        if v != cg.chamberland_dilcher_exact(p, eps, a, b):
             return f"cd(p={p}, eps={eps}, a={a}, b={b})"
     return None
 
 
+# one naive route per PrimeContext field, keyed by the field's name
 _ORACLE_FUNCS = {
-    "binom_table": _oracle_binom_table,
-    "sigma": _oracle_sigma,
-    "power_sum": _oracle_power_sum,
-    "half_harmonic": _oracle_half_harmonic,
+    "moments": _oracle_moments,
+    "central4": _oracle_central4,
+    "bern": _oracle_bern,
+    "q2": _oracle_q2,
+    "half_sums": _oracle_half_sums,
     "even_sums": _oracle_even_sums,
-    "bernoulli": _oracle_bernoulli,
-    "fermat": _oracle_fermat,
     "cd": _oracle_cd,
 }
 
 
 def _oracle_task(args: tuple) -> "str | None":
-    p, quantities = args
-    for q in quantities:
-        bad = _ORACLE_FUNCS[q](p)
-        if bad:
-            return bad
+    """Run the checks at p, then compare every context field they populated."""
+    ctx, _ = _run_checks(*args)
+    built = vars(ctx)
+    for name, oracle in _ORACLE_FUNCS.items():
+        if name in built:
+            bad = oracle(int(ctx.p), built[name])
+            if bad:
+                return bad
     return None
 
 
 def run_oracle_quantities(cfg: ScanConfig, quiet: bool = False) -> "str | None":
-    """Compare the PrimeContext fields (and the other fast paths) against
-    naive enumeration; returns the first mismatch name.  The default
-    identity set compares every quantity."""
-    quantities = set()
-    for ident in cfg.identities:
-        quantities.update(IDENTITIES[ident].oracle)
-    if cfg.identities == DEFAULT_IDENTITIES:
-        quantities = set(_ORACLE_FUNCS)
-    cap = cfg.oracle_cap or ORACLE_CAP_LIMIT
-    hi = min(cfg.p_max, cap)
-    order = [q for q in _ORACLE_FUNCS if q in quantities]
-    tasks = [(p, order) for p in sieve_odd_primes(max(cfg.p_min, 5), hi)]
+    """Run the selected checks for each prime up to the oracle cap and
+    compare the context fields they read against naive enumeration;
+    returns the first mismatch name."""
+    hi = min(cfg.p_max, cfg.oracle_cap or ORACLE_CAP_LIMIT)
+    tasks = _prime_tasks(cfg, max(cfg.p_min, 5), hi)
     if cfg.jobs == 1:
         bad = next(filter(None, map(_oracle_task, tasks)), None)
     else:
@@ -375,7 +331,7 @@ def run_oracle(cfg: ScanConfig) -> int:
 def run_sums(p: int) -> int:
     if not rs.is_odd_prime(p) or p < 5:
         raise UsageError(f"sums needs an odd prime >= 5, got {p}")
-    ctx = PrimeContext(p, window=False)
+    ctx = PrimeContext(p)
     half, even = ctx.half_sums, ctx.even_sums
     print(f"p = {p}")
     print(f"q2 = (2^(p-1)-1)/p           mod p^3 = {ctx.q2}")
@@ -400,8 +356,10 @@ def _parse_a_values(text: str) -> tuple[int, ...]:
     text = text.strip()
     try:
         if ".." in text:
-            lo, hi = text.split("..")
-            vals = tuple(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in text.split(".."))
+            if hi - lo >= A_VALUES_LIMIT:
+                raise UsageError(f"at most {A_VALUES_LIMIT} a values, got {text!r}")
+            vals = tuple(range(lo, hi + 1))
         else:
             vals = tuple(int(x) for x in text.split(","))
     except ValueError as exc:
@@ -458,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     o = sub.add_parser("oracle", help="compare fast paths against naive enumeration")
     o.add_argument("--p-min", type=int, default=3)
     o.add_argument("--p-max", type=int, default=101)
-    o.add_argument("--identity", action="append", choices=tuple(IDENTITIES))
+    o.add_argument("--identity", action="append", choices=tuple(IDENTITIES),
+                   help="repeatable; defaults to every identity")
     o.add_argument("--jobs", type=int, default=1)
     return ap
 
@@ -473,7 +432,7 @@ def main(argv: "list[str] | None" = None) -> int:
             cfg = ScanConfig(
                 p_min=ns.p_min,
                 p_max=ns.p_max,
-                identities=tuple(ns.identity) if ns.identity else DEFAULT_IDENTITIES,
+                identities=tuple(ns.identity) if ns.identity else tuple(IDENTITIES),
                 jobs=ns.jobs,
             )
             return run_oracle(cfg)

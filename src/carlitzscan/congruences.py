@@ -329,7 +329,7 @@ def chamberland_dilcher_exact(p: int, eps: int, a: int, b: int) -> int:
     return total % m3
 
 
-def verify_chamberland_dilcher(p: int, eps: int, a: int, b: int) -> CongruenceCheck:
+def verify_chamberland_dilcher(c: "PrimeContext", eps: int, a: int, b: int) -> CongruenceCheck:
     """u == 1 + (-1)^eps 2^b mod p^3 for p >= 5, outside the two excluded triples.
 
     (eps, a, b) = (0, 0, 1) and (0, 1, 0) are the known failures and are
@@ -337,15 +337,13 @@ def verify_chamberland_dilcher(p: int, eps: int, a: int, b: int) -> CongruenceCh
     the sum no longer truncates at k = p and the congruence can fail);
     a = 0 requests are still computed and judged as-is.
     """
-    p = int(OddPrime(p))
+    p = c.p
     if p < 5:
         raise ValueError("the u-sum congruence needs p >= 5")
     if (eps, a, b) in CD_EXCLUDED:
         raise ExcludedTriple(f"(eps, a, b) = {(eps, a, b)} is a known exception")
     m3 = p**3
-    lhs = chamberland_dilcher_u(p, eps, a, b)
-    rhs = (1 + (-1) ** eps * 2**b) % m3
-    return _check("chamberland_dilcher", p, (eps, a, b), m3, lhs, rhs)
+    return _check("chamberland_dilcher", p, (eps, a, b), m3, c.cd[eps, a, b], (1 + (-1) ** eps * 2**b) % m3)
 
 
 def alternating_square_sum(n: int) -> int:

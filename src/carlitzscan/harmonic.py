@@ -26,7 +26,6 @@ __all__ = [
     "naive_even_single",
     "naive_even_double",
     "naive_even_triple",
-    "lemma_2_1_offsets",
     "verify_lemma_2_1",
     "verify_lemma_2_2",
     "verify_derived_sums",
@@ -38,7 +37,7 @@ N_CAP = 12
 def _validate(p: int) -> int:
     if p < 5:
         raise ValueError("harmonic sums here need p >= 5")
-    return p
+    return int(p)
 
 
 class HalfSums(NamedTuple):
@@ -62,7 +61,7 @@ class EvenSums(NamedTuple):
 
 def half_range_sums(p: int) -> HalfSums:
     """The half-range sums in one sweep over an inverse table of 1..(p-1)/2."""
-    p = _validate(int(OddPrime(p)))
+    p = _validate(OddPrime(p))
     m3, m2 = p**3, p * p
     mid = (p - 1) // 2
     inv3 = inverse_range(mid, m3)
@@ -86,7 +85,7 @@ def even_index_sums(p: int) -> EvenSums:
     even k; the triple sum uses sum_{i<j<=x} 1/(ij) = ((sum 1/i)^2 -
     sum 1/i^2) / 2.  The accumulators are reduced once, at the end.
     """
-    p = _validate(int(OddPrime(p)))
+    p = _validate(OddPrime(p))
     m3, m2 = p**3, p * p
     inv3 = inverse_range(p - 1, m3)
     pf1_2 = pf1 = pf2 = 0  # prefixes of 1/j mod p^2, and of 1/j, 1/j^2 mod p
@@ -149,14 +148,6 @@ def naive_even_triple(p: int) -> int:
     return acc % p
 
 
-def lemma_2_1_offsets(p: int) -> list[int]:
-    """The offsets j of the B_(p-j) that verify_lemma_2_1 reads at p."""
-    offsets = {3}
-    for n in range(2, min(N_CAP, p - 2) + 1):
-        offsets.add(n + 1 if n % 2 == 0 else n)
-    return sorted(offsets)
-
-
 def verify_lemma_2_1(c: "PrimeContext") -> list[CongruenceCheck]:
     """Closed forms for the half-range sums sum_{k <= (p-1)/2} 1/k^n.
 
@@ -166,7 +157,7 @@ def verify_lemma_2_1(c: "PrimeContext") -> list[CongruenceCheck]:
         even n, mod p^2:  n (2^(n+1) - 1) / (2(n+1)) * p * B_(p-n-1);
         odd n,  mod p:    -(2 (2^(n-1) - 1) / n) * B_(p-n).
 
-    The B_(p-j) come from c.bern, so c must hold lemma_2_1's window.
+    The B_(p-j) are read from c.bern, which builds each on its first read.
     """
     p = _validate(c.p)
     m3, m2 = p**3, p * p

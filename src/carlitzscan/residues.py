@@ -55,9 +55,11 @@ def is_odd_prime(n: int) -> bool:
 
 
 class OddPrime(int):
-    """An int validated to be an odd prime below 2^31."""
+    """An int validated to be an odd prime below 2^31 (once: an OddPrime passes through)."""
 
     def __new__(cls, value: int) -> "OddPrime":
+        if isinstance(value, OddPrime):
+            return value
         if not is_odd_prime(int(value)):
             raise ValueError(f"not an odd prime below 2^31: {value!r}")
         return super().__new__(cls, value)

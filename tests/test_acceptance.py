@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 from carlitzscan.bernoulli import bernoulli_exact, bernoulli_pm3_mod_p
-from carlitzscan.cli import DEFAULT_IDENTITIES, ScanConfig, run_oracle_quantities, sieve_odd_primes
+from carlitzscan.cli import ScanConfig, run_oracle_quantities, sieve_odd_primes
 from carlitzscan.congruences import (
     COROLLARY_COEFFICIENTS,
     alternating_square_sum_printed_limit,
@@ -27,7 +27,7 @@ from carlitzscan.congruences import (
     verify_morley,
     verify_p3_special,
 )
-from carlitzscan.context import PrimeContext
+from carlitzscan.context import IDENTITIES, PrimeContext
 from carlitzscan.harmonic import verify_derived_sums, verify_lemma_2_1, verify_lemma_2_2
 from carlitzscan.residues import symmetric_inverse_sums
 
@@ -44,7 +44,8 @@ def report(n: int, ok: bool, msg: str) -> None:
 def oracle_gate():
     """Criterion 7 gate: every fast path equals naive enumeration, p <= 101."""
     t0 = time.perf_counter()
-    cfg = ScanConfig(p_min=3, p_max=101, identities=DEFAULT_IDENTITIES)
+    # every identity, so that each context field (the u-sums included) is compared
+    cfg = ScanConfig(p_min=3, p_max=101, identities=tuple(IDENTITIES))
     bad = run_oracle_quantities(cfg, quiet=True)
     elapsed = time.perf_counter() - t0
     if bad is not None:
@@ -75,7 +76,7 @@ def test_criterion_02_central_binomial_sweep(oracle_gate):
     failures = []
     primes = sieve_odd_primes(3, CENTRAL_P_MAX)
     for p in primes:
-        ctx = PrimeContext(p, window=False)
+        ctx = PrimeContext(p)
         if p >= 5 and not verify_morley(ctx).verdict:
             failures.append(("morley", p))
         if not verify_carlitz(ctx).verdict:
@@ -153,7 +154,7 @@ def test_criterion_06_even_restricted_closed_forms(oracle_gate):
     primes = sieve_odd_primes(5, LEMMA_P_MAX)
     for p in primes:
         # both checks read one sweep of the even-index sums
-        ctx = PrimeContext(p, window=False)
+        ctx = PrimeContext(p)
         for c in verify_lemma_2_2(ctx):
             if not c.verdict:
                 failures.append((p, c.identity))

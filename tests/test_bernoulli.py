@@ -11,7 +11,6 @@ from carlitzscan.bernoulli import (
     bernoulli_pm3_mod_p,
     bernoulli_window_mod_p,
     fermat_quotient_2,
-    fermat_quotients_all_bases,
     power_sum_mod,
     smallest_prime_factors,
 )
@@ -133,25 +132,6 @@ def test_fermat_quotient_2_defining_property():
         assert p * q % p**4 == (pow(2, p - 1, p**4) - 1) % p**4, p
     # 1093 is a Wieferich prime: the quotient vanishes mod p there
     assert fermat_quotient_2(1093) % 1093 == 0
-
-
-def test_fermat_quotients_all_bases_direct():
-    for p in (5, 7, 11, 31):
-        table = fermat_quotients_all_bases(p)
-        assert len(table) == p
-        assert table[1] == 0
-        for k in range(1, p):
-            assert table[k] == (pow(k, p - 1, p * p) - 1) // p % p, (p, k)
-
-
-def test_fermat_quotients_are_additive_in_the_base():
-    # q(j*k) == q(j) + q(k) mod p whenever j*k stays below p
-    for p in (11, 31, 61):
-        table = fermat_quotients_all_bases(p)
-        for j in range(2, p):
-            for k in range(2, p):
-                if j * k < p:
-                    assert table[j * k] == (table[j] + table[k]) % p
 
 
 def test_power_sum_times_p_matches_exact_bernoulli():

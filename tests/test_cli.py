@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -27,6 +28,7 @@ from carlitzscan.cli import (
     sieve_odd_primes,
 )
 from carlitzscan.congruences import CongruenceCheck
+from carlitzscan.context import PrimeContext
 from carlitzscan.residues import is_odd_prime
 
 
@@ -69,6 +71,20 @@ def test_parse_a_values():
         _parse_a_values("x,y")
     with pytest.raises(UsageError):
         _parse_a_values("3..z")
+
+
+def test_a_values_are_bounded_before_any_is_built(capsys):
+    # each a adds a record per prime, so the count is capped; a range
+    # past the cap is refused from its ends, before range() is built
+    limit = cli.A_VALUES_LIMIT
+    assert len(_parse_a_values(f"1..{limit}")) == limit
+    ScanConfig(a_values=tuple(range(1, limit + 1))).validate()
+    with pytest.raises(UsageError):
+        _parse_a_values(f"2..{limit + 2}")
+    with pytest.raises(UsageError):
+        ScanConfig(a_values=tuple(range(1, limit + 2))).validate()
+    assert cli.main(["verify", "--p-max", "5", "--a", f"1..{10**12}"]) == 2
+    assert f"at most {limit} a values" in capsys.readouterr().err
 
 
 def test_scan_config_validation():
@@ -160,7 +176,7 @@ def test_oracle_quantity_filter_runs_clean():
 def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers see the patched oracle table only when forked")
-    monkeypatch.setitem(cli._ORACLE_FUNCS, "fermat", lambda p: f"injected(p={p})")
+    monkeypatch.setitem(cli._ORACLE_FUNCS, "q2", lambda p, q2: f"injected(p={p})")
     cfg = ScanConfig(p_min=3, p_max=60, oracle_cap=31, jobs=jobs)
     assert run_oracle_quantities(cfg, quiet=True) == "injected(p=5)"
     records, code = run_verify(cfg)
@@ -243,35 +259,86 @@ def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
     assert run_oracle_quantities(cfg, quiet=True) == "power_sum(p=13, a=3)"
 
 
+def test_oracle_reads_the_u_sums_behind_the_verdicts(monkeypatch):
+    # shift one u-sum by p^2 at p = 13 where the context computes it:
+    # the chamberland_dilcher verdict and the oracle must both see it
+    fast = cg.chamberland_dilcher_u
+
+    def corrupted(p, eps, a, b):
+        u = fast(p, eps, a, b)
+        return (u + p * p) % p**3 if (p, eps, a, b) == (13, 1, 1, 1) else u
+
+    monkeypatch.setattr(cg, "chamberland_dilcher_u", corrupted)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("chamberland_dilcher",))
+    records, code = run_verify(cfg)
+    assert code == 1
+    assert [(r.p, r.params) for r in records if not r.verdict] == [(13, (1, 1, 1))]
+    assert run_oracle_quantities(cfg, quiet=True) == "cd(p=13, eps=1, a=1, b=1)"
+
+
+def test_every_context_field_has_one_oracle(monkeypatch):
+    fields = {name for name, v in vars(PrimeContext).items() if isinstance(v, cached_property)}
+    assert fields == set(cli._ORACLE_FUNCS)
+    # and the default oracle run (every identity) compares each of them
+    seen = Counter()
+    for name, oracle in list(cli._ORACLE_FUNCS.items()):
+        def counted(p, value, name=name, oracle=oracle):
+            seen[name] += 1
+            return oracle(p, value)
+
+        monkeypatch.setitem(cli._ORACLE_FUNCS, name, counted)
+    assert cli.main(["oracle", "--p-max", "31"]) == 0
+    assert set(seen) == fields
+
+
 def test_each_quantity_is_computed_once_per_prime(monkeypatch):
-    # the context is the only producer: no check computes a quantity itself
+    # the context is the only producer: no check computes a quantity
+    # itself, and each B_(p-j) and u-sum is built once, on its first read
     calls = Counter()
 
     def count(mod, name, key):
         fn = getattr(mod, name)
 
         def counted(p, *args, **kwargs):
-            calls[key, p] += 1
+            calls[key, p, args] += 1
             return fn(p, *args, **kwargs)
 
         monkeypatch.setattr(mod, name, counted)
 
     count(cg, "binomial_moments", "moments")
     count(rs, "signed_central_binomial", "central")
-    count(bn, "bernoulli_window_mod_p", "bern")
-    count(bn, "bernoulli_pm3_mod_p", "bern")
     count(bn, "fermat_quotient_2", "q2")
     count(hm, "half_range_sums", "half")
     count(hm, "even_index_sums", "even")
+    count(cg, "chamberland_dilcher_u", "cd")
+    ladder = bn.VoronoiLadder.__call__
+
+    def counted_ladder(self, j):
+        calls["bern", self.p, (j,)] += 1
+        return ladder(self, j)
+
+    monkeypatch.setattr(bn.VoronoiLadder, "__call__", counted_ladder)
     per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
-    no_window = tuple(t for t in per_prime if not cli.IDENTITIES[t].window)
-    # with lemma_2_1's window, and with B_(p-3) alone (no half-range sums then)
-    for tags, half in ((per_prime, {"half"}), (no_window, set())):
+    no_lemma_2_1 = tuple(t for t in per_prime if not t.startswith("lemma_2_1"))
+    # the default set reads lemma_2_1's offsets; without lemma_2_1, B_(p-3)
+    # alone is built and no half-range sums
+    for tags, keys, offsets in (
+        (DEFAULT_IDENTITIES, {"half"}, set(range(3, 14, 2))),
+        (no_lemma_2_1, {"cd"}, {3}),
+    ):
         calls.clear()
         records, code = run_verify(ScanConfig(p_max=200, identities=tags))
         assert code == 0 and records
-        assert {key for key, _ in calls} == {"moments", "central", "bern", "q2", "even"} | half
+        assert {key for key, _, _ in calls} == {"moments", "central", "bern", "q2", "even"} | keys
+        assert {args[0] for key, _, args in calls if key == "bern"} == offsets
         assert max(calls.values()) == 1
+
+
+def test_lemma_2_1_reads_any_offset_after_bpm3():
+    # B_(p-3) read first no longer fixes which offsets the context holds
+    ctx = PrimeContext(31)
+    assert ctx.bpm3 == bn.bernoulli_pm3_mod_p(31)
+    assert hm.verify_lemma_2_1(ctx) == hm.verify_lemma_2_1(PrimeContext(31))
 
 
 def test_pool_is_bounded_by_the_cpus(monkeypatch):
