@@ -131,15 +131,19 @@ def sieve_odd_primes(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _run_checks(p: int, tags: tuple[str, ...], a_values, cd_triples) -> tuple[PrimeContext, list]:
-    """One PrimeContext at p and every selected per-prime check, all reading it."""
+def _scan_prime(args: tuple) -> tuple[list[cg.CongruenceCheck], "str | None"]:
+    """One PrimeContext at p and every selected per-prime check, all reading it;
+    for p <= cap, also the first field those checks populated that disagrees
+    with its naive route (None if all agree)."""
+    p, tags, a_values, cd_triples, cap = args
     ctx = PrimeContext(p, a_values, cd_triples)
     entries = [IDENTITIES[t] for t in tags]
-    return ctx, [c for e in entries if p >= e.p_min for c in e.check(ctx)]
-
-
-def _scan_prime(args: tuple) -> list[cg.CongruenceCheck]:
-    return _run_checks(*args)[1]
+    checks = [c for e in entries if p >= e.p_min for c in e.check(ctx)]
+    if p > cap:
+        return checks, None
+    built = vars(ctx)
+    oracles = (oracle(p, built[name]) for name, oracle in _ORACLE_FUNCS.items() if name in built)
+    return checks, next(filter(None, oracles), None)
 
 
 def _pool_size(jobs: int) -> int:
@@ -154,27 +158,31 @@ def _entries(cfg: ScanConfig) -> list:
     return [e for tag, e in IDENTITIES.items() if tag in chosen and e.part_of not in chosen]
 
 
-def _prime_tasks(cfg: ScanConfig, lo: int, hi: int) -> list[tuple]:
-    """One _run_checks argument tuple per prime in [lo, hi] for the per-prime checks."""
+def _scan(cfg: ScanConfig, lo: int, hi: int, cap: int):
+    """Yield _scan_prime's (checks, disagreement) for each prime in [lo, hi],
+    in order.  Closing the generator cancels the pool's pending work."""
     tags = tuple(e.tag for e in _entries(cfg) if e.over == "p")
-    return [(p, tags, cfg.a_values, cfg.cd_triples) for p in sieve_odd_primes(lo, hi)] if tags else []
+    tasks = [(p, tags, cfg.a_values, cfg.cd_triples, cap) for p in sieve_odd_primes(lo, hi)] if tags else []
+    if cfg.jobs == 1:
+        yield from map(_scan_prime, tasks)
+        return
+    workers = _pool_size(cfg.jobs)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            yield from pool.map(_scan_prime, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_verify(cfg: ScanConfig) -> tuple[list[cg.CongruenceCheck], int]:
-    """Execute a verify scan; returns (sorted checks, exit code 0/1)."""
+    """Execute a verify scan; returns (sorted checks, exit code 0/1).  The
+    oracle compares the contexts of the primes up to cfg.oracle_cap."""
     cfg.validate()
-    tasks = _prime_tasks(cfg, cfg.p_min, cfg.p_max)
-
     records: list[cg.CongruenceCheck] = []
-    if cfg.jobs == 1:
-        for t in tasks:
-            records.extend(_scan_prime(t))
-    else:
-        workers = _pool_size(cfg.jobs)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (workers * 8))
-            for recs in pool.map(_scan_prime, tasks, chunksize=chunk):
-                records.extend(recs)
+    bad = None
+    for checks, disagreement in _scan(cfg, cfg.p_min, cfg.p_max, cfg.oracle_cap):
+        records.extend(checks)
+        bad = bad or disagreement
     # the exact identities and p = 3's wrap-up take well under a second
     for e in _entries(cfg):
         if e.over != "p":
@@ -183,25 +191,22 @@ def run_verify(cfg: ScanConfig) -> tuple[list[cg.CongruenceCheck], int]:
 
     records.sort(key=lambda r: (r.p, r.identity, r.params))
     code = 0 if all(r.verdict for r in records) else 1
-    if cfg.oracle_cap and run_oracle_quantities(cfg):
+    if bad:
+        print(f"oracle disagreement: {bad}", file=sys.stderr)
         code = 1
     return records, code
 
 
-def write_records(records: list[cg.CongruenceCheck], cfg: ScanConfig) -> None:
-    out = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
-    try:
-        if cfg.fmt == "csv":
-            w = csv.writer(out)
-            w.writerow(CSV_HEADER)
-            for r in records:
-                w.writerow(csv_row(r))
-        else:
-            for r in records:
-                out.write(jsonl_line(r) + "\n")
-    finally:
-        if cfg.out:
-            out.close()
+def write_records(records: list[cg.CongruenceCheck], fmt: str, out) -> None:
+    if fmt == "csv":
+        w = csv.writer(out)
+        w.writerow(CSV_HEADER)
+        for r in records:
+            w.writerow(csv_row(r))
+    else:
+        for r in records:
+            out.write(jsonl_line(r) + "\n")
+    out.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -285,35 +290,16 @@ _ORACLE_FUNCS = {
 }
 
 
-def _oracle_task(args: tuple) -> "str | None":
-    """Run the checks at p, then compare every context field they populated."""
-    ctx, _ = _run_checks(*args)
-    built = vars(ctx)
-    for name, oracle in _ORACLE_FUNCS.items():
-        if name in built:
-            bad = oracle(int(ctx.p), built[name])
-            if bad:
-                return bad
-    return None
-
-
-def run_oracle_quantities(cfg: ScanConfig, quiet: bool = False) -> "str | None":
-    """Run the selected checks for each prime up to the oracle cap and
-    compare the context fields they read against naive enumeration;
-    returns the first mismatch name."""
+def run_oracle_quantities(cfg: ScanConfig) -> "str | None":
+    """Scan the primes up to the oracle cap and compare the context fields
+    the selected checks populated against naive enumeration; returns the
+    first mismatch name, stopping the scan there."""
     hi = min(cfg.p_max, cfg.oracle_cap or ORACLE_CAP_LIMIT)
-    tasks = _prime_tasks(cfg, max(cfg.p_min, 5), hi)
-    if cfg.jobs == 1:
-        bad = next(filter(None, map(_oracle_task, tasks)), None)
-    else:
-        with ProcessPoolExecutor(max_workers=_pool_size(cfg.jobs)) as pool:
-            try:
-                bad = next(filter(None, pool.map(_oracle_task, tasks)), None)
-            finally:
-                pool.shutdown(cancel_futures=True)
-    if bad and not quiet:
-        print(f"oracle disagreement: {bad}", file=sys.stderr)
-    return bad
+    scan = _scan(cfg, max(cfg.p_min, 5), hi, hi)
+    try:
+        return next(filter(None, (bad for _, bad in scan)), None)
+    finally:
+        scan.close()
 
 
 def run_oracle(cfg: ScanConfig) -> int:
@@ -322,6 +308,7 @@ def run_oracle(cfg: ScanConfig) -> int:
         raise UsageError(f"oracle scans are capped at p <= {ORACLE_CAP_LIMIT}, got p_max={cfg.p_max}")
     bad = run_oracle_quantities(cfg)
     if bad:
+        print(f"oracle disagreement: {bad}", file=sys.stderr)
         return 1
     n = len(sieve_odd_primes(max(cfg.p_min, 5), cfg.p_max))
     print(f"oracle agreement over {n} primes in [{max(cfg.p_min, 5)}, {cfg.p_max}]")
@@ -448,16 +435,20 @@ def main(argv: "list[str] | None" = None) -> int:
             oracle_cap=ns.oracle_cap,
             cd_triples=_parse_cd(ns.cd),
         )
-        records, code = run_verify(cfg)
+        cfg.validate()
+        # open the report before the scan, so an unwritable --out fails at once
+        out = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
         try:
-            write_records(records, cfg)
-            if not cfg.out:
-                sys.stdout.flush()
+            records, code = run_verify(cfg)
+            write_records(records, cfg.fmt, out)
         except BrokenPipeError:
             # downstream consumer (head, etc.) closed the pipe; exit
             # with the verification verdict and silence the flush
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            if cfg.out:
+                out.close()
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

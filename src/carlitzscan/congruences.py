@@ -322,7 +322,7 @@ def chamberland_dilcher_exact(p: int, eps: int, a: int, b: int) -> int:
     total = 0
     c1 = c2 = 1  # binomial(p, k) and binomial(2p, k); c1 reaches 0 past k = p
     for k in range(2 * p + 1):
-        t = c1**a * c2**b
+        t = pow(c1, a, m3) * pow(c2, b, m3)
         total += -t if (eps and k & 1) else t
         c1 = c1 * (p - k) // (k + 1)
         c2 = c2 * (2 * p - k) // (k + 1)
@@ -343,7 +343,7 @@ def verify_chamberland_dilcher(c: "PrimeContext", eps: int, a: int, b: int) -> C
     if (eps, a, b) in CD_EXCLUDED:
         raise ExcludedTriple(f"(eps, a, b) = {(eps, a, b)} is a known exception")
     m3 = p**3
-    return _check("chamberland_dilcher", p, (eps, a, b), m3, c.cd[eps, a, b], (1 + (-1) ** eps * 2**b) % m3)
+    return _check("chamberland_dilcher", p, (eps, a, b), m3, c.cd[eps, a, b], (1 + (-1) ** eps * pow(2, b, m3)) % m3)
 
 
 def alternating_square_sum(n: int) -> int:

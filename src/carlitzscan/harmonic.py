@@ -11,7 +11,7 @@ residues mod p (also read from the context).
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .congruences import CongruenceCheck
+from .congruences import CongruenceCheck, _check
 from .residues import OddPrime, inverse_range
 
 if TYPE_CHECKING:
@@ -169,7 +169,7 @@ def verify_lemma_2_1(c: "PrimeContext") -> list[CongruenceCheck]:
         - 2 * p * p * pow(q, 3, m3) * pow(3, -1, m3)
         - 7 * p * p * bern[3] * pow(12, -1, m3)
     ) % m3
-    checks = [CongruenceCheck("lemma_2_1_i", p, (), m3, half.h1, rhs1, half.h1 == rhs1)]
+    checks = [_check("lemma_2_1_i", p, (), m3, half.h1, rhs1)]
     for n, lhs in half.hn.items():
         if n % 2 == 0:
             coef = n * (pow(2, n + 1, p) - 1) % p * pow(2 * (n + 1), -1, p) % p
@@ -178,7 +178,7 @@ def verify_lemma_2_1(c: "PrimeContext") -> list[CongruenceCheck]:
         else:
             rhs = (-2 * (pow(2, n - 1, p) - 1) * pow(n, -1, p) * bern[n]) % p
             modulus = p
-        checks.append(CongruenceCheck("lemma_2_1_ii", p, (n,), modulus, lhs, rhs, lhs == rhs))
+        checks.append(_check("lemma_2_1_ii", p, (n,), modulus, lhs, rhs))
     return checks
 
 
@@ -193,8 +193,8 @@ def verify_lemma_2_2(c: "PrimeContext") -> list[CongruenceCheck]:
     rhs_a = 5 * inv8 * bpm3 % p
     rhs_b = -3 * inv8 * bpm3 % p
     return [
-        CongruenceCheck("lemma_2_2_a", p, (), p, d121, rhs_a, d121 == rhs_a),
-        CongruenceCheck("lemma_2_2_b", p, (), p, d211, rhs_b, d211 == rhs_b),
+        _check("lemma_2_2_a", p, (), p, d121, rhs_a),
+        _check("lemma_2_2_b", p, (), p, d211, rhs_b),
     ]
 
 
@@ -229,8 +229,8 @@ def verify_derived_sums(c: "PrimeContext") -> list[CongruenceCheck]:
     rhs_2_10 = (-q3p * inv(6) - 7 * bpm3 * inv(48)) % p
 
     return [
-        CongruenceCheck("eq_2_7", p, (), m2, d, rhs_2_7, d == rhs_2_7),
-        CongruenceCheck("eq_2_8", p, (), m2, d, rhs_2_8, d == rhs_2_8),
-        CongruenceCheck("eq_2_9", p, (), m2, d, rhs_2_9, d == rhs_2_9),
-        CongruenceCheck("eq_2_10", p, (), p, t, rhs_2_10, t == rhs_2_10),
+        _check("eq_2_7", p, (), m2, d, rhs_2_7),
+        _check("eq_2_8", p, (), m2, d, rhs_2_8),
+        _check("eq_2_9", p, (), m2, d, rhs_2_9),
+        _check("eq_2_10", p, (), p, t, rhs_2_10),
     ]

@@ -46,7 +46,7 @@ def oracle_gate():
     t0 = time.perf_counter()
     # every identity, so that each context field (the u-sums included) is compared
     cfg = ScanConfig(p_min=3, p_max=101, identities=tuple(IDENTITIES))
-    bad = run_oracle_quantities(cfg, quiet=True)
+    bad = run_oracle_quantities(cfg)
     elapsed = time.perf_counter() - t0
     if bad is not None:
         report(7, False, f"oracle disagreement at {bad}")

@@ -169,7 +169,7 @@ def test_run_verify_reports_failures_with_exit_1():
 
 def test_oracle_quantity_filter_runs_clean():
     cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_2",))
-    assert run_oracle_quantities(cfg, quiet=True) is None
+    assert run_oracle_quantities(cfg) is None
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -178,7 +178,7 @@ def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
         pytest.skip("pool workers see the patched oracle table only when forked")
     monkeypatch.setitem(cli._ORACLE_FUNCS, "q2", lambda p, q2: f"injected(p={p})")
     cfg = ScanConfig(p_min=3, p_max=60, oracle_cap=31, jobs=jobs)
-    assert run_oracle_quantities(cfg, quiet=True) == "injected(p=5)"
+    assert run_oracle_quantities(cfg) == "injected(p=5)"
     records, code = run_verify(cfg)
     assert code == 1
     assert records and all(r.verdict for r in records)
@@ -238,7 +238,7 @@ def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
     records, code = run_verify(cfg)
     assert code == 1
     assert [(r.p, r.identity) for r in records if not r.verdict] == [(13, "lemma_2_2_a")]
-    assert run_oracle_quantities(cfg, quiet=True) == "even_double(p=13, s=1, t=2, e=1)"
+    assert run_oracle_quantities(cfg) == "even_double(p=13, s=1, t=2, e=1)"
 
 
 def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
@@ -256,7 +256,7 @@ def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
     assert code == 1
     bad = [(r.p, r.identity, r.params) for r in records if not r.verdict]
     assert bad == [(13, "theorem_1_1", (a,)) for a in range(3, 9)]
-    assert run_oracle_quantities(cfg, quiet=True) == "power_sum(p=13, a=3)"
+    assert run_oracle_quantities(cfg) == "power_sum(p=13, a=3)"
 
 
 def test_oracle_reads_the_u_sums_behind_the_verdicts(monkeypatch):
@@ -273,7 +273,7 @@ def test_oracle_reads_the_u_sums_behind_the_verdicts(monkeypatch):
     records, code = run_verify(cfg)
     assert code == 1
     assert [(r.p, r.params) for r in records if not r.verdict] == [(13, (1, 1, 1))]
-    assert run_oracle_quantities(cfg, quiet=True) == "cd(p=13, eps=1, a=1, b=1)"
+    assert run_oracle_quantities(cfg) == "cd(p=13, eps=1, a=1, b=1)"
 
 
 def test_every_context_field_has_one_oracle(monkeypatch):
@@ -321,13 +321,15 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
     no_lemma_2_1 = tuple(t for t in per_prime if not t.startswith("lemma_2_1"))
     # the default set reads lemma_2_1's offsets; without lemma_2_1, B_(p-3)
-    # alone is built and no half-range sums
-    for tags, keys, offsets in (
-        (DEFAULT_IDENTITIES, {"half"}, set(range(3, 14, 2))),
-        (no_lemma_2_1, {"cd"}, {3}),
+    # alone is built and no half-range sums; the oracle under --oracle-cap
+    # compares the scan's own contexts and builds none of its own
+    for tags, keys, offsets, cap in (
+        (DEFAULT_IDENTITIES, {"half"}, set(range(3, 14, 2)), 0),
+        (no_lemma_2_1, {"cd"}, {3}, 0),
+        (DEFAULT_IDENTITIES, {"half"}, set(range(3, 14, 2)), 200),
     ):
         calls.clear()
-        records, code = run_verify(ScanConfig(p_max=200, identities=tags))
+        records, code = run_verify(ScanConfig(p_max=200, identities=tags, oracle_cap=cap))
         assert code == 0 and records
         assert {key for key, _, _ in calls} == {"moments", "central", "bern", "q2", "even"} | keys
         assert {args[0] for key, _, args in calls if key == "bern"} == offsets
@@ -367,7 +369,7 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     records, code = run_verify(ScanConfig(p_max=400, jobs=100_000))
     assert code == 0 and records
-    assert run_oracle_quantities(ScanConfig(p_max=31, jobs=100_000), quiet=True) is None
+    assert run_oracle_quantities(ScanConfig(p_max=31, jobs=100_000)) is None
     assert sizes == [2, 2]
     assert chunks[0] == len(sieve_odd_primes(3, 400)) // (2 * 8)
 
@@ -397,6 +399,32 @@ def test_huge_a_runs_in_bounded_memory():
     assert [(r.p, r.identity) for r in records][:3] == [(3, "p3_special"), (3, "theorem_1_1"), (5, "cai_granville")]
     assert len(records) == 1 + 5 + 4
     assert peak < 4 * 2**20, peak
+
+
+def test_huge_cd_exponent_runs_in_bounded_memory():
+    # 2^b is taken mod p^3 by the verdict, and the oracle's exact route
+    # raises its exact binomials to the powers mod p^3 as well
+    cfg = ScanConfig(p_max=7, identities=("chamberland_dilcher",), cd_triples=((1, 1, 10**8),))
+    tracemalloc.start()
+    try:
+        records, code = run_verify(cfg)
+        exact = cg.chamberland_dilcher_exact(7, 1, 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert [(r.p, r.params) for r in records] == [(5, (1, 1, 10**8)), (7, (1, 1, 10**8))]
+    assert exact == cg.chamberland_dilcher_u(7, 1, 1, 10**6)
+    assert peak < 4 * 2**20, peak
+
+
+def test_unwritable_out_fails_before_the_scan(monkeypatch, tmp_path, capsys):
+    def scan(cfg):
+        raise AssertionError("scan started before the report was opened")
+
+    monkeypatch.setattr(cli, "run_verify", scan)
+    assert cli.main(["verify", "--p-max", "5000", "--out", str(tmp_path / "no" / "such" / "x")]) == 3
+    assert "i/o error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [1093, 3511, 16843])
