@@ -346,14 +346,19 @@ def verify_chamberland_dilcher(c: "PrimeContext", eps: int, a: int, b: int) -> C
     return _check("chamberland_dilcher", p, (eps, a, b), m3, c.cd[eps, a, b], (1 + (-1) ** eps * pow(2, b, m3)) % m3)
 
 
-def alternating_square_sum(n: int) -> int:
-    """sum_{k=0}^{2n} (-1)^k binomial(2n, k)^2, exact."""
+def _alternating_binomial_sum(n: int, e: int, top: int) -> int:
+    """sum_{k=0}^{top} (-1)^k binomial(2n, k)^e, exact."""
     acc = 0
     c = 1
-    for k in range(2 * n + 1):
-        acc += c * c if k % 2 == 0 else -c * c
+    for k in range(top + 1):
+        acc += c**e if k % 2 == 0 else -(c**e)
         c = c * (2 * n - k) // (k + 1)
     return acc
+
+
+def alternating_square_sum(n: int) -> int:
+    """sum_{k=0}^{2n} (-1)^k binomial(2n, k)^2, exact."""
+    return _alternating_binomial_sum(n, 2, 2 * n)
 
 
 def alternating_square_sum_printed_limit(n: int) -> int:
@@ -363,12 +368,7 @@ def alternating_square_sum_printed_limit(n: int) -> int:
     limit; truncation breaks it already at n = 1 (-3 vs -2), so the
     full-range form is the one verified.
     """
-    acc = 0
-    c = 1
-    for k in range(n + 1):
-        acc += c * c if k % 2 == 0 else -c * c
-        c = c * (2 * n - k) // (k + 1)
-    return acc
+    return _alternating_binomial_sum(n, 2, n)
 
 
 def exact_identity_1_3(n: int) -> CongruenceCheck:
@@ -390,14 +390,9 @@ def exact_identity_1_4(n: int) -> CongruenceCheck:
     """Exact (Dixon): sum (-1)^k binomial(2n,k)^3 = (-1)^n binomial(2n,n) binomial(3n,n)."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    acc = 0
-    c = 1
-    for k in range(2 * n + 1):
-        acc += c**3 if k % 2 == 0 else -(c**3)
-        c = c * (2 * n - k) // (k + 1)
     central = comb(2 * n, n) * comb(3 * n, n)
     rhs = central if n % 2 == 0 else -central
-    return _check("exact_1_4", n, (n,), 0, acc, rhs)
+    return _check("exact_1_4", n, (n,), 0, _alternating_binomial_sum(n, 3, 2 * n), rhs)
 
 
 def verify_p3_special(a: int) -> CongruenceCheck:

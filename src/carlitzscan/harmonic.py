@@ -1,9 +1,11 @@
 """Harmonic-type sums over 1..p-1, plain and parity-restricted.
 
 The fast paths are two sweeps per prime over linear inverse tables: the
-half-range sums (HalfSums) and the sums with even largest index
-(EvenSums).  Each has naive counterparts (full loops, builtin modular
-inversion) kept as an oracle.  The verify_* functions read those sums
+half-range sums (HalfSums) and the double and triple sums with even
+largest index (EvenSums).  The single sums over even k are the
+half-range sums scaled by 2^-n, so neither sweep sums them again.  Each
+sweep has naive counterparts (full loops, builtin modular inversion)
+kept as an oracle.  The verify_* functions read those sums
 from a context.PrimeContext and compare them with their closed forms,
 which involve the Fermat quotient q2 = (2^(p-1)-1)/p and Bernoulli
 residues mod p (also read from the context).
@@ -50,69 +52,64 @@ class HalfSums(NamedTuple):
 
 
 class EvenSums(NamedTuple):
-    """Sums whose largest index k is even: single[(n, e)] = sum 1/k^n
-    mod p^e, double[(s, t, e)] = sum_{j<k} 1/(j^s k^t) mod p^e, and
-    triple = sum_{i<j<k} 1/(ijk) mod p."""
+    """Sums whose largest index k is even: double[(s, t, e)] =
+    sum_{j<k} 1/(j^s k^t) mod p^e, and triple = sum_{i<j<k} 1/(ijk) mod p.
 
-    single: dict[tuple[int, int], int]
+    The single sums over even k are the half-range sums scaled, since
+    sum_{k even, k<p} 1/k^n = 2^-n sum_{k<=(p-1)/2} 1/k^n: HalfSums
+    carries them."""
+
     double: dict[tuple[int, int, int], int]
     triple: int
 
 
 def half_range_sums(p: int) -> HalfSums:
-    """The half-range sums in one sweep over an inverse table of 1..(p-1)/2."""
+    """The half-range sums from one inverse table of 1..(p-1)/2: a ladder of
+    list products turns the (n-1)-th powers of the inverses into the n-th."""
     p = _validate(OddPrime(p))
     m3, m2 = p**3, p * p
-    mid = (p - 1) // 2
-    inv3 = inverse_range(mid, m3)
-    nmax = min(N_CAP, p - 2)
-    sums = [0] * (nmax + 1)
-    for k in range(1, mid + 1):
-        v = inv3[k] % m2
-        t = v
-        for n in range(2, nmax + 1):
-            t = t * v % m2
-            sums[n] += t
-    hn = {n: sums[n] % (m2 if n % 2 == 0 else p) for n in range(2, nmax + 1)}
-    return HalfSums(sum(inv3[1:]) % m3, hn)
+    inv3 = inverse_range((p - 1) // 2, m3)
+    h1 = sum(inv3) % m3
+    base = powers = [v % m2 for v in inv3]
+    del inv3  # the ladder reads the table mod p^2 only
+    hn = {}
+    for n in range(2, min(N_CAP, p - 2) + 1):
+        powers = [a * b % m2 for a, b in zip(powers, base)]
+        hn[n] = sum(powers) % (m2 if n % 2 == 0 else p)
+    return HalfSums(h1, hn)
 
 
 def even_index_sums(p: int) -> EvenSums:
     """The even-largest-index sums in one sweep over an inverse table of 1..p-1.
 
     Each step takes an odd index (prefixes only) and the even index
-    after it.  Running prefixes of 1/j and 1/j^2 feed the terms at each
-    even k; the triple sum uses sum_{i<j<=x} 1/(ij) = ((sum 1/i)^2 -
-    sum 1/i^2) / 2.  The accumulators are reduced once, at the end.
+    after it.  Running prefixes of 1/j mod p^2 and 1/j^2 mod p feed the
+    terms at each even k; the triple sum uses sum_{i<j<=x} 1/(ij) =
+    ((sum 1/i)^2 - sum 1/i^2) / 2.  The accumulators are reduced once,
+    at the end.
     """
     p = _validate(OddPrime(p))
-    m3, m2 = p**3, p * p
-    inv3 = inverse_range(p - 1, m3)
-    pf1_2 = pf1 = pf2 = 0  # prefixes of 1/j mod p^2, and of 1/j, 1/j^2 mod p
-    s13 = s22 = s31 = d112 = d121 = d211 = triple = 0
+    m2 = p * p
+    inv2 = inverse_range(p - 1, m2)
+    pf1_2 = pf2 = 0  # prefixes of 1/j mod p^2 and of 1/j^2 mod p
+    d112 = d121 = d211 = triple = 0
     for k in range(2, p, 2):
-        y2 = inv3[k - 1] % m2
+        y2 = inv2[k - 1]
         y = y2 % p
         pf1_2 = (pf1_2 + y2) % m2
-        pf1 = (pf1 + y) % p
+        pf1 = pf1_2 % p
         pf2 = (pf2 + y * y) % p
-        x3 = inv3[k]
-        x2 = x3 % m2
+        x2 = inv2[k]
         x = x2 % p
         xx = x * x % p
-        s13 += x3
-        s22 += x2 * x2
-        s31 += xx * x
         d112 += pf1_2 * x2
         d121 += pf1 * xx
         d211 += pf2 * x
         triple += (pf1 * pf1 - pf2) * x
         pf1_2 += x2
-        pf1 += x
         pf2 += xx
-    single = {(1, 3): s13 % m3, (1, 2): s13 % m2, (1, 1): s13 % p, (2, 2): s22 % m2, (2, 1): s22 % p, (3, 1): s31 % p}
     double = {(1, 1, 2): d112 % m2, (1, 2, 1): d121 % p, (2, 1, 1): d211 % p}
-    return EvenSums(single, double, triple * pow(2, -1, p) % p)
+    return EvenSums(double, triple * pow(2, -1, p) % p)
 
 
 def naive_half_harmonic(p: int, n: int, e: int) -> int:

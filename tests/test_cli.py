@@ -222,6 +222,49 @@ def test_reports_match_golden_digests():
     assert changed == []
 
 
+# sha256 of `sums` output at each prime, as written by the code that
+# still summed the even-index single sums in their own sweep (8b15ea9)
+SUMS_DIGESTS = {
+    5: "f84baa273b06c18bda9f1d4bd8c218a30d229c6f94ca92d242a7be9723e15e54",
+    7: "4e00644588864f8323cdfd4aaca8c497b7f975dc3e0ecffb453d896f7cbc9d4f",
+    13: "11b3a7abf2869ce2298500fff80f7f26e6d29afb49cdf5eafd8acc6db02d7c31",
+    101: "37819eb237eda8c26c60de1ed964774b66f1aa1f7bb89f776a9cfaf67d03ada9",
+    1009: "b720b40e6f43bad982abef13082485f62f8225c899dc3053d438da077adaf7bc",
+}
+
+
+def test_sums_output_matches_golden_digests(capsys):
+    changed = []
+    for p, want in SUMS_DIGESTS.items():
+        assert cli.main(["sums", str(p)]) == 0
+        if hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() != want:
+            changed.append(p)
+    assert changed == []
+
+
+def test_p_max_above_the_memory_limit_is_refused(monkeypatch, capsys):
+    # refused with exit 2 before any context is built; nothing is scanned
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oversized prime reached the scan")
+
+    monkeypatch.setattr(cli, "run_verify", forbidden)
+    monkeypatch.setattr(cli, "PrimeContext", forbidden)
+    limit = cli.P_MAX_LIMIT
+    ScanConfig(p_min=limit, p_max=limit).validate()
+    with pytest.raises(UsageError):
+        ScanConfig(p_max=limit + 1).validate()
+    over = next(n for n in range(limit + 1, 2 * limit) if is_odd_prime(n))
+    assert cli.main(["verify", "--p-max", str(over)]) == 2
+    assert cli.main(["sums", str(over)]) == 2
+    assert str(limit) in capsys.readouterr().err
+
+
+def test_oracle_starts_at_p_min(capsys):
+    # p = 3 is compared too, as under verify --oracle-cap
+    assert cli.main(["oracle", "--p-max", "31"]) == 0
+    assert capsys.readouterr().out == "oracle agreement over 10 primes in [3, 31]\n"
+
+
 def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
     # corrupt one even-index sum at p = 13 where the context computes it:
     # the lemma_2_2 verdict and the oracle must both see the damage
