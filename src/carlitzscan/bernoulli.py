@@ -1,7 +1,7 @@
 """Bernoulli numbers and Fermat quotients, exact and modulo prime powers."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .residues import OddPrime, inverse_range
 
@@ -9,6 +9,7 @@ __all__ = [
     "bernoulli_exact",
     "bernoulli_mod_p",
     "bernoulli_pm3_mod_p",
+    "bernoulli_pm3_mod_primes",
     "bernoulli_window_mod_p",
     "fermat_quotient_2",
     "power_sum_mod",
@@ -120,6 +121,29 @@ def bernoulli_mod_p(p: int, index: int) -> int:
 def bernoulli_pm3_mod_p(p: int) -> int:
     """B_(p-3) mod p for p >= 5, by Voronoi's congruence."""
     return VoronoiLadder(p)(3)
+
+
+def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
+    """bernoulli_pm3_mod_p(p) for each prime p >= 5 of `primes`, from one sweep.
+
+    VoronoiLadder's congruence at c = 3 and j = 3 reads
+    -24 B_(p-3) == 6 T (mod p), so B_(p-3) == -T/4 with T the sum of x^(-3)
+    over x <= p/3.  T is a prefix sum of a sequence free of p: one running
+    fraction num/den modulo the product of the primes, read at x = p // 3,
+    serves every p (den = (x!)^3 is a unit mod each p not yet read).
+    """
+    primes = {int(OddPrime(p)) for p in primes}
+    if 3 in primes:
+        raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
+    m = prod(primes)
+    num, den, x, out = 0, 1, 0, {}
+    for pos, p in sorted((p // 3, p) for p in primes):
+        for x in range(x + 1, pos + 1):
+            c = x * x * x
+            num = (num * c + den) % m
+            den = den * c % m
+        out[p] = -num * pow(4 * den, -1, p) % p
+    return out
 
 
 def bernoulli_window_mod_p(p: int, offsets: "list[int] | tuple[int, ...]") -> dict[int, int]:

@@ -25,7 +25,7 @@ from . import bernoulli as bn
 from . import congruences as cg
 from . import harmonic as hm
 from . import residues as rs
-from .context import DEFAULT_A, DEFAULT_CD_TRIPLES, IDENTITIES, PrimeContext
+from .context import CHUNK, DEFAULT_A, DEFAULT_CD_TRIPLES, IDENTITIES, PrimeContext, PrimeRange
 
 __all__ = [
     "UsageError",
@@ -135,19 +135,21 @@ def sieve_odd_primes(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _scan_prime(args: tuple) -> tuple[list[cg.CongruenceCheck], "str | None"]:
-    """One PrimeContext at p and every selected per-prime check, all reading it;
-    for p <= cap, also the first field those checks populated that disagrees
-    with its naive route (None if all agree)."""
-    p, tags, a_values, cd_triples, cap = args
-    ctx = PrimeContext(p, a_values, cd_triples)
+def _scan_chunk(args: tuple) -> list[tuple[list[cg.CongruenceCheck], "str | None"]]:
+    """For each prime of the chunk, in order, the selected per-prime checks,
+    all reading one PrimeContext of the chunk's PrimeRange; for p <= cap,
+    also the first field those checks populated that disagrees with its
+    naive route (None if all agree)."""
+    primes, tags, a_values, cd_triples, cap = args
     entries = [IDENTITIES[t] for t in tags]
-    checks = [c for e in entries if p >= e.p_min for c in e.check(ctx)]
-    if p > cap:
-        return checks, None
-    built = vars(ctx)
-    oracles = (oracle(p, built[name]) for name, oracle in _ORACLE_FUNCS.items() if name in built)
-    return checks, next(filter(None, oracles), None)
+    out = []
+    for ctx in PrimeRange(primes).contexts(a_values, cd_triples):
+        p = ctx.p
+        checks = [c for e in entries if p >= e.p_min for c in e.check(ctx)]
+        built = vars(ctx) if p <= cap else {}
+        oracles = (oracle(p, built[name]) for name, oracle in _ORACLE_FUNCS.items() if name in built)
+        out.append((checks, next(filter(None, oracles), None)))
+    return out
 
 
 def _pool_size(jobs: int) -> int:
@@ -163,17 +165,23 @@ def _entries(cfg: ScanConfig) -> list:
 
 
 def _scan(cfg: ScanConfig, lo: int, hi: int, cap: int):
-    """Yield _scan_prime's (checks, disagreement) for each prime in [lo, hi],
-    in order.  Closing the generator cancels the pool's pending work."""
+    """Yield _scan_chunk's (checks, disagreement) for each prime in [lo, hi],
+    in order.  Each task is a chunk of consecutive primes: at most CHUNK,
+    and with a pool about 8 chunks per worker.  Closing the generator
+    cancels the pool's pending work."""
     tags = tuple(e.tag for e in _entries(cfg) if e.over == "p")
-    tasks = [(p, tags, cfg.a_values, cfg.cd_triples, cap) for p in sieve_odd_primes(lo, hi)] if tags else []
-    if cfg.jobs == 1:
-        yield from map(_scan_prime, tasks)
-        return
+    primes = sieve_odd_primes(lo, hi) if tags else []
     workers = _pool_size(cfg.jobs)
+    size = CHUNK if cfg.jobs == 1 else max(1, min(CHUNK, len(primes) // (workers * 8)))
+    tasks = [(primes[i : i + size], tags, cfg.a_values, cfg.cd_triples, cap) for i in range(0, len(primes), size)]
+    if cfg.jobs == 1:
+        for task in tasks:
+            yield from _scan_chunk(task)
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            yield from pool.map(_scan_prime, tasks, chunksize=max(1, len(tasks) // (workers * 8)))
+            for chunk in pool.map(_scan_chunk, tasks):
+                yield from chunk
         finally:
             pool.shutdown(cancel_futures=True)
 
@@ -228,8 +236,9 @@ def _oracle_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
 
 
 def _oracle_central4(p: int, central4: int) -> "str | None":
+    """The range's sweep against the per-prime kernel and exact binomials."""
     mid = (p - 1) // 2
-    if central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
+    if central4 != rs.signed_central_binomial(p, 4) or central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
         return f"central_binomial(p={p}, e=4)"
     return None
 
@@ -246,6 +255,16 @@ def _oracle_bern(p: int, bern: dict[int, int]) -> "str | None":
         if v != want:
             return f"bern(p={p}, j={j})"
     return None
+
+
+def _oracle_bpm3(p: int, bpm3: "int | None") -> "str | None":
+    """The range's sweep against the per-prime Voronoi kernel, then against
+    _oracle_bern's routes; p = 3 carries None (the checks use B_0 = 1)."""
+    if p == 3:
+        return None if bpm3 is None else "bpm3(p=3)"
+    if bpm3 != bn.bernoulli_pm3_mod_p(p):
+        return f"bernoulli_pm3(p={p})"
+    return _oracle_bern(p, {3: bpm3})
 
 
 def _oracle_q2(p: int, q2: int) -> "str | None":
@@ -283,6 +302,7 @@ def _oracle_cd(p: int, cd: dict[tuple[int, int, int], int]) -> "str | None":
 _ORACLE_FUNCS = {
     "moments": _oracle_moments,
     "central4": _oracle_central4,
+    "bpm3": _oracle_bpm3,
     "bern": _oracle_bern,
     "q2": _oracle_q2,
     "half_sums": _oracle_half_sums,

@@ -1,14 +1,16 @@
-"""One context per prime and one registry entry per identity.
+"""Per-chunk and per-prime quantities, and one registry entry per identity.
 
-A PrimeContext holds the per-prime quantities the checks read (the
-three binomial moments behind every alternating power sum, the central
-binomial, the Bernoulli residues, q2, the two harmonic sweeps and the
-u-sums).  It is the only producer of them: each is built the first time
-a check reads it and then shared by every other check at that prime.
-Its fields are also what `oracle` compares: whatever the selected
-checks populated.  IDENTITIES
-declares each identity once: its tag, where it applies, whether `verify`
-runs it by default, and its check function.
+A PrimeRange computes, for a chunk of primes at once, the quantities
+that are prefix products or prefix sums of sequences free of p (the
+central binomial and B_(p-3)).  A PrimeContext holds the per-prime
+quantities the checks read (the three binomial moments behind every
+alternating power sum, the central binomial and B_(p-3) from its range,
+the Bernoulli window, q2, the two harmonic sweeps and the u-sums).  It
+is the only producer of them: each is built the first time a check
+reads it and then shared by every other check at that prime.  Its
+fields are also what `oracle` compares: whatever the selected checks
+populated.  IDENTITIES declares each identity once: its tag, where it
+applies, whether `verify` runs it by default, and its check function.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,13 @@ from . import congruences as cg
 from . import harmonic as hm
 from . import residues as rs
 
-__all__ = ["DEFAULT_A", "DEFAULT_CD_TRIPLES", "PrimeContext", "Identity", "IDENTITIES"]
+__all__ = ["CHUNK", "DEFAULT_A", "DEFAULT_CD_TRIPLES", "PrimeRange", "PrimeContext", "Identity", "IDENTITIES"]
 
 DEFAULT_A = (1, 2, 3, 4, 5, 6, 7, 8)
 DEFAULT_CD_TRIPLES = ((0, 2, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1), (0, 3, 0))
+# primes per PrimeRange in a scan: each chunk repeats the sweep over 1..p,
+# so larger chunks share more of it, with diminishing returns past this
+CHUNK = 128
 
 
 class _OnRead(dict):
@@ -38,18 +43,44 @@ class _OnRead(dict):
         return value
 
 
+class PrimeRange:
+    """The central binomials and B_(p-3) of a chunk of odd primes, each
+    field one sweep over the chunk, built on its first read."""
+
+    def __init__(self, primes):
+        self.primes = tuple(sorted({rs.OddPrime(p) for p in primes}))
+
+    @cached_property
+    def central4(self) -> dict[int, int]:
+        """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4 keyed by p."""
+        return rs.signed_central_binomials(self.primes)
+
+    @cached_property
+    def bpm3(self) -> dict[int, int]:
+        """B_(p-3) mod p keyed by p, for p >= 5."""
+        return bn.bernoulli_pm3_mod_primes([p for p in self.primes if p > 3])
+
+    def contexts(self, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES):
+        """One PrimeContext per prime, in order, each reading this range."""
+        return (PrimeContext(p, a_values, cd_triples, self) for p in self.primes)
+
+
 class PrimeContext:
     """The quantities at one odd prime p, each computed at most once.
 
     `a_values` and `cd_triples` are the powers and u-sum triples the
-    checks run over.  The keyed fields (`bern`, `cd`) build each entry
-    on its first read, so a context holds what its checks read.
+    checks run over.  `central4` and `bpm3` are read from `prime_range`,
+    a PrimeRange holding p (by default one of p alone).  The keyed field
+    `cd` builds each entry on its first read, so a context holds what
+    its checks read.
     """
 
-    def __init__(self, p: int, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES):
+    def __init__(self, p: int, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES,
+                 prime_range: "PrimeRange | None" = None):
         self.p = rs.OddPrime(p)
         self.a_values = tuple(a_values)
         self.cd_triples = tuple(cd_triples)
+        self.prime_range = prime_range or PrimeRange((self.p,))
 
     @cached_property
     def moments(self) -> tuple[int, int, int]:
@@ -59,17 +90,20 @@ class PrimeContext:
     @cached_property
     def central4(self) -> int:
         """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4."""
-        return rs.signed_central_binomial(self.p, 4)
+        return self.prime_range.central4[self.p]
+
+    @cached_property
+    def bpm3(self) -> "int | None":
+        """B_(p-3) mod p, or None at p = 3 (where the checks use B_0 = 1)."""
+        return None if self.p == 3 else self.prime_range.bpm3[self.p]
 
     @cached_property
     def bern(self) -> dict[int, int]:
-        """B_(p-j) mod p keyed by the odd offset j, for p >= 5; one ladder serves every j."""
-        return _OnRead(bn.VoronoiLadder(self.p))
-
-    @property
-    def bpm3(self) -> "int | None":
-        """B_(p-3) mod p, or None at p = 3 (where the checks use B_0 = 1)."""
-        return None if self.p == 3 else self.bern[3]
+        """B_(p-j) mod p keyed by the odd offset j <= min(N_CAP + 1, p - 2) that
+        lemma 2.1 reads, for p >= 5: j = 3 is `bpm3`, and one Voronoi ladder,
+        dropped on return, builds the rest."""
+        offsets = range(5, min(hm.N_CAP + 1, self.p - 2) + 1, 2)
+        return {3: self.bpm3, **bn.bernoulli_window_mod_p(self.p, offsets)}
 
     @cached_property
     def q2(self) -> int:

@@ -6,7 +6,7 @@ pow(x, -1, m).
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 __all__ = [
     "NegativeValuation",
@@ -17,6 +17,7 @@ __all__ = [
     "binom_pm1",
     "binom_pm1_naive",
     "signed_central_binomial",
+    "signed_central_binomials",
     "symmetric_inverse_sums",
     "symmetric_inverse_sums_naive",
 ]
@@ -143,6 +144,37 @@ def signed_central_binomial(p: int, e: int) -> int:
         den = den * k % m
     c = num * pow(den, -1, m) % m
     return c if mid % 2 == 0 else (m - c) % m
+
+
+_FACTOR_RUN = 16  # factors multiplied as small ints before each reduction mod the big modulus
+
+
+def signed_central_binomials(primes) -> dict[int, int]:
+    """signed_central_binomial(p, 4) for each odd prime p of `primes`, from one sweep.
+
+    (-1)^mid C(p-1, mid) = (-1)^mid (p-1)! / mid!^2 with mid = (p-1)/2, so
+    one running k! modulo the product of the p^4, read at k = mid and at
+    k = p-1, serves every p.  A p's modulus leaves the product once both
+    of its readings are taken.  The factors go in by runs of
+    _FACTOR_RUN, which spares most reductions of the big product.
+    """
+    primes = {int(OddPrime(p)) for p in primes}
+    m = prod(p**4 for p in primes)
+    reads = sorted((pos, p) for p in primes for pos in ((p - 1) // 2, p - 1))
+    half, out = {}, {}
+    f = k = 1  # f = k! mod m
+    for pos, p in reads:
+        for lo in range(k + 1, pos + 1, _FACTOR_RUN):
+            f = f * prod(range(lo, min(lo + _FACTOR_RUN, pos + 1))) % m
+        k, m4, mid = pos, p**4, (p - 1) // 2
+        if pos == mid:
+            half[p] = f % m4
+        else:
+            c = f * pow(half.pop(p), -2, m4) % m4
+            out[p] = c if mid % 2 == 0 else -c % m4
+            m //= m4
+            f %= m
+    return out
 
 
 def symmetric_inverse_sums(p: int, r: int, e: int) -> tuple[int, int, int]:

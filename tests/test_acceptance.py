@@ -27,7 +27,7 @@ from carlitzscan.congruences import (
     verify_morley,
     verify_p3_special,
 )
-from carlitzscan.context import IDENTITIES, PrimeContext
+from carlitzscan.context import CHUNK, IDENTITIES, PrimeContext, PrimeRange
 from carlitzscan.harmonic import verify_derived_sums, verify_lemma_2_1, verify_lemma_2_2
 from carlitzscan.residues import symmetric_inverse_sums
 
@@ -75,8 +75,10 @@ def test_criterion_02_central_binomial_sweep(oracle_gate):
     t0 = time.perf_counter()
     failures = []
     primes = sieve_odd_primes(3, CENTRAL_P_MAX)
-    for p in primes:
-        ctx = PrimeContext(p)
+    # one PrimeRange per chunk of primes, as verify scans them
+    contexts = (ctx for i in range(0, len(primes), CHUNK) for ctx in PrimeRange(primes[i : i + CHUNK]).contexts())
+    for ctx in contexts:
+        p = ctx.p
         if p >= 5 and not verify_morley(ctx).verdict:
             failures.append(("morley", p))
         if not verify_carlitz(ctx).verdict:

@@ -28,7 +28,7 @@ from carlitzscan.cli import (
     sieve_odd_primes,
 )
 from carlitzscan.congruences import CongruenceCheck
-from carlitzscan.context import PrimeContext
+from carlitzscan.context import CHUNK, PrimeContext, PrimeRange
 from carlitzscan.residues import is_odd_prime
 
 
@@ -284,6 +284,25 @@ def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
     assert run_oracle_quantities(cfg) == "even_double(p=13, s=1, t=2, e=1)"
 
 
+def test_oracle_reads_the_range_behind_the_verdicts(monkeypatch):
+    # shift the range's central binomial by p^2 at p = 13: the morley
+    # (mod p^3) and carlitz (mod p^4) verdicts and the oracle must all see it
+    fast = rs.signed_central_binomials
+
+    def corrupted(primes):
+        values = fast(primes)
+        if 13 in values:
+            values[13] = (values[13] + 13**2) % 13**4
+        return values
+
+    monkeypatch.setattr(rs, "signed_central_binomials", corrupted)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("morley", "carlitz"))
+    records, code = run_verify(cfg)
+    assert code == 1
+    assert [(r.p, r.identity) for r in records if not r.verdict] == [(13, "carlitz"), (13, "morley")]
+    assert run_oracle_quantities(cfg) == "central_binomial(p=13, e=4)"
+
+
 def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
     # shift M3 by p^3 at p = 13: only the mod-p^4 power sums with
     # C(a, 3) != 0 (mod 13) move, and the oracle must name the first
@@ -336,7 +355,8 @@ def test_every_context_field_has_one_oracle(monkeypatch):
 
 def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     # the context is the only producer: no check computes a quantity
-    # itself, and each B_(p-j) and u-sum is built once, on its first read
+    # itself, each PrimeRange sweep yields one value per prime, and each
+    # B_(p-j) and u-sum is built once, on its first read
     calls = Counter()
 
     def count(mod, name, key):
@@ -348,8 +368,20 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
 
         monkeypatch.setattr(mod, name, counted)
 
+    def count_sweep(mod, name, key):
+        fn = getattr(mod, name)
+
+        def counted(primes):
+            values = fn(primes)
+            calls.update((key, p, ()) for p in values)
+            return values
+
+        monkeypatch.setattr(mod, name, counted)
+
     count(cg, "binomial_moments", "moments")
     count(rs, "signed_central_binomial", "central")
+    count_sweep(rs, "signed_central_binomials", "central4")
+    count_sweep(bn, "bernoulli_pm3_mod_primes", "bpm3")
     count(bn, "fermat_quotient_2", "q2")
     count(hm, "half_range_sums", "half")
     count(hm, "even_index_sums", "even")
@@ -363,19 +395,28 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     monkeypatch.setattr(bn.VoronoiLadder, "__call__", counted_ladder)
     per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
     no_lemma_2_1 = tuple(t for t in per_prime if not t.startswith("lemma_2_1"))
-    # the default set reads lemma_2_1's offsets; without lemma_2_1, B_(p-3)
-    # alone is built and no half-range sums; the oracle under --oracle-cap
-    # compares the scan's own contexts and builds none of its own
+    primes = set(sieve_odd_primes(3, 200))
+    window = set(range(5, 14, 2))
+    # the default set reads lemma_2_1's window, whose ladder builds offsets
+    # 5..13 (B_(p-3) comes from the range); without lemma_2_1 no ladder
+    # runs and no half-range sums are built; the oracle under --oracle-cap
+    # compares the scan's own contexts, and its second routes are the
+    # per-prime kernels: the central binomial and the ladder at offset 3
     for tags, keys, offsets, cap in (
-        (DEFAULT_IDENTITIES, {"half"}, set(range(3, 14, 2)), 0),
-        (no_lemma_2_1, {"cd"}, {3}, 0),
-        (DEFAULT_IDENTITIES, {"half"}, set(range(3, 14, 2)), 200),
+        (DEFAULT_IDENTITIES, {"half", "bern"}, window, 0),
+        (no_lemma_2_1, {"cd"}, set(), 0),
+        (DEFAULT_IDENTITIES, {"half", "bern", "central"}, window | {3}, 200),
     ):
         calls.clear()
         records, code = run_verify(ScanConfig(p_max=200, identities=tags, oracle_cap=cap))
         assert code == 0 and records
-        assert {key for key, _, _ in calls} == {"moments", "central", "bern", "q2", "even"} | keys
+        assert {key for key, _, _ in calls} == {"moments", "central4", "bpm3", "q2", "even"} | keys
         assert {args[0] for key, _, args in calls if key == "bern"} == offsets
+        assert {p for key, p, _ in calls if key == "central4"} == primes
+        assert {p for key, p, _ in calls if key == "bpm3"} == primes - {3}
+        oracle_primes = primes if cap else set()
+        assert {p for key, p, _ in calls if key == "central"} == oracle_primes
+        assert {p for key, p, args in calls if (key, args) == ("bern", (3,))} == oracle_primes - {3}
         assert max(calls.values()) == 1
 
 
@@ -388,7 +429,9 @@ def test_lemma_2_1_reads_any_offset_after_bpm3():
 
 def test_pool_is_bounded_by_the_cpus(monkeypatch):
     # each worker is a process forked at the first submit, so --jobs far
-    # above the CPU count is cut to it; the stand-in pool starts nothing
+    # above the CPU count is cut to it; the stand-in pool starts nothing.
+    # Each task is a chunk of consecutive primes: about 8 per worker, at
+    # most CHUNK primes each
     sizes, chunks = [], []
 
     class RecordingPool:
@@ -401,8 +444,8 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks, chunksize=1):
-            chunks.append(chunksize)
+        def map(self, fn, tasks):
+            chunks.append([task[0] for task in tasks])
             return map(fn, tasks)
 
         def shutdown(self, cancel_futures=False):
@@ -413,17 +456,29 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
     records, code = run_verify(ScanConfig(p_max=400, jobs=100_000))
     assert code == 0 and records
     assert run_oracle_quantities(ScanConfig(p_max=31, jobs=100_000)) is None
-    assert sizes == [2, 2]
-    assert chunks[0] == len(sieve_odd_primes(3, 400)) // (2 * 8)
+    records, code = run_verify(ScanConfig(p_max=20_000, jobs=2, identities=("carlitz",)))
+    assert code == 0 and len(records) == len(sieve_odd_primes(3, 20_000))
+    assert sizes == [2, 2, 2]
+    for chunked, p_max in zip(chunks, (400, 31, 20_000)):
+        primes = sieve_odd_primes(3, p_max)
+        size = max(1, min(CHUNK, len(primes) // (2 * 8)))
+        assert [p for chunk in chunked for p in chunk] == primes
+        assert {len(chunk) for chunk in chunked[:-1]} <= {size} and 0 < len(chunked[-1]) <= size
+    assert len(chunks[2][0]) == CHUNK
 
 
 def test_verify_never_builds_the_oracle_routes(monkeypatch):
-    # the binomial row and the direct powers belong to the oracle only
+    # the binomial row, the direct powers and the per-prime central
+    # binomial and B_(p-3) belong to the oracle only
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle route reached from verify")
 
-    for mod, name in ((rs, "binom_pm1"), (cg, "binom_pm1"), (cg, "lhs_power_sums_batch")):
+    for mod, name in ((rs, "binom_pm1"), (cg, "binom_pm1"), (cg, "lhs_power_sums_batch"),
+                      (rs, "signed_central_binomial"), (bn, "bernoulli_pm3_mod_p")):
         monkeypatch.setattr(mod, name, forbidden)
+    # B_(p-3) comes from the range, so no ladder is asked for offset 3
+    ladder = bn.VoronoiLadder.__call__
+    monkeypatch.setattr(bn.VoronoiLadder, "__call__", lambda self, j: forbidden() if j == 3 else ladder(self, j))
     records, code = run_verify(ScanConfig(p_max=60, identities=tuple(cli.IDENTITIES), n_max=5))
     assert code == 0 and records
 
