@@ -14,6 +14,8 @@ __all__ = [
     "fermat_quotient_2",
     "power_sum_mod",
     "smallest_prime_factors",
+    "voronoi_fold",
+    "voronoi_bernoulli",
     "VoronoiLadder",
 ]
 
@@ -147,7 +149,8 @@ def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
 
 
 def bernoulli_window_mod_p(p: int, offsets: "list[int] | tuple[int, ...]") -> dict[int, int]:
-    """B_(p-j) mod p for each odd offset j in `offsets` (3 <= j <= p-2), from one ladder."""
+    """B_(p-j) mod p for each odd offset j in `offsets` (3 <= j <= p-2), from one
+    ladder: the oracle's second route for the window of inverse_power_sweep."""
     b = VoronoiLadder(p)
     return {j: b(j) for j in sorted(set(offsets))}
 
@@ -185,11 +188,9 @@ class VoronoiLadder:
         p = self.p
         if j % 2 == 0 or not 3 <= j <= p - 2:
             raise ValueError(f"offsets must be odd in 3..p-2, got {j}")
-        c = 3
-        while (c - pow(c, j, p)) % p == 0:
-            c += 2
+        c, cuts = voronoi_fold(p, j)
         if c not in self._rungs or self._rungs[c][3] > j:
-            cuts = [i * p // c for i in range(c // 2 + 1)]
+            cuts = [0, *cuts]
             inv = inverse_range(cuts[-1], p)
             self._rungs[c] = (cuts, [v * v % p for v in inv], inv, 1)
         cuts, sq, powers, exp = self._rungs[c]
@@ -200,7 +201,22 @@ class VoronoiLadder:
         for lo, hi in zip(cuts, cuts[1:]):
             run += sum(powers[lo + 1 : hi + 1])
             total += run
-        return 2 * j * total * pow(c - pow(c, j, p), -1, p) % p
+        return voronoi_bernoulli(p, j, c, total)
+
+
+def voronoi_fold(p: int, j: int) -> tuple[int, list[int]]:
+    """The c of VoronoiLadder's congruence at the odd offset j, and its cuts
+    floor(i p / c) for i = 1..(c-1)/2: c = 3 unless 3^(j-1) == 1 (mod p)."""
+    c = 3
+    while (c - pow(c, j, p)) % p == 0:
+        c += 2
+    return c, [i * p // c for i in range(1, c // 2 + 1)]
+
+
+def voronoi_bernoulli(p: int, j: int, c: int, total: int) -> int:
+    """B_(p-j) mod p from `total`, the sum over voronoi_fold's cuts n of
+    S(n) = sum_{x=1}^{n} x^(-j) mod p."""
+    return 2 * j * total * pow(c - pow(c, j, p), -1, p) % p
 
 
 def fermat_quotient_2(p: int) -> int:

@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 ORACLE_CAP_LIMIT = 1000
-# one prime's context peaks near 220 B per unit of p with every identity
-# selected (90 B with the default set), so p <= 4 * 10^6 keeps it under
+# one prime's context peaks near 200 B per unit of p with every identity
+# selected (the u-sums' rows; the default set's chunk sweeps hold no list
+# of p, a few KB in all), so p <= 4 * 10^6 keeps it under
 # 1 GB; each --jobs worker holds one context at a time
 P_MAX_LIMIT = 4 * 10**6
 A_VALUES_LIMIT = 10**4  # each a adds one record per prime, all held until the scan ends
@@ -103,8 +104,17 @@ def _values(c: cg.CongruenceCheck) -> list:
     return [c.identity, c.p, list(c.params), str(c.modulus), str(c.lhs), str(c.rhs), c.verdict, 0]
 
 
+# a JSONL record as json.dumps writes the dict of CSV_HEADER's keys and
+# _values, as one str.format template: the identity tags need no escaping,
+# the ints of params stand bare, the big residues are strings and us is 0
+_JSONL_LINE = "{{" + ", ".join(
+    f'"{k}": {v}' for k, v in zip(CSV_HEADER, ('"{}"', "{}", "[{}]", '"{}"', '"{}"', '"{}"', "{}", "0"))
+) + "}}"
+
+
 def jsonl_line(c: cg.CongruenceCheck) -> str:
-    return json.dumps(dict(zip(CSV_HEADER, _values(c))))
+    params = ", ".join(map(str, c.params))
+    return _JSONL_LINE.format(c.identity, c.p, params, c.modulus, c.lhs, c.rhs, "true" if c.verdict else "false")
 
 
 def csv_row(c: cg.CongruenceCheck) -> list[str]:
@@ -225,13 +235,16 @@ def write_records(records: list[cg.CongruenceCheck], fmt: str, out) -> None:
 # oracle mode: each PrimeContext field the checks read vs naive enumeration
 
 def _oracle_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
-    """The power sums the verdicts read (from the moments) against direct
-    powers for a <= 10 and exact binomials for a <= 5."""
+    """The power sums the verdicts read (from the range's moments) against
+    direct powers for a <= 10 and exact binomials for a <= 5, then the
+    moments against the per-prime half-row sweep."""
     direct = cg.lhs_power_sums_batch(p, 10)
     for a in range(1, 11):
         lhs = cg.moment_power_sum(p, a, moments)
         if lhs != direct[a] or (a <= 5 and lhs != cg.lhs_power_sum_exact(p, a)):
             return f"power_sum(p={p}, a={a})"
+    if moments != cg.binomial_moments(p):
+        return f"moments(p={p})"
     return None
 
 
@@ -245,7 +258,9 @@ def _oracle_central4(p: int, central4: int) -> "str | None":
 
 def _oracle_bern(p: int, bern: dict[int, int]) -> "str | None":
     """Each B_(p-j) built against power-sum extraction, and that against
-    the exact recurrence where p - j <= BERNOULLI_CAP."""
+    the exact recurrence where p - j <= BERNOULLI_CAP; then the offsets
+    j >= 5, which the range's inverse-power sweep gives, against the
+    per-prime Voronoi ladder."""
     for j, v in sorted(bern.items()):
         want = bn.bernoulli_mod_p(p, p - j)
         if p - j <= bn.BERNOULLI_CAP:
@@ -254,6 +269,9 @@ def _oracle_bern(p: int, bern: dict[int, int]) -> "str | None":
                 return f"bernoulli_mod_p(p={p}, index={p - j})"
         if v != want:
             return f"bern(p={p}, j={j})"
+    window = {j: v for j, v in bern.items() if j > 3}
+    if window != bn.bernoulli_window_mod_p(p, tuple(window)):
+        return f"bernoulli_window(p={p})"
     return None
 
 
@@ -274,20 +292,28 @@ def _oracle_q2(p: int, q2: int) -> "str | None":
 
 
 def _oracle_half_sums(p: int, half: hm.HalfSums) -> "str | None":
+    """The range's half-range sums against term-by-term inversion, then
+    against the per-prime sweep over one inverse table."""
     if half.h1 != hm.naive_half_harmonic(p, 1, 3):
         return f"half_h1(p={p})"
     for n, v in half.hn.items():
         if v != hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1):
             return f"half_hn(p={p}, n={n})"
+    if half != hm.half_range_sums(p):
+        return f"half_sums(p={p})"
     return None
 
 
 def _oracle_even_sums(p: int, even: hm.EvenSums) -> "str | None":
+    """The range's even-index sums against the literal sums, then against
+    the per-prime sweep over one inverse table."""
     for (s, t, e), v in even.double.items():
         if v != hm.naive_even_double(p, s, t, e):
             return f"even_double(p={p}, s={s}, t={t}, e={e})"
     if even.triple != hm.naive_even_triple(p):
         return f"even_triple(p={p})"
+    if even != hm.even_index_sums(p):
+        return f"even_sums(p={p})"
     return None
 
 

@@ -16,10 +16,10 @@ of False, never an exception.  The per-prime checks read a PrimeContext.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import TYPE_CHECKING
 
-from .residues import OddPrime, binom_pm1, inverse_range, reduce_rational
+from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range, reduce_rational
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -31,6 +31,7 @@ __all__ = [
     "COROLLARY_COEFFICIENTS",
     "theorem_coefficient",
     "binomial_moments",
+    "binomial_moments_sweep",
     "moment_power_sum",
     "lhs_power_sums_batch",
     "lhs_power_sum_exact",
@@ -104,6 +105,7 @@ def binomial_moments(p: int) -> tuple[int, int, int]:
     One sweep over k = 1..(p-1)/2 by u_k = u_(k-1) (k - p) / k: the
     terms at k and p-1-k are equal (p-1 is even), so each k below the
     middle counts twice and the middle once.  u_0 = 1 adds nothing.
+    The oracle's second route for binomial_moments_sweep.
     """
     p = int(OddPrime(p))
     m = p**4
@@ -127,6 +129,83 @@ def binomial_moments(p: int) -> tuple[int, int, int]:
     # each k < mid stands for itself and p-1-k; the middle term counts once
     mid_sign = -1 if mid & 1 else 1
     return tuple((2 * s - mid_sign * t) % m for s, t in ((s1, d), (s2, d2), (s3, d3)))
+
+
+def binomial_moments_sweep(primes) -> dict[int, tuple[int, int, int]]:
+    """binomial_moments(p) for each odd prime p of `primes`, from one sweep.
+
+    u_k = prod_{i<=k} (1 - p/i) = 1 - p e1 + p^2 e2 - p^3 e3 (mod p^4),
+    where e_j is the j-th elementary symmetric sum of 1/1, ..., 1/k, so
+    e_j = c_j / k! with c_j(k) = k c_j(k-1) + c_(j-1)(k-1), c_0 = k!, free
+    of p.  Then, mod p^4,
+
+        d = u - 1 = -p e1 + p^2 e2 - p^3 e3,
+        d^2 = p^2 e1^2 - 2 p^3 e1 e2,   d^3 = -p^3 e1^3,
+
+    and binomial_moments' half sums are the alternating sums of e1, e2,
+    e3, e1^2, e1 e2 and e1^3 up to k = (p-1)/2, each a running numerator
+    over (k!)^n.  Every step multiplies by k, k^2 or k^3 only: the
+    products c1^2, c1 c2, c1^3 and their cross terms with k! are carried
+    as state, never formed from big residues.  Each value is kept modulo
+    the product of the p^e its term needs (e = 3 for e1, 2 for e2 and
+    e1^2, 1 for the rest), and a p leaves the products once read.
+    """
+    primes = sorted({int(OddPrime(p)) for p in primes})
+    m1 = prod(primes)
+    m2 = m1 * m1
+    m3 = m2 * m1
+    f, c1, a1 = 1, 0, 0  # mod m3: f = k!, c1 / f = e1, a1 / f = sum (-1)^i e1(i)
+    f2, c2, c1f, c1sq, a2, b11 = 1, 0, 0, 0, 0, 0  # mod m2: f^2, c2, c1 f, c1^2 and the sums of e2, e1^2
+    # mod m1: f^3, c3, c2 f, c1 c2, c1 f^2, c1^2 f, c1^3 and the sums of e3, e1 e2, e1^3
+    f3, c3, c2f, c1c2, c1f2, c1sqf, c1cub, a3, b12, t111 = 1, 0, 0, 0, 0, 0, 0, 0, 0, 0
+    out, k = {}, 0
+    for p in primes:
+        mid = (p - 1) // 2
+        for k in range(k + 1, mid + 1):
+            k2, k3 = k * k, k * k * k
+            # each right-hand side reads the state at k-1
+            c1c2 = k2 * c1c2 + k * (c1sq + c2f) + c1f
+            c2f = k2 * c2f + k * c1f
+            c1cub = k3 * c1cub + 3 * k2 * c1sqf + 3 * k * c1f2 + f3
+            c1sqf = k3 * c1sqf + 2 * k2 * c1f2 + k * f3
+            c1f2 = k3 * c1f2 + k2 * f3
+            c1sq = k2 * c1sq + 2 * k * c1f + f2
+            c1f = k2 * c1f + k * f2
+            c3 = k * c3 + c2
+            c2 = k * c2 + c1
+            c1 = k * c1 + f
+            f *= k
+            f2 *= k2
+            f3 *= k3
+            if k & 1:
+                a1, a2, a3 = k * a1 - c1, k * a2 - c2, k * a3 - c3
+                b11, b12, t111 = k2 * b11 - c1sq, k2 * b12 - c1c2, k3 * t111 - c1cub
+            else:
+                a1, a2, a3 = k * a1 + c1, k * a2 + c2, k * a3 + c3
+                b11, b12, t111 = k2 * b11 + c1sq, k2 * b12 + c1c2, k3 * t111 + c1cub
+            if k % SWEEP_RUN == 0:
+                f, c1, a1 = f % m3, c1 % m3, a1 % m3
+                f2, c2, c1f, c1sq, a2, b11 = (v % m2 for v in (f2, c2, c1f, c1sq, a2, b11))
+                f3, c3, c2f, c1c2, c1f2, c1sqf, c1cub, a3, b12, t111 = (
+                    v % m1 for v in (f3, c3, c2f, c1c2, c1f2, c1sqf, c1cub, a3, b12, t111))
+        k = mid
+        p2, p3 = p * p, p**3
+        g = pow(f, -1, p3)  # 1 / mid!
+        gg = g * g % p3
+        e1, e2, e3 = c1 * g % p3, c2 * g % p2, c3 * g % p
+        half = (
+            (-p * a1 + p2 * a2 - p3 * a3) * g,
+            (p2 * b11 - 2 * p3 * b12) * gg,
+            -p3 * t111 * gg * g,
+        )
+        middle = (-p * e1 + p2 * e2 - p3 * e3, p2 * e1 * e1 - 2 * p3 * e1 * e2, -p3 * e1**3)
+        # as in binomial_moments: each k < mid counts twice, the middle once
+        sign = -1 if mid & 1 else 1
+        out[p] = tuple((2 * s - sign * t) % p**4 for s, t in zip(half, middle))
+        m1 //= p
+        m2 //= p2
+        m3 //= p3
+    return out
 
 
 def moment_power_sum(p: int, a: int, moments: tuple[int, int, int]) -> int:
@@ -187,19 +266,20 @@ def rhs_theorem(p: int, a: int, bpm3: "int | None") -> int:
     """2^(a(p-1)) + (a(a-1)(3a-4)/48) p^3 B_(p-3) mod p^4.
 
     For p >= 5 the Bernoulli factor enters as `bpm3`, B_(p-3) mod p (the
-    p^3 in front makes that enough).  For p = 3 the correction is formed
-    as one exact rational with B_0 = 1 so the 3 in the denominator 48
-    cancels against 27 before reduction mod 81; `bpm3` is not read.
+    p^3 in front makes that enough), and 48 is a unit, so the correction
+    is a(a-1)(3a-4) B_(p-3) / 48 mod p, times p^3.  For p = 3 the
+    correction is formed as one exact rational with B_0 = 1 so the 3 in
+    the denominator 48 cancels against 27 before reduction mod 81;
+    `bpm3` is not read.
     """
     p = int(OddPrime(p))
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
     m = p**4
-    coef = theorem_coefficient(a)
     if p == 3:
-        corr = reduce_rational(coef * 27, p, 4)
+        corr = reduce_rational(theorem_coefficient(a) * 27, p, 4)
     else:
-        corr = reduce_rational(coef * (bpm3 * p**3), p, 4)
+        corr = a * (a - 1) * (3 * a - 4) * bpm3 * pow(48, -1, p) % p * p**3
     return (pow(2, a * (p - 1), m) + corr) % m
 
 
@@ -258,23 +338,36 @@ def verify_cai_granville(c: "PrimeContext", a: int) -> CongruenceCheck:
 
 
 def _vu_binomial_row(n: int, p: int, m3: int, kmax: int) -> list[tuple[int, int]]:
-    """binomial(n, k) for k = 0..kmax as (p-valuation, unit mod p^3) pairs."""
+    """binomial(n, k) for k = 0..kmax as (p-valuation, unit mod p^3) pairs.
+
+    The unit is prod (n-i+1) / prod i over i <= k with the p-parts taken
+    out.  The denominators are inverted all at once: the forward pass
+    stores each k's numerator over its running denominator, one pow
+    inverts the last denominator, and the backward pass peels one factor
+    per k off that inverse."""
     out = [(0, 1)]
-    val, unit = 0, 1
+    val, unit, den = 0, 1, 1
     for k in range(1, kmax + 1):
-        f = n - k + 1
+        f, g = n - k + 1, k
         while f % p == 0:
             val += 1
             f //= p
-        unit = unit * f % m3
-        g = k
         while g % p == 0:
             val -= 1
             g //= p
-        unit = unit * pow(g, -1, m3) % m3
         if val < 0:
             raise AssertionError("binomial coefficient with negative valuation")
+        unit = unit * f % m3
+        den = den * g % m3
         out.append((val, unit))
+    inv = pow(den, -1, m3)  # the inverse of k's running denominator, from k = kmax down
+    for k in range(kmax, 0, -1):
+        val, unit = out[k]
+        out[k] = (val, unit * inv % m3)
+        g = k
+        while g % p == 0:
+            g //= p
+        inv = inv * g % m3
     return out
 
 

@@ -2,15 +2,17 @@
 
 A PrimeRange computes, for a chunk of primes at once, the quantities
 that are prefix products or prefix sums of sequences free of p (the
-central binomial and B_(p-3)).  A PrimeContext holds the per-prime
-quantities the checks read (the three binomial moments behind every
-alternating power sum, the central binomial and B_(p-3) from its range,
-the Bernoulli window, q2, the two harmonic sweeps and the u-sums).  It
-is the only producer of them: each is built the first time a check
-reads it and then shared by every other check at that prime.  Its
-fields are also what `oracle` compares: whatever the selected checks
-populated.  IDENTITIES declares each identity once: its tag, where it
-applies, whether `verify` runs it by default, and its check function.
+binomial moments, the central binomial, B_(p-3), the half-range sums
+with the Bernoulli window, and the even-index sums).  A PrimeContext
+holds the per-prime quantities the checks read (the three binomial
+moments behind every alternating power sum, the central binomial,
+B_(p-3), the Bernoulli window, q2, the two harmonic sums and the
+u-sums), reading the chunk-wide ones from its range.  It is the only
+producer of them: each is built the first time a check reads it and
+then shared by every other check at that prime.  Its fields are also
+what `oracle` compares: whatever the selected checks populated.
+IDENTITIES declares each identity once: its tag, where it applies,
+whether `verify` runs it by default, and its check function.
 """
 
 from dataclasses import dataclass
@@ -44,11 +46,16 @@ class _OnRead(dict):
 
 
 class PrimeRange:
-    """The central binomials and B_(p-3) of a chunk of odd primes, each
-    field one sweep over the chunk, built on its first read."""
+    """The chunk-wide quantities of a chunk of odd primes, each field a dict
+    keyed by p from one sweep over the chunk, built on its first read."""
 
     def __init__(self, primes):
         self.primes = tuple(sorted({rs.OddPrime(p) for p in primes}))
+
+    @cached_property
+    def moments(self) -> dict[int, tuple[int, int, int]]:
+        """The binomial moments (M1, M2, M3) mod p^4 keyed by p."""
+        return cg.binomial_moments_sweep(self.primes)
 
     @cached_property
     def central4(self) -> dict[int, int]:
@@ -60,6 +67,17 @@ class PrimeRange:
         """B_(p-3) mod p keyed by p, for p >= 5."""
         return bn.bernoulli_pm3_mod_primes([p for p in self.primes if p > 3])
 
+    @cached_property
+    def inverse_powers(self) -> dict[int, tuple[hm.HalfSums, dict[int, int]]]:
+        """The half-range sums and the B_(p-j) mod p of lemma 2.1's offsets
+        j >= 5 keyed by p, for p >= 5."""
+        return hm.inverse_power_sweep([p for p in self.primes if p > 3])
+
+    @cached_property
+    def even_sums(self) -> dict[int, hm.EvenSums]:
+        """The even-largest-index sums keyed by p, for p >= 5."""
+        return hm.even_index_sweep([p for p in self.primes if p > 3])
+
     def contexts(self, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES):
         """One PrimeContext per prime, in order, each reading this range."""
         return (PrimeContext(p, a_values, cd_triples, self) for p in self.primes)
@@ -69,8 +87,9 @@ class PrimeContext:
     """The quantities at one odd prime p, each computed at most once.
 
     `a_values` and `cd_triples` are the powers and u-sum triples the
-    checks run over.  `central4` and `bpm3` are read from `prime_range`,
-    a PrimeRange holding p (by default one of p alone).  The keyed field
+    checks run over.  `moments`, `central4`, `bpm3`, `bern`, `half_sums`
+    and `even_sums` are read from `prime_range`, a PrimeRange holding p
+    (by default one of p alone).  The keyed field
     `cd` builds each entry on its first read, so a context holds what
     its checks read.
     """
@@ -85,7 +104,7 @@ class PrimeContext:
     @cached_property
     def moments(self) -> tuple[int, int, int]:
         """(M1, M2, M3) mod p^4; cg.moment_power_sum reads any a-th power sum from them."""
-        return cg.binomial_moments(self.p)
+        return self.prime_range.moments[self.p]
 
     @cached_property
     def central4(self) -> int:
@@ -100,10 +119,9 @@ class PrimeContext:
     @cached_property
     def bern(self) -> dict[int, int]:
         """B_(p-j) mod p keyed by the odd offset j <= min(N_CAP + 1, p - 2) that
-        lemma 2.1 reads, for p >= 5: j = 3 is `bpm3`, and one Voronoi ladder,
-        dropped on return, builds the rest."""
-        offsets = range(5, min(hm.N_CAP + 1, self.p - 2) + 1, 2)
-        return {3: self.bpm3, **bn.bernoulli_window_mod_p(self.p, offsets)}
+        lemma 2.1 reads, for p >= 5: j = 3 is `bpm3`, and the range's
+        inverse-power sweep gives the rest."""
+        return {3: self.bpm3, **self.prime_range.inverse_powers[hm._validate(self.p)][1]}
 
     @cached_property
     def q2(self) -> int:
@@ -112,11 +130,11 @@ class PrimeContext:
 
     @cached_property
     def half_sums(self) -> hm.HalfSums:
-        return hm.half_range_sums(self.p)
+        return self.prime_range.inverse_powers[hm._validate(self.p)][0]
 
     @cached_property
     def even_sums(self) -> hm.EvenSums:
-        return hm.even_index_sums(self.p)
+        return self.prime_range.even_sums[hm._validate(self.p)]
 
     @cached_property
     def cd(self) -> dict[tuple[int, int, int], int]:

@@ -1,20 +1,25 @@
 """Harmonic-type sums over 1..p-1, plain and parity-restricted.
 
-The fast paths are two sweeps per prime over linear inverse tables: the
-half-range sums (HalfSums) and the double and triple sums with even
-largest index (EvenSums).  The single sums over even k are the
-half-range sums scaled by 2^-n, so neither sweep sums them again.  Each
-sweep has naive counterparts (full loops, builtin modular inversion)
-kept as an oracle.  The verify_* functions read those sums
-from a context.PrimeContext and compare them with their closed forms,
-which involve the Fermat quotient q2 = (2^(p-1)-1)/p and Bernoulli
-residues mod p (also read from the context).
+The half-range sums (HalfSums) and the double and triple sums with even
+largest index (EvenSums) come from two sweeps over a chunk of primes at
+once: inverse_power_sweep, which also yields lemma 2.1's Bernoulli
+window, and even_index_sweep.  The single sums over even k are the
+half-range sums scaled by 2^-n, so neither sweep sums them again.  The
+per-prime sweeps over linear inverse tables (half_range_sums,
+even_index_sums) and the naive loops (builtin modular inversion) are
+the oracle's routes.  The verify_* functions read those sums from a
+context.PrimeContext and compare them with their closed forms, which
+involve the Fermat quotient q2 = (2^(p-1)-1)/p and Bernoulli residues
+mod p (also read from the context).
 """
 
+from collections import defaultdict
+from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
+from .bernoulli import voronoi_bernoulli, voronoi_fold
 from .congruences import CongruenceCheck, _check
-from .residues import OddPrime, inverse_range
+from .residues import SWEEP_RUN, OddPrime, inverse_range
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -22,6 +27,8 @@ if TYPE_CHECKING:
 __all__ = [
     "HalfSums",
     "EvenSums",
+    "inverse_power_sweep",
+    "even_index_sweep",
     "half_range_sums",
     "even_index_sums",
     "naive_half_harmonic",
@@ -63,9 +70,131 @@ class EvenSums(NamedTuple):
     triple: int
 
 
+def _window_offsets(p: int) -> range:
+    """The odd offsets j >= 5 of the B_(p-j) that lemma 2.1 reads beside B_(p-3)."""
+    return range(5, min(N_CAP + 1, p - 2) + 1, 2)
+
+
+def _power_sums(es: list[int], m: int) -> list[int]:
+    """[0, p_1, ..., p_t] mod m from es = [1, e_1, ..., e_t] by Newton's identities,
+    p_n = (-1)^(n-1) n e_n + sum_{i<n} (-1)^(i-1) e_i p_(n-i): no division."""
+    ps = [0]
+    for n in range(1, len(es)):
+        acc = n * es[n] if n & 1 else -n * es[n]
+        for i in range(1, n):
+            acc += es[i] * ps[n - i] if i & 1 else -es[i] * ps[n - i]
+        ps.append(acc % m)
+    return ps
+
+
+def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
+    """(half_range_sums(p), {j: B_(p-j) mod p for lemma 2.1's offsets j >= 5})
+    for each prime p >= 5 of `primes`, from one sweep.
+
+    The power sums of 1/1, ..., 1/x follow by Newton's identities from the
+    elementary symmetric sums e_j = c_j / x!, where c_j(x) = x c_j(x-1) +
+    c_(j-1)(x-1) and c_0 = x! are free of p, so one sweep of c_0..c_13 over
+    x, multiplying by x only, serves every p.  It is read at x = (p-1)/2
+    for the half-range sums, and at voronoi_fold's cuts (x = p // 3 but at
+    p = 13, 41, 61, 73) for the window, as VoronoiLadder reads them.  c_0
+    and c_1 are kept modulo the product of the p^3 (h1 is read mod p^3),
+    c_2..c_12 modulo the product of the p^2 and c_13 modulo that of the
+    primes, and a p leaves the products once read.
+    """
+    primes = sorted({_validate(OddPrime(p)) for p in primes})
+    top = N_CAP + 1
+    reads = defaultdict(list)  # (x, p) -> the offsets j whose S_j(x) is read; [0] at the middle
+    folds = {}  # (p, j) -> voronoi_fold(p, j)
+    for p in primes:
+        for j in _window_offsets(p):
+            folds[p, j] = voronoi_fold(p, j)
+            for x in folds[p, j][1]:
+                reads[x, p].append(j)
+        reads[(p - 1) // 2, p].append(0)
+    m1 = prod(primes)
+    m2 = m1 * m1
+    mods = [m2 * m1] * 2 + [m2] * (top - 2) + [m1]
+    c = [1] + [0] * top
+    totals, out, x = defaultdict(int), {}, 0
+    for (pos, p), offsets in sorted(reads.items()):
+        for x in range(x + 1, pos + 1):
+            c = [x * a + b for a, b in zip(c, [0, *c])]
+            if x % SWEEP_RUN == 0:
+                c = [v % m for v, m in zip(c, mods)]
+        x = pos
+        if offsets != [0]:
+            g = pow(c[0], -1, p)
+            ps = _power_sums([1] + [v * g % p for v in c[1 : max(offsets) + 1]], p)
+            for j in offsets:
+                totals[p, j] += ps[j]
+            continue
+        p2, p3, n_top = p * p, p**3, min(N_CAP, p - 2)
+        g = pow(c[0], -1, p3)
+        ps = _power_sums([1] + [v * g % p2 for v in c[1 : n_top + 1]], p2)
+        hn = {n: ps[n] if n % 2 == 0 else ps[n] % p for n in range(2, n_top + 1)}
+        window = {j: voronoi_bernoulli(p, j, folds[p, j][0], totals[p, j]) for j in _window_offsets(p)}
+        out[p] = HalfSums(c[1] * g % p3, hn), window
+        m1 //= p
+        m2 //= p2
+        mods = [m2 * m1] * 2 + [m2] * (top - 2) + [m1]
+    return out
+
+
+def even_index_sweep(primes) -> dict[int, EvenSums]:
+    """even_index_sums(p) for each prime p >= 5 of `primes`, from one sweep
+    over k = 1..p-1.
+
+    With f = k! and the numerators c1 = f H1(k), c2 = f e2(k) and
+    q = f^2 H2(k) of the prefix sums H1 = sum 1/j, H2 = sum 1/j^2 and
+    e2 = sum_{i<j} 1/(ij), the terms at an even k are
+
+        H1(k-1)/k = c1(k-1) / k!,            e2(k-1)/k = c2(k-1) / k!,
+        H1(k-1)/k^2 = c1(k-1) (k-1)! / k!^2,  H2(k-1)/k = k q(k-1) / k!^2,
+
+    each added to a running numerator over k! or k!^2.  The state is free
+    of p and every step multiplies by k or k^2 only.  The double sum read
+    mod p^2 and its inputs are kept modulo the product of the p^2, the rest
+    modulo that of the primes, and a p leaves the products once read.
+    """
+    primes = sorted({_validate(OddPrime(p)) for p in primes})
+    m1 = prod(primes)
+    m2 = m1 * m1
+    f, c1, d112 = 1, 0, 0  # mod m2; d112 over f
+    f2, c2, c1f, q, d121, d211, t = 1, 0, 0, 0, 0, 0, 0  # mod m1; d121, d211 over f^2, t over f
+    out, k = {}, 0
+    for p in primes:
+        for k in range(k + 1, p):
+            kk = k * k
+            if k & 1:
+                d112, t, d121, d211 = k * d112, k * t, kk * d121, kk * d211
+            else:
+                d112, t = k * d112 + c1, k * t + c2
+                d121, d211 = kk * d121 + c1f, kk * d211 + k * q
+            # each right-hand side reads the state at k-1
+            c2 = k * c2 + c1
+            c1f = kk * c1f + k * f2
+            q = kk * q + f2
+            c1 = k * c1 + f
+            f *= k
+            f2 *= kk
+            if k % SWEEP_RUN == 0:
+                f, c1, d112 = f % m2, c1 % m2, d112 % m2
+                f2, c2, c1f, q, d121, d211, t = (v % m1 for v in (f2, c2, c1f, q, d121, d211, t))
+        k = p - 1
+        p2 = p * p
+        g = pow(f, -1, p2)  # 1 / (p-1)!
+        gg = g * g % p
+        double = {(1, 1, 2): d112 * g % p2, (1, 2, 1): d121 * gg % p, (2, 1, 1): d211 * gg % p}
+        out[p] = EvenSums(double, t * g % p)
+        m1 //= p
+        m2 //= p2
+    return out
+
+
 def half_range_sums(p: int) -> HalfSums:
     """The half-range sums from one inverse table of 1..(p-1)/2: a ladder of
-    list products turns the (n-1)-th powers of the inverses into the n-th."""
+    list products turns the (n-1)-th powers of the inverses into the n-th.
+    The oracle's second route for inverse_power_sweep."""
     p = _validate(OddPrime(p))
     m3, m2 = p**3, p * p
     inv3 = inverse_range((p - 1) // 2, m3)
@@ -86,7 +215,7 @@ def even_index_sums(p: int) -> EvenSums:
     after it.  Running prefixes of 1/j mod p^2 and 1/j^2 mod p feed the
     terms at each even k; the triple sum uses sum_{i<j<=x} 1/(ij) =
     ((sum 1/i)^2 - sum 1/i^2) / 2.  The accumulators are reduced once,
-    at the end.
+    at the end.  The oracle's second route for even_index_sweep.
     """
     p = _validate(OddPrime(p))
     m2 = p * p

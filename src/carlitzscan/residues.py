@@ -147,6 +147,10 @@ def signed_central_binomial(p: int, e: int) -> int:
 
 
 _FACTOR_RUN = 16  # factors multiplied as small ints before each reduction mod the big modulus
+# steps a chunk-wide sweep takes between reductions of its state mod the
+# chunk's products: each step multiplies by small ints only, so the state
+# grows by a few words per run, and most of the divisions are spared
+SWEEP_RUN = 8
 
 
 def signed_central_binomials(primes) -> dict[int, int]:

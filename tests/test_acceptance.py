@@ -40,6 +40,11 @@ def report(n: int, ok: bool, msg: str) -> None:
     print(f"criterion {n:02d} {'PASS' if ok else 'FAIL'}: {msg}")
 
 
+def scan_contexts(primes: list[int]):
+    """One PrimeContext per prime, one PrimeRange per chunk of primes, as verify scans them."""
+    return (ctx for i in range(0, len(primes), CHUNK) for ctx in PrimeRange(primes[i : i + CHUNK]).contexts())
+
+
 @pytest.fixture(scope="session")
 def oracle_gate():
     """Criterion 7 gate: every fast path equals naive enumeration, p <= 101."""
@@ -75,9 +80,7 @@ def test_criterion_02_central_binomial_sweep(oracle_gate):
     t0 = time.perf_counter()
     failures = []
     primes = sieve_odd_primes(3, CENTRAL_P_MAX)
-    # one PrimeRange per chunk of primes, as verify scans them
-    contexts = (ctx for i in range(0, len(primes), CHUNK) for ctx in PrimeRange(primes[i : i + CHUNK]).contexts())
-    for ctx in contexts:
+    for ctx in scan_contexts(primes):
         p = ctx.p
         if p >= 5 and not verify_morley(ctx).verdict:
             failures.append(("morley", p))
@@ -139,10 +142,10 @@ def test_criterion_05_half_harmonic_closed_forms(oracle_gate):
     t0 = time.perf_counter()
     failures = []
     primes = sieve_odd_primes(5, LEMMA_P_MAX)
-    for p in primes:
-        for c in verify_lemma_2_1(PrimeContext(p)):
+    for ctx in scan_contexts(primes):
+        for c in verify_lemma_2_1(ctx):
             if not c.verdict:
-                failures.append((p, c.identity, c.params))
+                failures.append((ctx.p, c.identity, c.params))
     elapsed = time.perf_counter() - t0
     ok = not failures
     report(5, ok, f"half-range sums parts (i) and (ii) n <= 12, "
@@ -154,15 +157,14 @@ def test_criterion_06_even_restricted_closed_forms(oracle_gate):
     t0 = time.perf_counter()
     failures = []
     primes = sieve_odd_primes(5, LEMMA_P_MAX)
-    for p in primes:
-        # both checks read one sweep of the even-index sums
-        ctx = PrimeContext(p)
+    for ctx in scan_contexts(primes):
+        # both checks read the even-index sums of one sweep
         for c in verify_lemma_2_2(ctx):
             if not c.verdict:
-                failures.append((p, c.identity))
+                failures.append((ctx.p, c.identity))
         for c in verify_derived_sums(ctx):
             if c.identity in ("eq_2_9", "eq_2_10") and not c.verdict:
-                failures.append((p, c.identity))
+                failures.append((ctx.p, c.identity))
     a7, b7 = verify_lemma_2_2(PrimeContext(7))
     verbatim = (a7.lhs, a7.rhs) == (1, 1) and (b7.lhs, b7.rhs) == (5, 5)
     elapsed = time.perf_counter() - t0

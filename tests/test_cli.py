@@ -121,6 +121,21 @@ def test_report_record_serialization():
     assert row == ["morley", "7", "[]", "343", "323", "323", "true", "0"]
 
 
+def test_jsonl_line_matches_json_dumps():
+    # the line template writes what json.dumps writes for the record's dict:
+    # no params, several params, a failed verdict and the negative lhs of
+    # an exact identity
+    records = [
+        CongruenceCheck("morley", 7, (), 343, 323, 323, True),
+        CongruenceCheck("chamberland_dilcher", 13, (1, 0, 1), 2197, 0, 2196, False),
+        cg.exact_identity_1_3(3),
+        *run_verify(ScanConfig(p_max=40, identities=tuple(cli.IDENTITIES), n_max=5))[0],
+    ]
+    assert records[2].lhs < 0
+    for c in records:
+        assert cli.jsonl_line(c) == json.dumps(dict(zip(cli.CSV_HEADER, cli._values(c))))
+
+
 def test_run_verify_identity_filters():
     cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1_i",))
     records, code = run_verify(cfg)
@@ -266,17 +281,17 @@ def test_oracle_starts_at_p_min(capsys):
 
 
 def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
-    # corrupt one even-index sum at p = 13 where the context computes it:
+    # corrupt one even-index sum at p = 13 where the range computes it:
     # the lemma_2_2 verdict and the oracle must both see the damage
-    fast = hm.even_index_sums
+    fast = hm.even_index_sweep
 
-    def corrupted(p):
-        sums = fast(p)
-        if p == 13:
-            sums.double[(1, 2, 1)] = (sums.double[(1, 2, 1)] + 1) % p
+    def corrupted(primes):
+        sums = fast(primes)
+        if 13 in sums:
+            sums[13].double[(1, 2, 1)] = (sums[13].double[(1, 2, 1)] + 1) % 13
         return sums
 
-    monkeypatch.setattr(hm, "even_index_sums", corrupted)
+    monkeypatch.setattr(hm, "even_index_sweep", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_2",))
     records, code = run_verify(cfg)
     assert code == 1
@@ -304,15 +319,18 @@ def test_oracle_reads_the_range_behind_the_verdicts(monkeypatch):
 
 
 def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
-    # shift M3 by p^3 at p = 13: only the mod-p^4 power sums with
-    # C(a, 3) != 0 (mod 13) move, and the oracle must name the first
-    fast = cg.binomial_moments
+    # shift the range's M3 by p^3 at p = 13: only the mod-p^4 power sums
+    # with C(a, 3) != 0 (mod 13) move, and the oracle must name the first
+    fast = cg.binomial_moments_sweep
 
-    def corrupted(p):
-        m1, m2, m3 = fast(p)
-        return (m1, m2, (m3 + p**3) % p**4) if p == 13 else (m1, m2, m3)
+    def corrupted(primes):
+        moments = fast(primes)
+        if 13 in moments:
+            m1, m2, m3 = moments[13]
+            moments[13] = (m1, m2, (m3 + 13**3) % 13**4)
+        return moments
 
-    monkeypatch.setattr(cg, "binomial_moments", corrupted)
+    monkeypatch.setattr(cg, "binomial_moments_sweep", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("theorem_1_1", "cai_granville"))
     records, code = run_verify(cfg)
     assert code == 1
@@ -355,37 +373,38 @@ def test_every_context_field_has_one_oracle(monkeypatch):
 
 def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     # the context is the only producer: no check computes a quantity
-    # itself, each PrimeRange sweep yields one value per prime, and each
-    # B_(p-j) and u-sum is built once, on its first read
+    # itself, each PrimeRange sweep yields one value per prime and field,
+    # each u-sum is built once, on its first read, and the per-prime
+    # kernels run only as the oracle's second routes, once per prime
     calls = Counter()
 
-    def count(mod, name, key):
+    def count(mod, name):
         fn = getattr(mod, name)
 
         def counted(p, *args, **kwargs):
-            calls[key, p, args] += 1
+            calls[name, p, args] += 1
             return fn(p, *args, **kwargs)
 
         monkeypatch.setattr(mod, name, counted)
 
-    def count_sweep(mod, name, key):
+    def count_sweep(mod, name):
         fn = getattr(mod, name)
 
         def counted(primes):
             values = fn(primes)
-            calls.update((key, p, ()) for p in values)
+            calls.update((name, p, ()) for p in values)
             return values
 
         monkeypatch.setattr(mod, name, counted)
 
-    count(cg, "binomial_moments", "moments")
-    count(rs, "signed_central_binomial", "central")
-    count_sweep(rs, "signed_central_binomials", "central4")
-    count_sweep(bn, "bernoulli_pm3_mod_primes", "bpm3")
-    count(bn, "fermat_quotient_2", "q2")
-    count(hm, "half_range_sums", "half")
-    count(hm, "even_index_sums", "even")
-    count(cg, "chamberland_dilcher_u", "cd")
+    sweeps = ((cg, "binomial_moments_sweep"), (rs, "signed_central_binomials"), (bn, "bernoulli_pm3_mod_primes"),
+              (hm, "inverse_power_sweep"), (hm, "even_index_sweep"))
+    kernels = ((cg, "binomial_moments"), (rs, "signed_central_binomial"), (hm, "half_range_sums"),
+               (hm, "even_index_sums"))
+    for mod, name in sweeps:
+        count_sweep(mod, name)
+    for mod, name in kernels + ((bn, "fermat_quotient_2"), (cg, "chamberland_dilcher_u")):
+        count(mod, name)
     ladder = bn.VoronoiLadder.__call__
 
     def counted_ladder(self, j):
@@ -396,27 +415,26 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
     no_lemma_2_1 = tuple(t for t in per_prime if not t.startswith("lemma_2_1"))
     primes = set(sieve_odd_primes(3, 200))
-    window = set(range(5, 14, 2))
-    # the default set reads lemma_2_1's window, whose ladder builds offsets
-    # 5..13 (B_(p-3) comes from the range); without lemma_2_1 no ladder
-    # runs and no half-range sums are built; the oracle under --oracle-cap
-    # compares the scan's own contexts, and its second routes are the
-    # per-prime kernels: the central binomial and the ladder at offset 3
+    # the moments and the central binomial are read at p = 3 too, the rest from p = 5
+    from_3 = {"binomial_moments_sweep", "signed_central_binomials", "binomial_moments", "signed_central_binomial"}
+    always = {"binomial_moments_sweep", "signed_central_binomials", "bernoulli_pm3_mod_primes",
+              "even_index_sweep", "fermat_quotient_2"}
+    # without lemma_2_1 no inverse-power sweep runs; the oracle under
+    # --oracle-cap compares the scan's own contexts with the per-prime
+    # kernels, the ladder at offset 3 (B_(p-3)) and at lemma 2.1's
+    # offsets 5..13 (the window)
     for tags, keys, offsets, cap in (
-        (DEFAULT_IDENTITIES, {"half", "bern"}, window, 0),
-        (no_lemma_2_1, {"cd"}, set(), 0),
-        (DEFAULT_IDENTITIES, {"half", "bern", "central"}, window | {3}, 200),
+        (DEFAULT_IDENTITIES, {"inverse_power_sweep"}, set(), 0),
+        (no_lemma_2_1, {"chamberland_dilcher_u"}, set(), 0),
+        (DEFAULT_IDENTITIES, {"inverse_power_sweep", "bern"} | {name for _, name in kernels}, set(range(3, 14, 2)), 200),
     ):
         calls.clear()
         records, code = run_verify(ScanConfig(p_max=200, identities=tags, oracle_cap=cap))
         assert code == 0 and records
-        assert {key for key, _, _ in calls} == {"moments", "central4", "bpm3", "q2", "even"} | keys
+        assert {key for key, _, _ in calls} == always | keys
         assert {args[0] for key, _, args in calls if key == "bern"} == offsets
-        assert {p for key, p, _ in calls if key == "central4"} == primes
-        assert {p for key, p, _ in calls if key == "bpm3"} == primes - {3}
-        oracle_primes = primes if cap else set()
-        assert {p for key, p, _ in calls if key == "central"} == oracle_primes
-        assert {p for key, p, args in calls if (key, args) == ("bern", (3,))} == oracle_primes - {3}
+        for key in {key for key, _, _ in calls}:
+            assert {p for name, p, _ in calls if name == key} == (primes if key in from_3 else primes - {3}), key
         assert max(calls.values()) == 1
 
 
@@ -468,17 +486,19 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
 
 
 def test_verify_never_builds_the_oracle_routes(monkeypatch):
-    # the binomial row, the direct powers and the per-prime central
-    # binomial and B_(p-3) belong to the oracle only
+    # the binomial row, the direct powers and the per-prime kernels (the
+    # moments, the central binomial, B_(p-3), the Bernoulli window and the
+    # two harmonic sweeps) belong to the oracle only
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle route reached from verify")
 
     for mod, name in ((rs, "binom_pm1"), (cg, "binom_pm1"), (cg, "lhs_power_sums_batch"),
-                      (rs, "signed_central_binomial"), (bn, "bernoulli_pm3_mod_p")):
+                      (rs, "signed_central_binomial"), (bn, "bernoulli_pm3_mod_p"),
+                      (cg, "binomial_moments"), (hm, "half_range_sums"), (hm, "even_index_sums"),
+                      (bn, "bernoulli_window_mod_p")):
         monkeypatch.setattr(mod, name, forbidden)
-    # B_(p-3) comes from the range, so no ladder is asked for offset 3
-    ladder = bn.VoronoiLadder.__call__
-    monkeypatch.setattr(bn.VoronoiLadder, "__call__", lambda self, j: forbidden() if j == 3 else ladder(self, j))
+    # every B_(p-j) comes from the range, so no ladder is asked for any offset
+    monkeypatch.setattr(bn.VoronoiLadder, "__call__", forbidden)
     records, code = run_verify(ScanConfig(p_max=60, identities=tuple(cli.IDENTITIES), n_max=5))
     assert code == 0 and records
 

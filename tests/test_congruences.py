@@ -77,6 +77,18 @@ def test_rhs_theorem_frozen_values():
     assert rhs_theorem(5, 1, bernoulli_pm3_mod_p(5)) == 16
 
 
+def test_rhs_theorem_matches_the_exact_rational_correction():
+    # for p >= 5 the correction is taken mod p with 1/48 a unit; the exact
+    # rational a(a-1)(3a-4)/48 * p^3 B_(p-3), reduced mod p^4, is the same,
+    # every residue of B_(p-3) mod p included
+    for p in (5, 7, 11, 13, 101):
+        for bpm3 in {0, 1, p - 1, bernoulli_pm3_mod_p(p)}:
+            for a in range(1, 30):
+                exact = pow(2, a * (p - 1)) + theorem_coefficient(a) * bpm3 * p**3
+                want = exact.numerator * pow(exact.denominator, -1, p**4) % p**4
+                assert rhs_theorem(p, a, bpm3) == want, (p, a, bpm3)
+
+
 def test_lhs_power_sum_matches_exact_small():
     for p in SMALL:
         batch = lhs_power_sums_batch(p, 5)

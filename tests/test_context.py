@@ -5,47 +5,101 @@ import tracemalloc
 import pytest
 
 from carlitzscan import bernoulli as bn
+from carlitzscan import congruences as cg
+from carlitzscan import harmonic as hm
 from carlitzscan import residues as rs
 from carlitzscan.cli import sieve_odd_primes
 from carlitzscan.context import PrimeContext, PrimeRange
 
 PRIMES_TO_3000 = sieve_odd_primes(3, 3000)
+FALLBACK_PRIMES = (13, 41, 61, 73)  # where 3^(j-1) == 1 (mod p) for a window offset j
+
+
+def per_prime(p: int) -> dict:
+    """Each PrimeRange field's value at p by its per-prime kernel; the
+    fields stated for p >= 5 are left out at p = 3."""
+    values = {"moments": cg.binomial_moments(p), "central4": rs.signed_central_binomial(p, 4)}
+    if p > 3:
+        offsets = range(5, min(hm.N_CAP + 1, p - 2) + 1, 2)
+        values["bpm3"] = bn.bernoulli_pm3_mod_p(p)
+        values["inverse_powers"] = (hm.half_range_sums(p), bn.bernoulli_window_mod_p(p, offsets))
+        values["even_sums"] = hm.even_index_sums(p)
+    return values
+
+
+def range_values(r: PrimeRange) -> dict:
+    """per_prime's layout, read from the range's fields."""
+    return {p: {name: getattr(r, name)[p] for name in per_prime(3 if p == 3 else 5)} for p in r.primes}
 
 
 @pytest.fixture(scope="module")
 def kernels():
     """The per-prime routes at every odd prime <= 3000."""
-    central = {p: rs.signed_central_binomial(p, 4) for p in PRIMES_TO_3000}
-    bpm3 = {p: bn.bernoulli_pm3_mod_p(p) for p in PRIMES_TO_3000 if p > 3}
-    return central, bpm3
+    return {p: per_prime(p) for p in PRIMES_TO_3000}
 
 
 @pytest.mark.parametrize("size", [1, 7, 128])
 def test_range_matches_the_per_prime_kernels(kernels, size):
-    central, bpm3 = kernels
     for i in range(0, len(PRIMES_TO_3000), size):
         r = PrimeRange(PRIMES_TO_3000[i : i + size])
-        assert r.central4 == {p: central[p] for p in r.primes}
-        assert r.bpm3 == {p: bpm3[p] for p in r.primes if p > 3}
+        assert range_values(r) == {p: kernels[p] for p in r.primes}
 
 
 def test_range_at_the_degenerate_primes():
-    # p = 3 has a central binomial but no B_(p-3) (the checks use B_0 = 1);
-    # q2 == 0 (mod p) at the Wieferich primes 1093 and 3511, and
-    # B_(p-3) == 0 (mod p) at the Wolstenholme prime 16843
+    # p = 3 has a central binomial and moments but no B_(p-3) (the checks
+    # use B_0 = 1) and no harmonic sums; q2 == 0 (mod p) at the Wieferich
+    # primes 1093 and 3511, and B_(p-3) == 0 (mod p) at the Wolstenholme
+    # prime 16843
     special = (3, 1093, 3511, 16843)
     r = PrimeRange(special)
-    assert r.central4 == {p: rs.signed_central_binomial(p, 4) for p in special}
-    assert r.bpm3 == {p: bn.bernoulli_pm3_mod_p(p) for p in special[1:]}
+    assert range_values(r) == {p: per_prime(p) for p in special}
     assert r.bpm3[16843] == 0
     for p in special:
         alone = PrimeContext(p)
         assert alone.central4 == r.central4[p]
+        assert alone.moments == r.moments[p]
         assert alone.bpm3 == (None if p == 3 else r.bpm3[p])
-    with pytest.raises(ValueError):
-        bn.bernoulli_pm3_mod_primes([3, 5])
+        if p > 3:
+            assert (alone.half_sums, alone.even_sums) == (r.inverse_powers[p][0], r.even_sums[p])
+    for sweep in (bn.bernoulli_pm3_mod_primes, hm.inverse_power_sweep, hm.even_index_sweep):
+        with pytest.raises(ValueError):
+            sweep([3, 5])
+    for name in ("half_sums", "even_sums", "bern"):
+        with pytest.raises(ValueError):
+            getattr(PrimeContext(3), name)
     with pytest.raises(ValueError):
         PrimeRange([5, 9])
+
+
+def test_window_at_the_fallback_primes():
+    # at these primes some offset's fold leaves c = 3 for a larger c, whose
+    # cuts floor(i p / c) the inverse-power sweep reads beside p // 3
+    for p in FALLBACK_PRIMES:
+        offsets = range(5, min(hm.N_CAP + 1, p - 2) + 1, 2)
+        assert any(bn.voronoi_fold(p, j)[0] > 3 for j in offsets), p
+    for chunk in (FALLBACK_PRIMES, (11, 13, 17), (37, 41, 43, 47), (59, 61, 67, 71, 73, 79)):
+        r = PrimeRange(chunk)
+        assert range_values(r) == {p: per_prime(p) for p in chunk}
+
+
+def test_sweeps_hold_no_list_of_p():
+    # each sweep keeps a fixed number of residues modulo the chunk's
+    # products, so one prime peaks in kilobytes, where the per-prime
+    # kernels build inverse tables of p/2 to p entries (p = 20011 keeps
+    # tracemalloc, which slows the sweeps about 40-fold, to seconds)
+    def peak(fn, arg) -> int:
+        tracemalloc.start()
+        try:
+            fn(arg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    p = 20011
+    for sweep, kernel in ((cg.binomial_moments_sweep, cg.binomial_moments), (hm.inverse_power_sweep, hm.half_range_sums),
+                          (hm.even_index_sweep, hm.even_index_sums)):
+        assert peak(sweep, [p]) < 16 * 1024, sweep.__name__
+        assert peak(kernel, p) > 256 * 1024, kernel.__name__
 
 
 def test_contexts_read_their_range():
@@ -53,8 +107,11 @@ def test_contexts_read_their_range():
     contexts = list(r.contexts())
     assert [c.p for c in contexts] == [7, 11, 13]
     assert all(c.prime_range is r for c in contexts)
+    assert {c.p: c.moments for c in contexts} == r.moments
     assert {c.p: c.central4 for c in contexts} == r.central4
     assert {c.p: c.bpm3 for c in contexts} == r.bpm3
+    assert {c.p: (c.half_sums, {j: b for j, b in c.bern.items() if j > 3}) for c in contexts} == r.inverse_powers
+    assert {c.p: c.even_sums for c in contexts} == r.even_sums
 
 
 def test_bernoulli_window_holds_the_range_value():
