@@ -19,7 +19,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import ceil, comb, isqrt
 
 from . import bernoulli as bn
 from . import congruences as cg
@@ -176,13 +176,13 @@ def _entries(cfg: ScanConfig) -> list:
 
 def _scan(cfg: ScanConfig, lo: int, hi: int, cap: int):
     """Yield _scan_chunk's (checks, disagreement) for each prime in [lo, hi],
-    in order.  Each task is a chunk of consecutive primes: at most CHUNK,
-    and with a pool about 8 chunks per worker.  Closing the generator
-    cancels the pool's pending work."""
+    in order.  Each task is a chunk of consecutive primes: an even share
+    per worker, at most CHUNK, since each chunk restarts every range sweep
+    at k = 1.  Closing the generator cancels the pool's pending work."""
     tags = tuple(e.tag for e in _entries(cfg) if e.over == "p")
     primes = sieve_odd_primes(lo, hi) if tags else []
     workers = _pool_size(cfg.jobs)
-    size = CHUNK if cfg.jobs == 1 else max(1, min(CHUNK, len(primes) // (workers * 8)))
+    size = max(1, min(CHUNK, ceil(len(primes) / workers)))
     tasks = [(primes[i : i + size], tags, cfg.a_values, cfg.cd_triples, cap) for i in range(0, len(primes), size)]
     if cfg.jobs == 1:
         for task in tasks:

@@ -31,7 +31,7 @@ __all__ = [
     "COROLLARY_COEFFICIENTS",
     "theorem_coefficient",
     "binomial_moments",
-    "binomial_moments_sweep",
+    "staver_sweep",
     "moment_power_sum",
     "lhs_power_sums_batch",
     "lhs_power_sum_exact",
@@ -105,7 +105,7 @@ def binomial_moments(p: int) -> tuple[int, int, int]:
     One sweep over k = 1..(p-1)/2 by u_k = u_(k-1) (k - p) / k: the
     terms at k and p-1-k are equal (p-1 is even), so each k below the
     middle counts twice and the middle once.  u_0 = 1 adds nothing.
-    The oracle's second route for binomial_moments_sweep.
+    The oracle's second route for PrimeRange.moments.
     """
     p = int(OddPrime(p))
     m = p**4
@@ -131,80 +131,32 @@ def binomial_moments(p: int) -> tuple[int, int, int]:
     return tuple((2 * s - mid_sign * t) % m for s, t in ((s1, d), (s2, d2), (s3, d3)))
 
 
-def binomial_moments_sweep(primes) -> dict[int, tuple[int, int, int]]:
-    """binomial_moments(p) for each odd prime p of `primes`, from one sweep.
+def staver_sweep(primes) -> dict[int, int]:
+    """W = sum_{k=1}^{p-1} 2^k / k mod p^3 for each odd prime p of `primes`,
+    from one sweep.
 
-    u_k = prod_{i<=k} (1 - p/i) = 1 - p e1 + p^2 e2 - p^3 e3 (mod p^4),
-    where e_j is the j-th elementary symmetric sum of 1/1, ..., 1/k, so
-    e_j = c_j / k! with c_j(k) = k c_j(k-1) + c_(j-1)(k-1), c_0 = k!, free
-    of p.  Then, mod p^4,
-
-        d = u - 1 = -p e1 + p^2 e2 - p^3 e3,
-        d^2 = p^2 e1^2 - 2 p^3 e1 e2,   d^3 = -p^3 e1^3,
-
-    and binomial_moments' half sums are the alternating sums of e1, e2,
-    e3, e1^2, e1 e2 and e1^3 up to k = (p-1)/2, each a running numerator
-    over (k!)^n.  Every step multiplies by k, k^2 or k^3 only: the
-    products c1^2, c1 c2, c1^3 and their cross terms with k! are carried
-    as state, never formed from big residues.  Each value is kept modulo
-    the product of the p^e its term needs (e = 3 for e1, 2 for e2 and
-    e1^2, 1 for the rest), and a p leaves the products once read.
+    Staver's identity sum_{k=0}^{n} 1/C(n, k) = (n+1)/2^(n+1) sum_{k=1}^{n+1}
+    2^k/k at n = p-1 gives S_(-1) = sum_k 1/C(p-1, k) = 1 + p 2^(-p) W, the
+    alternating power sum at a = -1 (mod p^4).  W is a prefix sum free of
+    p: with f = k! and g = 2^(k+1) k!, the numerator num = f sum_{j<=k} 2^j/j
+    steps as num = k num + g, so every step multiplies by k or 2k only.  The
+    state is kept modulo the product of the p^3, and a p leaves the product
+    once read at k = p-1.
     """
     primes = sorted({int(OddPrime(p)) for p in primes})
-    m1 = prod(primes)
-    m2 = m1 * m1
-    m3 = m2 * m1
-    f, c1, a1 = 1, 0, 0  # mod m3: f = k!, c1 / f = e1, a1 / f = sum (-1)^i e1(i)
-    f2, c2, c1f, c1sq, a2, b11 = 1, 0, 0, 0, 0, 0  # mod m2: f^2, c2, c1 f, c1^2 and the sums of e2, e1^2
-    # mod m1: f^3, c3, c2 f, c1 c2, c1 f^2, c1^2 f, c1^3 and the sums of e3, e1 e2, e1^3
-    f3, c3, c2f, c1c2, c1f2, c1sqf, c1cub, a3, b12, t111 = 1, 0, 0, 0, 0, 0, 0, 0, 0, 0
-    out, k = {}, 0
+    m = prod(p**3 for p in primes)
+    num, f, g, k = 0, 1, 2, 0
+    out = {}
     for p in primes:
-        mid = (p - 1) // 2
-        for k in range(k + 1, mid + 1):
-            k2, k3 = k * k, k * k * k
-            # each right-hand side reads the state at k-1
-            c1c2 = k2 * c1c2 + k * (c1sq + c2f) + c1f
-            c2f = k2 * c2f + k * c1f
-            c1cub = k3 * c1cub + 3 * k2 * c1sqf + 3 * k * c1f2 + f3
-            c1sqf = k3 * c1sqf + 2 * k2 * c1f2 + k * f3
-            c1f2 = k3 * c1f2 + k2 * f3
-            c1sq = k2 * c1sq + 2 * k * c1f + f2
-            c1f = k2 * c1f + k * f2
-            c3 = k * c3 + c2
-            c2 = k * c2 + c1
-            c1 = k * c1 + f
+        for k in range(k + 1, p):
+            num = k * num + g
             f *= k
-            f2 *= k2
-            f3 *= k3
-            if k & 1:
-                a1, a2, a3 = k * a1 - c1, k * a2 - c2, k * a3 - c3
-                b11, b12, t111 = k2 * b11 - c1sq, k2 * b12 - c1c2, k3 * t111 - c1cub
-            else:
-                a1, a2, a3 = k * a1 + c1, k * a2 + c2, k * a3 + c3
-                b11, b12, t111 = k2 * b11 + c1sq, k2 * b12 + c1c2, k3 * t111 + c1cub
+            g *= 2 * k
             if k % SWEEP_RUN == 0:
-                f, c1, a1 = f % m3, c1 % m3, a1 % m3
-                f2, c2, c1f, c1sq, a2, b11 = (v % m2 for v in (f2, c2, c1f, c1sq, a2, b11))
-                f3, c3, c2f, c1c2, c1f2, c1sqf, c1cub, a3, b12, t111 = (
-                    v % m1 for v in (f3, c3, c2f, c1c2, c1f2, c1sqf, c1cub, a3, b12, t111))
-        k = mid
-        p2, p3 = p * p, p**3
-        g = pow(f, -1, p3)  # 1 / mid!
-        gg = g * g % p3
-        e1, e2, e3 = c1 * g % p3, c2 * g % p2, c3 * g % p
-        half = (
-            (-p * a1 + p2 * a2 - p3 * a3) * g,
-            (p2 * b11 - 2 * p3 * b12) * gg,
-            -p3 * t111 * gg * g,
-        )
-        middle = (-p * e1 + p2 * e2 - p3 * e3, p2 * e1 * e1 - 2 * p3 * e1 * e2, -p3 * e1**3)
-        # as in binomial_moments: each k < mid counts twice, the middle once
-        sign = -1 if mid & 1 else 1
-        out[p] = tuple((2 * s - sign * t) % p**4 for s, t in zip(half, middle))
-        m1 //= p
-        m2 //= p2
-        m3 //= p3
+                num, f, g = num % m, f % m, g % m
+        p3 = p**3
+        out[p] = num * pow(f, -1, p3) % p3
+        m //= p3
     return out
 
 
@@ -222,34 +174,29 @@ def moment_power_sum(p: int, a: int, moments: tuple[int, int, int]) -> int:
 
 def lhs_power_sums_batch(p: int, a_max: int) -> list[int]:
     """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4 for every
-    a = 1..a_max in one sweep; entry [a] is the sum.
+    a = 1..a_max; entry [a] is the sum.
 
-    The direct-power oracle route for moment_power_sum: it keeps a
-    running a-th power of every term of the binomial row.  Exploits
-    binomial(p-1, k) == binomial(p-1, p-1-k) together with the matching
-    sign (p-1 is even), so only half the range is visited.
+    The direct-power oracle route for moment_power_sum.  The summand is
+    (-1)^k u_k^a with u_k = (-1)^k binomial(p-1, k), and a ladder of list
+    products turns the (a-1)-th powers of the u_k into the a-th.  The
+    terms at k and p-1-k are equal (p-1 is even), so only the half row is
+    kept: each k below the middle counts twice and the middle once.
     """
     p = int(OddPrime(p))
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
     m = p**4
-    table = binom_pm1(p, 4)
     mid = (p - 1) // 2
-    acc = [0] * (a_max + 1)
-    for k in range(mid + 1):
-        w = 2 if k < mid else 1
-        t = table[k]
-        v = 1
-        if k & 1:
-            for a in range(1, a_max + 1):
-                v = v * t % m
-                # odd k: sign flips exactly for even a
-                acc[a] = acc[a] + w * v if a & 1 else acc[a] - w * v
-        else:
-            for a in range(1, a_max + 1):
-                v = v * t % m
-                acc[a] += w * v
-    return [s % m for s in acc]
+    row = binom_pm1(p, 4)
+    base = powers = [m - row[k] if k & 1 else row[k] for k in range(mid + 1)]
+    del row
+    mid_sign = -1 if mid & 1 else 1
+    sums = [0]
+    for a in range(1, a_max + 1):
+        if a > 1:
+            powers = [x * u % m for x, u in zip(powers, base)]
+        sums.append((2 * (sum(powers[::2]) - sum(powers[1::2])) - mid_sign * powers[mid]) % m)
+    return sums
 
 
 def lhs_power_sum_exact(p: int, a: int) -> int:

@@ -2,15 +2,16 @@
 
 A PrimeRange computes, for a chunk of primes at once, the quantities
 that are prefix products or prefix sums of sequences free of p (the
-binomial moments, the central binomial, B_(p-3), the half-range sums
-with the Bernoulli window, and the even-index sums).  A PrimeContext
-holds the per-prime quantities the checks read (the three binomial
-moments behind every alternating power sum, the central binomial,
-B_(p-3), the Bernoulli window, q2, the two harmonic sums and the
-u-sums), reading the chunk-wide ones from its range.  It is the only
-producer of them: each is built the first time a check reads it and
-then shared by every other check at that prime.  Its fields are also
-what `oracle` compares: whatever the selected checks populated.
+central binomial, Staver's sum behind the binomial moments, B_(p-3),
+the half-range sums with the Bernoulli window, and the even-index
+sums).  A PrimeContext holds the per-prime quantities the checks read
+(the three binomial moments behind every alternating power sum, the
+central binomial, B_(p-3), the Bernoulli window, q2, the two harmonic
+sums and the u-sums), reading the chunk-wide ones from its range.  It
+is the only producer of them: each is built the first time a check
+reads it and then shared by every other check at that prime.  Its
+fields are also what `oracle` compares: whatever the selected checks
+populated.
 IDENTITIES declares each identity once: its tag, where it applies,
 whether `verify` runs it by default, and its check function.
 """
@@ -54,8 +55,20 @@ class PrimeRange:
 
     @cached_property
     def moments(self) -> dict[int, tuple[int, int, int]]:
-        """The binomial moments (M1, M2, M3) mod p^4 keyed by p."""
-        return cg.binomial_moments_sweep(self.primes)
+        """The binomial moments (M1, M2, M3) mod p^4 keyed by p.
+
+        cg.moment_power_sum's expansion S_a = 1 + a M1 + C(a,2) M2 +
+        C(a,3) M3 holds for every integer a, so three closed sums fix the
+        moments: S_1 = 2^(p-1), S_2 = central4 and Staver's
+        S_(-1) = 1 - M1 + M2 - M3 = 1 + p 2^(-p) W (cg.staver_sweep)."""
+        out = {}
+        for p, w in cg.staver_sweep(self.primes).items():
+            m = p**4
+            m1 = pow(2, p - 1, m) - 1
+            m2 = self.central4[p] - 1 - 2 * m1
+            s_neg = 1 + p * pow(2, -p, m) * w
+            out[p] = (m1, m2 % m, (1 - m1 + m2 - s_neg) % m)
+        return out
 
     @cached_property
     def central4(self) -> dict[int, int]:

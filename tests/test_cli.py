@@ -9,6 +9,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from functools import cached_property
+from math import ceil
 
 import pytest
 
@@ -319,18 +320,18 @@ def test_oracle_reads_the_range_behind_the_verdicts(monkeypatch):
 
 
 def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
-    # shift the range's M3 by p^3 at p = 13: only the mod-p^4 power sums
-    # with C(a, 3) != 0 (mod 13) move, and the oracle must name the first
-    fast = cg.binomial_moments_sweep
+    # shift the range's W by p^2 at p = 13, which moves S_(-1) and so M3
+    # by a unit times p^3: only the mod-p^4 power sums with C(a, 3) != 0
+    # (mod 13) move, and the oracle must name the first
+    fast = cg.staver_sweep
 
     def corrupted(primes):
-        moments = fast(primes)
-        if 13 in moments:
-            m1, m2, m3 = moments[13]
-            moments[13] = (m1, m2, (m3 + 13**3) % 13**4)
-        return moments
+        values = fast(primes)
+        if 13 in values:
+            values[13] = (values[13] + 13**2) % 13**3
+        return values
 
-    monkeypatch.setattr(cg, "binomial_moments_sweep", corrupted)
+    monkeypatch.setattr(cg, "staver_sweep", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("theorem_1_1", "cai_granville"))
     records, code = run_verify(cfg)
     assert code == 1
@@ -397,7 +398,7 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
 
         monkeypatch.setattr(mod, name, counted)
 
-    sweeps = ((cg, "binomial_moments_sweep"), (rs, "signed_central_binomials"), (bn, "bernoulli_pm3_mod_primes"),
+    sweeps = ((cg, "staver_sweep"), (rs, "signed_central_binomials"), (bn, "bernoulli_pm3_mod_primes"),
               (hm, "inverse_power_sweep"), (hm, "even_index_sweep"))
     kernels = ((cg, "binomial_moments"), (rs, "signed_central_binomial"), (hm, "half_range_sums"),
                (hm, "even_index_sums"))
@@ -415,9 +416,10 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
     no_lemma_2_1 = tuple(t for t in per_prime if not t.startswith("lemma_2_1"))
     primes = set(sieve_odd_primes(3, 200))
-    # the moments and the central binomial are read at p = 3 too, the rest from p = 5
-    from_3 = {"binomial_moments_sweep", "signed_central_binomials", "binomial_moments", "signed_central_binomial"}
-    always = {"binomial_moments_sweep", "signed_central_binomials", "bernoulli_pm3_mod_primes",
+    # the moments (from W and the central binomial) and the central binomial
+    # are read at p = 3 too, the rest from p = 5
+    from_3 = {"staver_sweep", "signed_central_binomials", "binomial_moments", "signed_central_binomial"}
+    always = {"staver_sweep", "signed_central_binomials", "bernoulli_pm3_mod_primes",
               "even_index_sweep", "fermat_quotient_2"}
     # without lemma_2_1 no inverse-power sweep runs; the oracle under
     # --oracle-cap compares the scan's own contexts with the per-prime
@@ -448,8 +450,8 @@ def test_lemma_2_1_reads_any_offset_after_bpm3():
 def test_pool_is_bounded_by_the_cpus(monkeypatch):
     # each worker is a process forked at the first submit, so --jobs far
     # above the CPU count is cut to it; the stand-in pool starts nothing.
-    # Each task is a chunk of consecutive primes: about 8 per worker, at
-    # most CHUNK primes each
+    # Each task is a chunk of consecutive primes: an even share per
+    # worker, at most CHUNK primes each
     sizes, chunks = [], []
 
     class RecordingPool:
@@ -479,7 +481,7 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
     assert sizes == [2, 2, 2]
     for chunked, p_max in zip(chunks, (400, 31, 20_000)):
         primes = sieve_odd_primes(3, p_max)
-        size = max(1, min(CHUNK, len(primes) // (2 * 8)))
+        size = max(1, min(CHUNK, ceil(len(primes) / 2)))
         assert [p for chunk in chunked for p in chunk] == primes
         assert {len(chunk) for chunk in chunked[:-1]} <= {size} and 0 < len(chunked[-1]) <= size
     assert len(chunks[2][0]) == CHUNK

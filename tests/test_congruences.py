@@ -24,6 +24,7 @@ from carlitzscan.congruences import (
     lhs_power_sums_batch,
     moment_power_sum,
     rhs_theorem,
+    staver_sweep,
     theorem_coefficient,
     verify_cai_granville,
     verify_carlitz,
@@ -33,6 +34,7 @@ from carlitzscan.congruences import (
     verify_p3_special,
     verify_theorem_1_1,
 )
+from carlitzscan.cli import sieve_odd_primes
 from carlitzscan.context import PrimeContext
 from carlitzscan.residues import is_odd_prime, signed_central_binomial
 
@@ -55,6 +57,37 @@ def test_moment_route_matches_direct_powers(p):
         assert moment_power_sum(p, a, moments) == direct[a], (p, a)
     with pytest.raises(ValueError):
         moment_power_sum(p, 0, moments)
+
+
+STAVER_PRIMES = (*sieve_odd_primes(3, 300), 1093, 3511, 16843)
+
+
+def _reciprocal_binomial_sum(p: int) -> int:
+    """sum_k 1/binomial(p-1, k) mod p^4, from the exact binomials."""
+    m, c, acc = p**4, 1, 0
+    for k in range(p):
+        acc += pow(c % m, -1, m)
+        c = c * (p - 1 - k) // (k + 1)
+    return acc % m
+
+
+@pytest.fixture(scope="module")
+def reciprocal_sums():
+    return {p: _reciprocal_binomial_sum(p) for p in STAVER_PRIMES}
+
+
+@pytest.mark.parametrize("size", [1, 7, 128])
+def test_staver_identity(reciprocal_sums, size):
+    # sum_k 1/C(p-1, k) == 1 + p 2^(-p) W (mod p^4) with W = sum_{k<p} 2^k/k,
+    # at the Wieferich primes 1093 and 3511 and the Wolstenholme prime 16843 too
+    for i in range(0, len(STAVER_PRIMES), size):
+        chunk = STAVER_PRIMES[i : i + size]
+        values = staver_sweep(chunk)
+        assert sorted(values) == list(chunk)
+        for p, w in values.items():
+            m3, m = p**3, p**4
+            assert w == sum(pow(2, k, m3) * pow(k, -1, m3) for k in range(1, p)) % m3, p
+            assert (1 + p * pow(2, -p, m) * w) % m == reciprocal_sums[p], p
 
 
 def test_moment_verdicts_at_vanishing_bernoulli_prime():
