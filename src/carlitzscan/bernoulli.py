@@ -3,20 +3,17 @@
 from fractions import Fraction
 from math import comb, prod
 
-from .residues import OddPrime, inverse_range
+from .residues import OddPrime
 
 __all__ = [
     "bernoulli_exact",
     "bernoulli_mod_p",
-    "bernoulli_pm3_mod_p",
     "bernoulli_pm3_mod_primes",
-    "bernoulli_window_mod_p",
     "fermat_quotient_2",
     "power_sum_mod",
     "smallest_prime_factors",
     "voronoi_fold",
     "voronoi_bernoulli",
-    "VoronoiLadder",
 ]
 
 BERNOULLI_CAP = 400
@@ -98,8 +95,9 @@ def power_sum_mod(p: int, exp: int, e: int = 2) -> int:
 def bernoulli_mod_p(p: int, index: int) -> int:
     """B_index mod p for an even index with 2 <= index <= p-3, p >= 5.
 
-    Power-sum extraction, the oracle route for the Voronoi kernel below:
-    with S = sum_{k=1}^{p-1} k^index mod p^2, we have
+    Power-sum extraction, the oracle's route for the B_(p-j) that the
+    chunk sweeps take from Voronoi's congruence (voronoi_fold): with
+    S = sum_{k=1}^{p-1} k^index mod p^2, we have
     S == p * B_index (mod p^2), so B_index == (S/p) mod p.
     Why: sum_{k<p} k^index = (B_{index+1}(p) - B_{index+1})/(index+1)
     expands to binomial(index+1, index) B_index p / (index+1) = B_index p
@@ -120,15 +118,10 @@ def bernoulli_mod_p(p: int, index: int) -> int:
     return (s // p) % p
 
 
-def bernoulli_pm3_mod_p(p: int) -> int:
-    """B_(p-3) mod p for p >= 5, by Voronoi's congruence."""
-    return VoronoiLadder(p)(3)
-
-
 def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
-    """bernoulli_pm3_mod_p(p) for each prime p >= 5 of `primes`, from one sweep.
+    """B_(p-3) mod p for each prime p >= 5 of `primes`, from one sweep.
 
-    VoronoiLadder's congruence at c = 3 and j = 3 reads
+    voronoi_fold's congruence at c = 3 and j = 3 reads
     -24 B_(p-3) == 6 T (mod p), so B_(p-3) == -T/4 with T the sum of x^(-3)
     over x <= p/3.  T is a prefix sum of a sequence free of p: one running
     fraction num/den modulo the product of the primes, read at x = p // 3,
@@ -148,15 +141,9 @@ def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
     return out
 
 
-def bernoulli_window_mod_p(p: int, offsets: "list[int] | tuple[int, ...]") -> dict[int, int]:
-    """B_(p-j) mod p for each odd offset j in `offsets` (3 <= j <= p-2), from one
-    ladder: the oracle's second route for the window of inverse_power_sweep."""
-    b = VoronoiLadder(p)
-    return {j: b(j) for j in sorted(set(offsets))}
-
-
-class VoronoiLadder:
-    """B_(p-j) mod p for odd j in 3..p-2 by Voronoi's congruence, one offset per call.
+def voronoi_fold(p: int, j: int) -> tuple[int, list[int]]:
+    """The c of Voronoi's congruence for B_(p-j) mod p at the odd offset j
+    (3 <= j <= p-2), and its cuts floor(i p / c) for i = 1..(c-1)/2.
 
     For an odd c coprime to p, with k = p - j even and x^(k-1) == x^(-j),
     Voronoi's congruence (c^k - 1) B_k == k c^(k-1) sum_x x^(k-1) floor(cx/p)
@@ -172,41 +159,7 @@ class VoronoiLadder:
     takes over; one exists below p, since the x with x^(j-1) == 1 form a
     proper subgroup, which cannot be {1, 3, 5, ..., p-2}: that set would
     be the squares, yet 4 is a square.
-
-    Each c keeps one ladder x^(-1) -> x^(-3) -> x^(-5) ... over its cuts,
-    which the next call resumes: ascending offsets cost one product list
-    each, and a smaller offset restarts the ladder.
     """
-
-    def __init__(self, p: int):
-        self.p = int(OddPrime(p))
-        if self.p < 5:
-            raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
-        self._rungs: dict[int, tuple] = {}  # c -> (cuts, x^(-2), x^(-exp), exp)
-
-    def __call__(self, j: int) -> int:
-        p = self.p
-        if j % 2 == 0 or not 3 <= j <= p - 2:
-            raise ValueError(f"offsets must be odd in 3..p-2, got {j}")
-        c, cuts = voronoi_fold(p, j)
-        if c not in self._rungs or self._rungs[c][3] > j:
-            cuts = [0, *cuts]
-            inv = inverse_range(cuts[-1], p)
-            self._rungs[c] = (cuts, [v * v % p for v in inv], inv, 1)
-        cuts, sq, powers, exp = self._rungs[c]
-        for _ in range((j - exp) // 2):
-            powers = [a * b % p for a, b in zip(powers, sq)]
-        self._rungs[c] = (cuts, sq, powers, j)
-        run = total = 0
-        for lo, hi in zip(cuts, cuts[1:]):
-            run += sum(powers[lo + 1 : hi + 1])
-            total += run
-        return voronoi_bernoulli(p, j, c, total)
-
-
-def voronoi_fold(p: int, j: int) -> tuple[int, list[int]]:
-    """The c of VoronoiLadder's congruence at the odd offset j, and its cuts
-    floor(i p / c) for i = 1..(c-1)/2: c = 3 unless 3^(j-1) == 1 (mod p)."""
     c = 3
     while (c - pow(c, j, p)) % p == 0:
         c += 2

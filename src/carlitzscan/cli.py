@@ -236,53 +236,51 @@ def write_records(records: list[cg.CongruenceCheck], fmt: str, out) -> None:
 
 def _oracle_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
     """The power sums the verdicts read (from the range's moments) against
-    direct powers for a <= 10 and exact binomials for a <= 5, then the
-    moments against the per-prime half-row sweep."""
+    direct powers for a <= 10 and exact binomials for a <= 5.  S_a =
+    1 + a M1 + C(a,2) M2 + C(a,3) M3 is unit-triangular in M1..M3 over
+    a = 1..3, so those three fix the moments themselves."""
     direct = cg.lhs_power_sums_batch(p, 10)
     for a in range(1, 11):
         lhs = cg.moment_power_sum(p, a, moments)
         if lhs != direct[a] or (a <= 5 and lhs != cg.lhs_power_sum_exact(p, a)):
             return f"power_sum(p={p}, a={a})"
-    if moments != cg.binomial_moments(p):
-        return f"moments(p={p})"
     return None
 
 
 def _oracle_central4(p: int, central4: int) -> "str | None":
-    """The range's sweep against the per-prime kernel and exact binomials."""
+    """The range's sweep against exact binomials."""
     mid = (p - 1) // 2
-    if central4 != rs.signed_central_binomial(p, 4) or central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
+    if central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
         return f"central_binomial(p={p}, e=4)"
     return None
 
 
+def _bernoulli_disagreement(p: int, j: int, value: int, name: str) -> "str | None":
+    """`name` unless `value` is B_(p-j) mod p by power-sum extraction, which
+    is compared with the exact recurrence first where p - j <= BERNOULLI_CAP."""
+    want = bn.bernoulli_mod_p(p, p - j)
+    if p - j <= bn.BERNOULLI_CAP:
+        b = bn.bernoulli_exact(p - j)
+        if want != b.numerator * pow(b.denominator, -1, p) % p:
+            return f"bernoulli_mod_p(p={p}, index={p - j})"
+    return None if value == want else name
+
+
 def _oracle_bern(p: int, bern: dict[int, int]) -> "str | None":
-    """Each B_(p-j) built against power-sum extraction, and that against
-    the exact recurrence where p - j <= BERNOULLI_CAP; then the offsets
-    j >= 5, which the range's inverse-power sweep gives, against the
-    per-prime Voronoi ladder."""
-    for j, v in sorted(bern.items()):
-        want = bn.bernoulli_mod_p(p, p - j)
-        if p - j <= bn.BERNOULLI_CAP:
-            b = bn.bernoulli_exact(p - j)
-            if want != b.numerator * pow(b.denominator, -1, p) % p:
-                return f"bernoulli_mod_p(p={p}, index={p - j})"
-        if v != want:
-            return f"bern(p={p}, j={j})"
-    window = {j: v for j, v in bern.items() if j > 3}
-    if window != bn.bernoulli_window_mod_p(p, tuple(window)):
-        return f"bernoulli_window(p={p})"
-    return None
+    """The offsets against the odd j in 3..min(N_CAP + 1, p - 2) that lemma
+    2.1 reads, then each B_(p-j) against _bernoulli_disagreement's routes."""
+    if sorted(bern) != list(range(3, min(hm.N_CAP + 1, p - 2) + 1, 2)):
+        return f"bern_offsets(p={p})"
+    bad = (_bernoulli_disagreement(p, j, v, f"bern(p={p}, j={j})") for j, v in sorted(bern.items()))
+    return next(filter(None, bad), None)
 
 
 def _oracle_bpm3(p: int, bpm3: "int | None") -> "str | None":
-    """The range's sweep against the per-prime Voronoi kernel, then against
-    _oracle_bern's routes; p = 3 carries None (the checks use B_0 = 1)."""
+    """The range's sweep against _bernoulli_disagreement's routes; p = 3
+    carries None (the checks use B_0 = 1)."""
     if p == 3:
         return None if bpm3 is None else "bpm3(p=3)"
-    if bpm3 != bn.bernoulli_pm3_mod_p(p):
-        return f"bernoulli_pm3(p={p})"
-    return _oracle_bern(p, {3: bpm3})
+    return _bernoulli_disagreement(p, 3, bpm3, f"bernoulli_pm3(p={p})")
 
 
 def _oracle_q2(p: int, q2: int) -> "str | None":
@@ -292,28 +290,28 @@ def _oracle_q2(p: int, q2: int) -> "str | None":
 
 
 def _oracle_half_sums(p: int, half: hm.HalfSums) -> "str | None":
-    """The range's half-range sums against term-by-term inversion, then
-    against the per-prime sweep over one inverse table."""
+    """The range's half-range sums against term-by-term inversion, after
+    their exponents against the n = 2..min(N_CAP, p-2) lemma 2.1 reads."""
+    if sorted(half.hn) != list(range(2, min(hm.N_CAP, p - 2) + 1)):
+        return f"half_hn_keys(p={p})"
     if half.h1 != hm.naive_half_harmonic(p, 1, 3):
         return f"half_h1(p={p})"
     for n, v in half.hn.items():
         if v != hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1):
             return f"half_hn(p={p}, n={n})"
-    if half != hm.half_range_sums(p):
-        return f"half_sums(p={p})"
     return None
 
 
 def _oracle_even_sums(p: int, even: hm.EvenSums) -> "str | None":
-    """The range's even-index sums against the literal sums, then against
-    the per-prime sweep over one inverse table."""
+    """The range's even-index sums against the literal sums, after the
+    double sums' keys (s, t, e) against the three the checks read."""
+    if sorted(even.double) != [(1, 1, 2), (1, 2, 1), (2, 1, 1)]:
+        return f"even_double_keys(p={p})"
     for (s, t, e), v in even.double.items():
         if v != hm.naive_even_double(p, s, t, e):
             return f"even_double(p={p}, s={s}, t={t}, e={e})"
     if even.triple != hm.naive_even_triple(p):
         return f"even_triple(p={p})"
-    if even != hm.even_index_sums(p):
-        return f"even_sums(p={p})"
     return None
 
 

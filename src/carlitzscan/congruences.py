@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import TYPE_CHECKING
 
-from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range, reduce_rational
+from .residues import SWEEP_RUN, OddPrime, binom_pm1, reduce_rational
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -30,7 +30,6 @@ __all__ = [
     "CD_EXCLUDED",
     "COROLLARY_COEFFICIENTS",
     "theorem_coefficient",
-    "binomial_moments",
     "staver_sweep",
     "moment_power_sum",
     "lhs_power_sums_batch",
@@ -94,41 +93,6 @@ COROLLARY_COEFFICIENTS = {3: Fraction(5, 8), 4: Fraction(2), 5: Fraction(55, 12)
 def _sign_is_negative(a: int, k: int) -> bool:
     # (-1)^((a-1)k) is -1 iff a-1 and k are both odd
     return (a & 1) == 0 and (k & 1) == 1
-
-
-def binomial_moments(p: int) -> tuple[int, int, int]:
-    """(M1, M2, M3) mod p^4, where M_j = sum_{k=0}^{p-1} (-1)^k (u_k - 1)^j
-    and u_k = (-1)^k binomial(p-1, k).
-
-    u_k == 1 (mod p), so (u_k - 1)^j vanishes mod p^4 for j >= 4 and the
-    three moments give every alternating power sum (moment_power_sum).
-    One sweep over k = 1..(p-1)/2 by u_k = u_(k-1) (k - p) / k: the
-    terms at k and p-1-k are equal (p-1 is even), so each k below the
-    middle counts twice and the middle once.  u_0 = 1 adds nothing.
-    The oracle's second route for PrimeRange.moments.
-    """
-    p = int(OddPrime(p))
-    m = p**4
-    mid = (p - 1) // 2
-    inv = inverse_range(mid, m)
-    s1 = s2 = s3 = 0
-    u = 1
-    for k in range(1, mid + 1):
-        u = u * (k - p) % m * inv[k] % m
-        d = u - 1
-        d2 = d * d % m
-        d3 = d2 * d % m
-        if k & 1:
-            s1 -= d
-            s2 -= d2
-            s3 -= d3
-        else:
-            s1 += d
-            s2 += d2
-            s3 += d3
-    # each k < mid stands for itself and p-1-k; the middle term counts once
-    mid_sign = -1 if mid & 1 else 1
-    return tuple((2 * s - mid_sign * t) % m for s, t in ((s1, d), (s2, d2), (s3, d3)))
 
 
 def staver_sweep(primes) -> dict[int, int]:
@@ -263,14 +227,10 @@ def verify_carlitz(c: "PrimeContext") -> CongruenceCheck:
 
     (-1)^((p-1)/2) binomial(p-1, (p-1)/2)
         == 4^(p-1) + (1/12) p^3 B_(p-3)   (mod p^4).
+
+    The right side is rhs_theorem's at a = 2, where a(a-1)(3a-4)/48 = 1/12.
     """
-    p = c.p
-    m = p**4
-    if p == 3:
-        corr = reduce_rational(Fraction(27, 12), p, 4)
-    else:
-        corr = reduce_rational(Fraction(c.bpm3 * p**3, 12), p, 4)
-    return _check("carlitz", p, (), m, c.central4, (pow(4, p - 1, m) + corr) % m)
+    return _check("carlitz", c.p, (), c.p**4, c.central4, rhs_theorem(c.p, 2, c.bpm3))
 
 
 def verify_cai_granville(c: "PrimeContext", a: int) -> CongruenceCheck:

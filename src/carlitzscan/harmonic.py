@@ -5,12 +5,12 @@ largest index (EvenSums) come from two sweeps over a chunk of primes at
 once: inverse_power_sweep, which also yields lemma 2.1's Bernoulli
 window, and even_index_sweep.  The single sums over even k are the
 half-range sums scaled by 2^-n, so neither sweep sums them again.  The
-per-prime sweeps over linear inverse tables (half_range_sums,
-even_index_sums) and the naive loops (builtin modular inversion) are
-the oracle's routes.  The verify_* functions read those sums from a
-context.PrimeContext and compare them with their closed forms, which
-involve the Fermat quotient q2 = (2^(p-1)-1)/p and Bernoulli residues
-mod p (also read from the context).
+naive loops (builtin modular inversion) are the oracle's routes, and
+even_index_sums, a per-prime sweep over an inverse table, is the tests'
+reference where the naive sums are too slow.  The verify_* functions
+read those sums from a context.PrimeContext and compare them with their
+closed forms, which involve the Fermat quotient q2 = (2^(p-1)-1)/p and
+Bernoulli residues mod p (also read from the context).
 """
 
 from collections import defaultdict
@@ -29,7 +29,6 @@ __all__ = [
     "EvenSums",
     "inverse_power_sweep",
     "even_index_sweep",
-    "half_range_sums",
     "even_index_sums",
     "naive_half_harmonic",
     "naive_even_single",
@@ -88,7 +87,7 @@ def _power_sums(es: list[int], m: int) -> list[int]:
 
 
 def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
-    """(half_range_sums(p), {j: B_(p-j) mod p for lemma 2.1's offsets j >= 5})
+    """(the half-range sums, {j: B_(p-j) mod p for lemma 2.1's offsets j >= 5})
     for each prime p >= 5 of `primes`, from one sweep.
 
     The power sums of 1/1, ..., 1/x follow by Newton's identities from the
@@ -96,10 +95,10 @@ def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
     c_(j-1)(x-1) and c_0 = x! are free of p, so one sweep of c_0..c_13 over
     x, multiplying by x only, serves every p.  It is read at x = (p-1)/2
     for the half-range sums, and at voronoi_fold's cuts (x = p // 3 but at
-    p = 13, 41, 61, 73) for the window, as VoronoiLadder reads them.  c_0
-    and c_1 are kept modulo the product of the p^3 (h1 is read mod p^3),
-    c_2..c_12 modulo the product of the p^2 and c_13 modulo that of the
-    primes, and a p leaves the products once read.
+    p = 13, 41, 61, 73) for the window.  c_0 and c_1 are kept modulo the
+    product of the p^3 (h1 is read mod p^3), c_2..c_12 modulo the product
+    of the p^2 and c_13 modulo that of the primes, and a p leaves the
+    products once read.
     """
     primes = sorted({_validate(OddPrime(p)) for p in primes})
     top = N_CAP + 1
@@ -191,23 +190,6 @@ def even_index_sweep(primes) -> dict[int, EvenSums]:
     return out
 
 
-def half_range_sums(p: int) -> HalfSums:
-    """The half-range sums from one inverse table of 1..(p-1)/2: a ladder of
-    list products turns the (n-1)-th powers of the inverses into the n-th.
-    The oracle's second route for inverse_power_sweep."""
-    p = _validate(OddPrime(p))
-    m3, m2 = p**3, p * p
-    inv3 = inverse_range((p - 1) // 2, m3)
-    h1 = sum(inv3) % m3
-    base = powers = [v % m2 for v in inv3]
-    del inv3  # the ladder reads the table mod p^2 only
-    hn = {}
-    for n in range(2, min(N_CAP, p - 2) + 1):
-        powers = [a * b % m2 for a, b in zip(powers, base)]
-        hn[n] = sum(powers) % (m2 if n % 2 == 0 else p)
-    return HalfSums(h1, hn)
-
-
 def even_index_sums(p: int) -> EvenSums:
     """The even-largest-index sums in one sweep over an inverse table of 1..p-1.
 
@@ -215,7 +197,11 @@ def even_index_sums(p: int) -> EvenSums:
     after it.  Running prefixes of 1/j mod p^2 and 1/j^2 mod p feed the
     terms at each even k; the triple sum uses sum_{i<j<=x} 1/(ij) =
     ((sum 1/i)^2 - sum 1/i^2) / 2.  The accumulators are reduced once,
-    at the end.  The oracle's second route for even_index_sweep.
+    at the end.
+
+    The tests' reference for even_index_sweep at every prime up to 3000:
+    the naive triple sum is quadratic per prime, too slow there.  The
+    oracle compares the sweep with the naive sums, p <= 1000.
     """
     p = _validate(OddPrime(p))
     m2 = p * p

@@ -16,7 +16,6 @@ __all__ = [
     "reduce_rational",
     "binom_pm1",
     "binom_pm1_naive",
-    "signed_central_binomial",
     "signed_central_binomials",
     "symmetric_inverse_sums",
     "symmetric_inverse_sums_naive",
@@ -127,25 +126,6 @@ def binom_pm1_naive(p: int, e: int) -> list[int]:
     return [comb(p - 1, k) % m for k in range(p)]
 
 
-def signed_central_binomial(p: int, e: int) -> int:
-    """(-1)^((p-1)/2) * binomial(p-1, (p-1)/2) mod p^e, in O(p) multiplications.
-
-    Numerator and denominator products are accumulated separately so a
-    single inversion suffices.
-    """
-    p = int(OddPrime(p))
-    if not 1 <= e <= 4:
-        raise ValueError(f"exponent must be in 1..4, got {e}")
-    m = p**e
-    mid = (p - 1) // 2
-    num = den = 1
-    for k in range(1, mid + 1):
-        num = num * (p - k) % m
-        den = den * k % m
-    c = num * pow(den, -1, m) % m
-    return c if mid % 2 == 0 else (m - c) % m
-
-
 _FACTOR_RUN = 16  # factors multiplied as small ints before each reduction mod the big modulus
 # steps a chunk-wide sweep takes between reductions of its state mod the
 # chunk's products: each step multiplies by small ints only, so the state
@@ -154,7 +134,8 @@ SWEEP_RUN = 8
 
 
 def signed_central_binomials(primes) -> dict[int, int]:
-    """signed_central_binomial(p, 4) for each odd prime p of `primes`, from one sweep.
+    """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4 for each odd prime p of
+    `primes`, from one sweep.
 
     (-1)^mid C(p-1, mid) = (-1)^mid (p-1)! / mid!^2 with mid = (p-1)/2, so
     one running k! modulo the product of the p^4, read at k = mid and at

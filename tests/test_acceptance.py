@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from carlitzscan.bernoulli import bernoulli_exact, bernoulli_pm3_mod_p
+from carlitzscan.bernoulli import bernoulli_exact, bernoulli_pm3_mod_primes
 from carlitzscan.cli import ScanConfig, run_oracle_quantities, sieve_odd_primes
 from carlitzscan.congruences import (
     COROLLARY_COEFFICIENTS,
@@ -63,8 +63,10 @@ def test_criterion_01_theorem_sweep(oracle_gate):
     t0 = time.perf_counter()
     failures = []
     primes = sieve_odd_primes(3, THEOREM_P_MAX)
+    # B_(p-3) from the range's sweep, a chunk of CHUNK primes at a time
+    bpm3s = {ctx.p: ctx.bpm3 for ctx in scan_contexts(primes)}
     for p in primes:
-        bpm3 = bernoulli_pm3_mod_p(p) if p >= 5 else None
+        bpm3 = bpm3s[p]
         lhs = lhs_power_sums_batch(p, 10)
         for a in range(1, 11):
             if lhs[a] != rhs_theorem(p, a, bpm3):
@@ -116,7 +118,7 @@ def test_criterion_03_spot_values_with_local_oracle():
     assert x.numerator * pow(x.denominator, -1, 625) % 625 == 6
 
     ok = (
-        lhs_power_sums_batch(5, 3)[3] == rhs_theorem(5, 3, bernoulli_pm3_mod_p(5)) == 346
+        lhs_power_sums_batch(5, 3)[3] == rhs_theorem(5, 3, PrimeContext(5).bpm3) == 346
         and lhs_power_sums_batch(3, 2)[2] == rhs_theorem(3, 2, None) == 79
         and verify_carlitz(PrimeContext(5)).lhs == verify_carlitz(PrimeContext(5)).rhs == 6
     )
@@ -201,10 +203,12 @@ def test_criterion_08_exact_identities():
 def test_criterion_09_bernoulli_two_routes():
     failures = []
     primes = sieve_odd_primes(5, 199)
+    # B_(p-3) by Voronoi's congruence, from one sweep over the primes
+    bpm3 = bernoulli_pm3_mod_primes(primes)
     for p in primes:
         b = bernoulli_exact(p - 3)
         want = b.numerator * pow(b.denominator, -1, p) % p
-        if bernoulli_pm3_mod_p(p) != want:
+        if bpm3.get(p) != want:
             failures.append(p)
     ok = not failures
     report(9, ok, f"Voronoi's congruence equals exact recurrence at "

@@ -8,12 +8,12 @@ from carlitzscan.bernoulli import (
     BERNOULLI_CAP,
     bernoulli_exact,
     bernoulli_mod_p,
-    bernoulli_pm3_mod_p,
-    bernoulli_window_mod_p,
+    bernoulli_pm3_mod_primes,
     fermat_quotient_2,
     power_sum_mod,
     smallest_prime_factors,
 )
+from carlitzscan.context import CHUNK, PrimeContext, PrimeRange
 from carlitzscan.residues import is_odd_prime
 
 PRIMES_TO_61 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61]
@@ -69,10 +69,9 @@ def test_power_sum_mod_matches_direct():
 
 
 def test_bernoulli_mod_p_known_values():
-    assert bernoulli_pm3_mod_p(5) == 1
-    assert bernoulli_pm3_mod_p(7) == 3
-    assert bernoulli_pm3_mod_p(11) == 4
-    assert bernoulli_pm3_mod_p(13) == 5
+    known = {5: 1, 7: 3, 11: 4, 13: 5}  # B_(p-3) mod p
+    assert bernoulli_pm3_mod_primes(known) == known
+    assert {p: bernoulli_mod_p(p, p - 3) for p in known} == known
 
 
 def test_bernoulli_mod_p_matches_exact_recurrence():
@@ -103,19 +102,10 @@ def test_power_sum_divisibility_backing_the_extraction():
 def test_bernoulli_window_matches_single_extractions():
     for p in (11, 13, 31, 61, 101):
         offsets = [j for j in range(3, 14, 2) if j <= p - 2]
-        window = bernoulli_window_mod_p(p, offsets)
+        window = PrimeContext(p).bern
         assert sorted(window) == sorted(offsets)
         for j in offsets:
             assert window[j] == bernoulli_mod_p(p, p - j), (p, j)
-
-
-def test_bernoulli_window_validation():
-    with pytest.raises(ValueError):
-        bernoulli_window_mod_p(11, [4])
-    with pytest.raises(ValueError):
-        bernoulli_window_mod_p(11, [11])
-    with pytest.raises(ValueError):
-        bernoulli_window_mod_p(3, [3])
 
 
 def test_fermat_quotient_2_known_values():
@@ -154,14 +144,24 @@ def _odd_primes_to(n):
     return [p for p in range(5, n + 1, 2) if is_odd_prime(p)]
 
 
-def test_voronoi_window_matches_power_sum_extraction_to_3000():
-    # the fast path (Voronoi's congruence) against the oracle route, for
-    # every window offset the harmonic checks read
-    for p in _odd_primes_to(3000):
+def _range_windows(primes) -> dict:
+    """B_(p-j) mod p for lemma 2.1's offsets j at each prime, as the range's
+    sweeps give them to verify: one PrimeRange per chunk of CHUNK primes."""
+    windows = {}
+    for i in range(0, len(primes), CHUNK):
+        r = PrimeRange(primes[i : i + CHUNK])
+        windows.update({p: {3: r.bpm3[p], **r.inverse_powers[p][1]} for p in r.primes})
+    return windows
+
+
+def test_voronoi_window_matches_power_sum_extraction_to_3000(bernoulli_window):
+    # the fast path (Voronoi's congruence, in the range's sweeps) against
+    # the oracle route, power-sum extraction, for every window offset the
+    # harmonic checks read
+    for p, window in _range_windows(_odd_primes_to(3000)).items():
         offsets = [j for j in range(3, 14, 2) if j <= p - 2]
-        window = bernoulli_window_mod_p(p, offsets)
-        for j in offsets:
-            assert window[j] == bernoulli_mod_p(p, p - j), (p, j)
+        assert sorted(window) == offsets, p
+        assert window == bernoulli_window(p), p
 
 
 def test_voronoi_fallback_primes():
@@ -174,20 +174,21 @@ def test_voronoi_fallback_primes():
         if pow(3, j - 1, p) == 1
     }
     assert degenerate == {(13, 7), (41, 9), (61, 11), (73, 13)}
+    windows = _range_windows(sorted({p for p, _ in degenerate}))
     for p, j in sorted(degenerate):
-        assert bernoulli_window_mod_p(p, [j]) == {j: bernoulli_mod_p(p, p - j)}
+        assert windows[p][j] == bernoulli_mod_p(p, p - j)
         b = bernoulli_exact(p - j)
-        assert bernoulli_window_mod_p(p, [j])[j] == b.numerator * pow(b.denominator, -1, p) % p
+        assert windows[p][j] == b.numerator * pow(b.denominator, -1, p) % p
 
 
 def test_wolstenholme_prime_16843_both_routes():
-    assert bernoulli_pm3_mod_p(16843) == 0
+    assert bernoulli_pm3_mod_primes([16843]) == {16843: 0}
     assert bernoulli_mod_p(16843, 16840) == 0
 
 
 def test_wolstenholme_prime_2124679_voronoi():
     # McIntosh and Roettger, Math. Comp. 76 (2007)
-    assert bernoulli_pm3_mod_p(2124679) == 0
+    assert bernoulli_pm3_mod_primes([2124679]) == {2124679: 0}
 
 
 def test_wieferich_primes_q2_vanishes():

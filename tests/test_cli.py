@@ -357,6 +357,62 @@ def test_oracle_reads_the_u_sums_behind_the_verdicts(monkeypatch):
     assert run_oracle_quantities(cfg) == "cd(p=13, eps=1, a=1, b=1)"
 
 
+def test_oracle_reads_the_bernoulli_residue_behind_the_verdicts(monkeypatch):
+    # shift the range's B_(p-3) by 1 at p = 13: carlitz and both lemma 2.2
+    # sums read it, and the oracle must see it through power-sum extraction
+    fast = bn.bernoulli_pm3_mod_primes
+
+    def corrupted(primes):
+        values = fast(primes)
+        if 13 in values:
+            values[13] = (values[13] + 1) % 13
+        return values
+
+    monkeypatch.setattr(bn, "bernoulli_pm3_mod_primes", corrupted)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("carlitz", "lemma_2_2"))
+    records, code = run_verify(cfg)
+    assert code == 1
+    bad = [(r.p, r.identity) for r in records if not r.verdict]
+    assert bad == [(13, "carlitz"), (13, "lemma_2_2_a"), (13, "lemma_2_2_b")]
+    assert run_oracle_quantities(cfg) == "bernoulli_pm3(p=13)"
+
+
+@pytest.mark.parametrize("damage, failing, name", [
+    ("hn_value", [(4,)], "half_hn(p=13, n=4)"),
+    ("window_value", [(4,), (5,)], "bern(p=13, j=5)"),
+    ("hn_key", [], "half_hn_keys(p=13)"),
+], ids=["hn_value", "window_value", "hn_key"])
+def test_oracle_reads_the_half_sums_behind_the_verdicts(monkeypatch, damage, failing, name):
+    # damage the range's inverse-power sweep at p = 13 in one of three
+    # ways.  A wrong value fails the lemma 2.1 records that read it; a
+    # dropped exponent drops its record and fails none, so the oracle's
+    # key check is what catches it
+    fast = hm.inverse_power_sweep
+
+    def corrupted(primes):
+        values = fast(primes)
+        if 13 in values:
+            half, window = values[13]
+            if damage == "hn_value":
+                half.hn[4] = (half.hn[4] + 13) % 13**2
+            elif damage == "window_value":
+                window[5] = (window[5] + 1) % 13
+            else:
+                del half.hn[11]
+        return values
+
+    monkeypatch.setattr(hm, "inverse_power_sweep", corrupted)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1",))
+    records, code = run_verify(cfg)
+    assert code == (1 if failing else 0)
+    assert [(r.p, r.identity, r.params) for r in records if not r.verdict] == [
+        (13, "lemma_2_1_ii", n) for n in failing
+    ]
+    kept = {r.params[0] for r in records if r.p == 13 and r.identity == "lemma_2_1_ii"}
+    assert kept == set(range(2, 11 if damage == "hn_key" else 12))
+    assert run_oracle_quantities(cfg) == name
+
+
 def test_every_context_field_has_one_oracle(monkeypatch):
     fields = {name for name, v in vars(PrimeContext).items() if isinstance(v, cached_property)}
     assert fields == set(cli._ORACLE_FUNCS)
@@ -375,9 +431,12 @@ def test_every_context_field_has_one_oracle(monkeypatch):
 def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     # the context is the only producer: no check computes a quantity
     # itself, each PrimeRange sweep yields one value per prime and field,
-    # each u-sum is built once, on its first read, and the per-prime
-    # kernels run only as the oracle's second routes, once per prime
+    # each u-sum is built once, on its first read, and the naive routes
+    # run only under the oracle, once per prime and argument.  B_(p-3) is
+    # held by two fields (bpm3 and bern[3]), each compared with power-sum
+    # extraction, so the offsets extracted are recorded, not counted
     calls = Counter()
+    extracted = set()
 
     def count(mod, name):
         fn = getattr(mod, name)
@@ -400,41 +459,42 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
 
     sweeps = ((cg, "staver_sweep"), (rs, "signed_central_binomials"), (bn, "bernoulli_pm3_mod_primes"),
               (hm, "inverse_power_sweep"), (hm, "even_index_sweep"))
-    kernels = ((cg, "binomial_moments"), (rs, "signed_central_binomial"), (hm, "half_range_sums"),
-               (hm, "even_index_sums"))
+    naive = ((cg, "lhs_power_sums_batch"), (cg, "lhs_power_sum_exact"), (hm, "naive_half_harmonic"),
+             (hm, "naive_even_double"), (hm, "naive_even_triple"))
     for mod, name in sweeps:
         count_sweep(mod, name)
-    for mod, name in kernels + ((bn, "fermat_quotient_2"), (cg, "chamberland_dilcher_u")):
+    for mod, name in naive + ((bn, "fermat_quotient_2"), (cg, "chamberland_dilcher_u")):
         count(mod, name)
-    ladder = bn.VoronoiLadder.__call__
+    extraction = bn.bernoulli_mod_p
 
-    def counted_ladder(self, j):
-        calls["bern", self.p, (j,)] += 1
-        return ladder(self, j)
+    def recorded_extraction(p, index):
+        extracted.add((p, p - index))
+        return extraction(p, index)
 
-    monkeypatch.setattr(bn.VoronoiLadder, "__call__", counted_ladder)
+    monkeypatch.setattr(bn, "bernoulli_mod_p", recorded_extraction)
     per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
     no_lemma_2_1 = tuple(t for t in per_prime if not t.startswith("lemma_2_1"))
     primes = set(sieve_odd_primes(3, 200))
     # the moments (from W and the central binomial) and the central binomial
     # are read at p = 3 too, the rest from p = 5
-    from_3 = {"staver_sweep", "signed_central_binomials", "binomial_moments", "signed_central_binomial"}
+    from_3 = {"staver_sweep", "signed_central_binomials", "lhs_power_sums_batch", "lhs_power_sum_exact"}
     always = {"staver_sweep", "signed_central_binomials", "bernoulli_pm3_mod_primes",
               "even_index_sweep", "fermat_quotient_2"}
     # without lemma_2_1 no inverse-power sweep runs; the oracle under
-    # --oracle-cap compares the scan's own contexts with the per-prime
-    # kernels, the ladder at offset 3 (B_(p-3)) and at lemma 2.1's
+    # --oracle-cap compares the scan's own contexts with the naive routes,
+    # power-sum extraction at offset 3 (B_(p-3)) and at lemma 2.1's
     # offsets 5..13 (the window)
     for tags, keys, offsets, cap in (
         (DEFAULT_IDENTITIES, {"inverse_power_sweep"}, set(), 0),
         (no_lemma_2_1, {"chamberland_dilcher_u"}, set(), 0),
-        (DEFAULT_IDENTITIES, {"inverse_power_sweep", "bern"} | {name for _, name in kernels}, set(range(3, 14, 2)), 200),
+        (DEFAULT_IDENTITIES, {"inverse_power_sweep"} | {name for _, name in naive}, set(range(3, 14, 2)), 200),
     ):
         calls.clear()
+        extracted.clear()
         records, code = run_verify(ScanConfig(p_max=200, identities=tags, oracle_cap=cap))
         assert code == 0 and records
         assert {key for key, _, _ in calls} == always | keys
-        assert {args[0] for key, _, args in calls if key == "bern"} == offsets
+        assert extracted == {(p, j) for p in primes - {3} for j in offsets if j <= p - 2}
         for key in {key for key, _, _ in calls}:
             assert {p for name, p, _ in calls if name == key} == (primes if key in from_3 else primes - {3}), key
         assert max(calls.values()) == 1
@@ -443,7 +503,7 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
 def test_lemma_2_1_reads_any_offset_after_bpm3():
     # B_(p-3) read first no longer fixes which offsets the context holds
     ctx = PrimeContext(31)
-    assert ctx.bpm3 == bn.bernoulli_pm3_mod_p(31)
+    assert ctx.bpm3 == bn.bernoulli_mod_p(31, 28)
     assert hm.verify_lemma_2_1(ctx) == hm.verify_lemma_2_1(PrimeContext(31))
 
 
@@ -488,19 +548,15 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
 
 
 def test_verify_never_builds_the_oracle_routes(monkeypatch):
-    # the binomial row, the direct powers and the per-prime kernels (the
-    # moments, the central binomial, B_(p-3), the Bernoulli window and the
-    # two harmonic sweeps) belong to the oracle only
+    # the binomial row, the direct powers, power-sum extraction and the
+    # per-prime sweep over an inverse table belong to the oracle and the
+    # tests only: every B_(p-j) and every harmonic sum comes from the range
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle route reached from verify")
 
     for mod, name in ((rs, "binom_pm1"), (cg, "binom_pm1"), (cg, "lhs_power_sums_batch"),
-                      (rs, "signed_central_binomial"), (bn, "bernoulli_pm3_mod_p"),
-                      (cg, "binomial_moments"), (hm, "half_range_sums"), (hm, "even_index_sums"),
-                      (bn, "bernoulli_window_mod_p")):
+                      (hm, "even_index_sums"), (bn, "bernoulli_mod_p"), (bn, "power_sum_mod")):
         monkeypatch.setattr(mod, name, forbidden)
-    # every B_(p-j) comes from the range, so no ladder is asked for any offset
-    monkeypatch.setattr(bn.VoronoiLadder, "__call__", forbidden)
     records, code = run_verify(ScanConfig(p_max=60, identities=tuple(cli.IDENTITIES), n_max=5))
     assert code == 0 and records
 

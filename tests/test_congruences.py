@@ -7,7 +7,6 @@ from math import comb
 
 import pytest
 
-from carlitzscan.bernoulli import bernoulli_pm3_mod_p
 from carlitzscan.congruences import (
     CD_EXCLUDED,
     COROLLARY_COEFFICIENTS,
@@ -15,7 +14,6 @@ from carlitzscan.congruences import (
     ExcludedTriple,
     alternating_square_sum,
     alternating_square_sum_printed_limit,
-    binomial_moments,
     chamberland_dilcher_exact,
     chamberland_dilcher_u,
     exact_identity_1_3,
@@ -35,8 +33,7 @@ from carlitzscan.congruences import (
     verify_theorem_1_1,
 )
 from carlitzscan.cli import sieve_odd_primes
-from carlitzscan.context import PrimeContext
-from carlitzscan.residues import is_odd_prime, signed_central_binomial
+from carlitzscan.context import PrimeContext, PrimeRange
 
 SMALL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -50,7 +47,7 @@ def test_lhs_power_sum_frozen_values():
 @pytest.mark.parametrize("p", [3, 5, 7, 101, 1009, 1093, 10007])
 def test_moment_route_matches_direct_powers(p):
     # p = 3 has an odd middle index; 1093 is a Wieferich prime
-    moments = binomial_moments(p)
+    moments = PrimeContext(p).moments
     assert all(mj % p**j == 0 for j, mj in enumerate(moments, 1))
     direct = lhs_power_sums_batch(p, 40)
     for a in range(1, 41):
@@ -105,9 +102,10 @@ def test_moment_verdicts_at_vanishing_bernoulli_prime():
 
 
 def test_rhs_theorem_frozen_values():
-    assert rhs_theorem(5, 3, bernoulli_pm3_mod_p(5)) == 346
+    bpm3 = PrimeContext(5).bpm3
+    assert rhs_theorem(5, 3, bpm3) == 346
     assert rhs_theorem(3, 2, None) == 79
-    assert rhs_theorem(5, 1, bernoulli_pm3_mod_p(5)) == 16
+    assert rhs_theorem(5, 1, bpm3) == 16
 
 
 def test_rhs_theorem_matches_the_exact_rational_correction():
@@ -115,7 +113,7 @@ def test_rhs_theorem_matches_the_exact_rational_correction():
     # rational a(a-1)(3a-4)/48 * p^3 B_(p-3), reduced mod p^4, is the same,
     # every residue of B_(p-3) mod p included
     for p in (5, 7, 11, 13, 101):
-        for bpm3 in {0, 1, p - 1, bernoulli_pm3_mod_p(p)}:
+        for bpm3 in {0, 1, p - 1, PrimeContext(p).bpm3}:
             for a in range(1, 30):
                 exact = pow(2, a * (p - 1)) + theorem_coefficient(a) * bpm3 * p**3
                 want = exact.numerator * pow(exact.denominator, -1, p**4) % p**4
@@ -143,12 +141,13 @@ def test_power_sum_a1_is_trivial():
         assert lhs_power_sum_exact(p, 1) == pow(2, p - 1, p**4)
 
 
-def test_power_sum_a2_equals_signed_central_binomial():
+def test_power_sum_a2_equals_the_central_binomial_sweep():
     # the alternating square sum telescopes to one signed central
-    # binomial coefficient, so the two fast paths must agree exactly
-    for p in range(3, 102, 2):
-        if is_odd_prime(p):
-            assert lhs_power_sums_batch(p, 2)[2] == signed_central_binomial(p, 4), p
+    # binomial coefficient, so the direct powers and the range's sweep
+    # must agree exactly
+    central4 = PrimeRange(sieve_odd_primes(3, 101)).central4
+    for p, c in central4.items():
+        assert lhs_power_sums_batch(p, 2)[2] == c, p
 
 
 def test_theorem_coefficient_values():
@@ -180,7 +179,7 @@ def test_rhs_reduces_to_power_of_two_mod_p3():
     # dropping the p^3 correction term recovers the mod-p^3 statement
     for p in (5, 7, 11, 31):
         for a in range(1, 9):
-            assert rhs_theorem(p, a, bernoulli_pm3_mod_p(p)) % p**3 == pow(2, a * (p - 1), p**3), (p, a)
+            assert rhs_theorem(p, a, PrimeContext(p).bpm3) % p**3 == pow(2, a * (p - 1), p**3), (p, a)
 
 
 def test_verify_corollary_matches_theorem():

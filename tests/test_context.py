@@ -1,13 +1,13 @@
-"""Tests for the chunk-wide sweeps of PrimeRange against the per-prime kernels."""
+"""Tests for the chunk-wide sweeps of PrimeRange against one reference route per field."""
 
 import tracemalloc
+from math import comb
 
 import pytest
 
 from carlitzscan import bernoulli as bn
 from carlitzscan import congruences as cg
 from carlitzscan import harmonic as hm
-from carlitzscan import residues as rs
 from carlitzscan.cli import sieve_odd_primes
 from carlitzscan.context import PrimeContext, PrimeRange
 
@@ -15,44 +15,61 @@ PRIMES_TO_3000 = sieve_odd_primes(3, 3000)
 FALLBACK_PRIMES = (13, 41, 61, 73)  # where 3^(j-1) == 1 (mod p) for a window offset j
 
 
-def per_prime(p: int) -> dict:
-    """Each PrimeRange field's value at p by its per-prime kernel; the
-    fields stated for p >= 5 are left out at p = 3."""
-    values = {"moments": cg.binomial_moments(p), "central4": rs.signed_central_binomial(p, 4)}
+def per_prime(p: int, bernoulli_window) -> dict:
+    """Each PrimeRange field's value at p by its reference route, the
+    Bernoulli residues from the bernoulli_window fixture; the fields
+    stated for p >= 5 are left out at p = 3.  The moments enter as
+    the power sums S_1..S_3 by direct powers: S_a = 1 + a M1 + C(a,2) M2 +
+    C(a,3) M3 is unit-triangular in M1..M3, so the three fix the moments.
+    The even-index sums come from even_index_sums, since the naive triple
+    sum is quadratic per prime."""
+    mid = (p - 1) // 2
+    values = {"moments": tuple(cg.lhs_power_sums_batch(p, 3)[1:]), "central4": (-1) ** mid * comb(p - 1, mid) % p**4}
     if p > 3:
-        offsets = range(5, min(hm.N_CAP + 1, p - 2) + 1, 2)
-        values["bpm3"] = bn.bernoulli_pm3_mod_p(p)
-        values["inverse_powers"] = (hm.half_range_sums(p), bn.bernoulli_window_mod_p(p, offsets))
+        half = hm.HalfSums(
+            hm.naive_half_harmonic(p, 1, 3),
+            {n: hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1) for n in range(2, min(hm.N_CAP, p - 2) + 1)},
+        )
+        window = dict(bernoulli_window(p))
+        values["bpm3"] = window.pop(3)
+        values["inverse_powers"] = (half, window)
         values["even_sums"] = hm.even_index_sums(p)
     return values
 
 
 def range_values(r: PrimeRange) -> dict:
     """per_prime's layout, read from the range's fields."""
-    return {p: {name: getattr(r, name)[p] for name in per_prime(3 if p == 3 else 5)} for p in r.primes}
+    def read(name, p):
+        value = getattr(r, name)[p]
+        return tuple(cg.moment_power_sum(p, a, value) for a in (1, 2, 3)) if name == "moments" else value
+
+    def names(p):
+        return ("moments", "central4", *(("bpm3", "inverse_powers", "even_sums") if p > 3 else ()))
+
+    return {p: {name: read(name, p) for name in names(p)} for p in r.primes}
 
 
 @pytest.fixture(scope="module")
-def kernels():
-    """The per-prime routes at every odd prime <= 3000."""
-    return {p: per_prime(p) for p in PRIMES_TO_3000}
+def references(bernoulli_window):
+    """The reference routes at every odd prime <= 3000."""
+    return {p: per_prime(p, bernoulli_window) for p in PRIMES_TO_3000}
 
 
 @pytest.mark.parametrize("size", [1, 7, 128])
-def test_range_matches_the_per_prime_kernels(kernels, size):
+def test_range_matches_the_per_prime_kernels(references, size):
     for i in range(0, len(PRIMES_TO_3000), size):
         r = PrimeRange(PRIMES_TO_3000[i : i + size])
-        assert range_values(r) == {p: kernels[p] for p in r.primes}
+        assert range_values(r) == {p: references[p] for p in r.primes}
 
 
-def test_range_at_the_degenerate_primes():
+def test_range_at_the_degenerate_primes(bernoulli_window):
     # p = 3 has a central binomial and moments but no B_(p-3) (the checks
     # use B_0 = 1) and no harmonic sums; q2 == 0 (mod p) at the Wieferich
     # primes 1093 and 3511, and B_(p-3) == 0 (mod p) at the Wolstenholme
     # prime 16843
     special = (3, 1093, 3511, 16843)
     r = PrimeRange(special)
-    assert range_values(r) == {p: per_prime(p) for p in special}
+    assert range_values(r) == {p: per_prime(p, bernoulli_window) for p in special}
     assert r.bpm3[16843] == 0
     for p in special:
         alone = PrimeContext(p)
@@ -71,7 +88,7 @@ def test_range_at_the_degenerate_primes():
         PrimeRange([5, 9])
 
 
-def test_window_at_the_fallback_primes():
+def test_window_at_the_fallback_primes(bernoulli_window):
     # at these primes some offset's fold leaves c = 3 for a larger c, whose
     # cuts floor(i p / c) the inverse-power sweep reads beside p // 3
     for p in FALLBACK_PRIMES:
@@ -79,14 +96,14 @@ def test_window_at_the_fallback_primes():
         assert any(bn.voronoi_fold(p, j)[0] > 3 for j in offsets), p
     for chunk in (FALLBACK_PRIMES, (11, 13, 17), (37, 41, 43, 47), (59, 61, 67, 71, 73, 79)):
         r = PrimeRange(chunk)
-        assert range_values(r) == {p: per_prime(p) for p in chunk}
+        assert range_values(r) == {p: per_prime(p, bernoulli_window) for p in chunk}
 
 
 def test_sweeps_hold_no_list_of_p():
     # each sweep keeps a fixed number of residues modulo the chunk's
-    # products, so one prime peaks in kilobytes, where the per-prime
-    # kernels build inverse tables of p/2 to p entries (p = 20011 keeps
-    # tracemalloc, which slows the sweeps about 40-fold, to seconds)
+    # products, so one prime peaks in kilobytes, where a per-prime sweep
+    # over an inverse table (even_index_sums) holds p entries (p = 20011
+    # keeps tracemalloc, which slows the sweeps about 40-fold, to seconds)
     def peak(fn, arg) -> int:
         tracemalloc.start()
         try:
@@ -96,10 +113,9 @@ def test_sweeps_hold_no_list_of_p():
             tracemalloc.stop()
 
     p = 20011
-    for sweep, kernel in ((cg.staver_sweep, cg.binomial_moments), (hm.inverse_power_sweep, hm.half_range_sums),
-                          (hm.even_index_sweep, hm.even_index_sums)):
+    for sweep in (cg.staver_sweep, hm.inverse_power_sweep, hm.even_index_sweep):
         assert peak(sweep, [p]) < 16 * 1024, sweep.__name__
-        assert peak(kernel, p) > 256 * 1024, kernel.__name__
+    assert peak(hm.even_index_sums, p) > 256 * 1024
 
 
 def test_contexts_read_their_range():
@@ -115,7 +131,8 @@ def test_contexts_read_their_range():
 
 
 def test_bernoulli_window_holds_the_range_value():
-    # lemma 2.1's window takes j = 3 from the range and j >= 5 from one ladder
+    # lemma 2.1's window takes j = 3 from the range's B_(p-3) sweep and
+    # j >= 5 from its inverse-power sweep
     for p in (5, 7, 13, 41, 61, 73, 101):
         ctx = PrimeContext(p)
         top = min(13, p - 2)
@@ -124,8 +141,9 @@ def test_bernoulli_window_holds_the_range_value():
 
 
 def test_context_keeps_no_ladder():
-    # the window's ladder (lists of about p/3 ints) is dropped once built,
-    # and B_(p-3) comes from the range's sweep, which keeps one int per prime
+    # B_(p-3) and the window come from the range's sweeps, which keep a
+    # fixed number of residues and one int per prime and offset, never a
+    # list of about p/3 inverse powers
     tracemalloc.start()
     try:
         ctx = PrimeContext(100003)

@@ -8,7 +8,7 @@ import pytest
 from carlitzscan.context import PrimeContext
 from carlitzscan.harmonic import (
     even_index_sums,
-    half_range_sums,
+    inverse_power_sweep,
     naive_even_double,
     naive_even_single,
     naive_even_triple,
@@ -23,10 +23,15 @@ MEDIUM = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
           73, 79, 83, 89, 97, 101]
 
 
+def context_half_sums(p):
+    """The half-range sums at p as verify reads them, from a range of p alone."""
+    return PrimeContext(p).half_sums
+
+
 def test_half_harmonic_frozen_values():
-    assert half_range_sums(5).h1 == 64
-    assert half_range_sums(7).h1 % 7 == 3
-    assert half_range_sums(5).hn[2] % 5 == 0
+    assert context_half_sums(5).h1 == 64
+    assert context_half_sums(7).h1 % 7 == 3
+    assert context_half_sums(5).hn[2] % 5 == 0
 
 
 def test_even_sums_frozen_values():
@@ -40,7 +45,7 @@ def test_even_sums_frozen_values():
 
 def test_half_harmonic_matches_naive():
     for p in SMALL + [31]:
-        half = half_range_sums(p)
+        half = context_half_sums(p)
         assert half.h1 == naive_half_harmonic(p, 1, 3)
         assert set(half.hn) == set(range(2, min(13, p - 1)))
         for n, v in half.hn.items():
@@ -60,7 +65,7 @@ def even_single_from_half(p, half, n, e):
 
 def test_even_single_matches_naive():
     for p in SMALL:
-        half = half_range_sums(p)
+        half = context_half_sums(p)
         for n, e in EVEN_SINGLES:
             assert even_single_from_half(p, half, n, e) == naive_even_single(p, n, e), (p, n, e)
 
@@ -77,7 +82,7 @@ def test_even_triple_matches_naive():
 
 
 def test_validation_rejects_small_or_bad_args():
-    for sweep in (half_range_sums, even_index_sums):
+    for sweep in (lambda p: inverse_power_sweep([p]), even_index_sums):
         with pytest.raises(ValueError):
             sweep(3)
         with pytest.raises(ValueError):
@@ -88,7 +93,7 @@ def test_profile_matches_piecewise_functions():
     # every field of the profile against its own naive enumeration,
     # up to the oracle's cap of p <= 1000
     for p in SMALL + [29, 499, 997]:
-        half, even = half_range_sums(p), even_index_sums(p)
+        half, even = context_half_sums(p), even_index_sums(p)
         assert half.h1 == naive_half_harmonic(p, 1, 3)
         for n, v in half.hn.items():
             e = 2 if n % 2 == 0 else 1
@@ -101,7 +106,7 @@ def test_profile_matches_piecewise_functions():
 
 
 def test_profile_covers_the_shapes_the_closed_forms_need():
-    half, even = half_range_sums(11), even_index_sums(11)
+    half, even = context_half_sums(11), even_index_sums(11)
     for n, e in EVEN_SINGLES:
         assert even_single_from_half(11, half, n, e) == naive_even_single(11, n, e), (n, e)
     for key in [(1, 1, 2), (1, 2, 1), (2, 1, 1)]:

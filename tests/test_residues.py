@@ -16,7 +16,7 @@ from carlitzscan.residues import (
     inverse_range,
     is_odd_prime,
     reduce_rational,
-    signed_central_binomial,
+    signed_central_binomials,
     symmetric_inverse_sums,
     symmetric_inverse_sums_naive,
 )
@@ -127,11 +127,14 @@ def test_binom_pm1_symmetry():
 
 
 def test_signed_central_binomial_matches_comb():
-    for p in SMALL_PRIMES + [97, 101]:
+    # the range's sweep gives the value mod p^4, which fixes it mod each p^e
+    central4 = signed_central_binomials(SMALL_PRIMES + [97, 101])
+    assert sorted(central4) == SMALL_PRIMES + [97, 101]
+    for p, c in central4.items():
         mid = (p - 1) // 2
         for e in (1, 2, 3, 4):
             want = (-1) ** mid * comb(p - 1, mid) % p**e
-            assert signed_central_binomial(p, e) == want, (p, e)
+            assert c % p**e == want, (p, e)
 
 
 def test_symmetric_inverse_sums_known():
