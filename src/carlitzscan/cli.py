@@ -9,17 +9,24 @@ Subcommands:
 
 Exit codes: 0 all checks match, 1 any mismatch, 2 usage error, 3 I/O
 failure.  Reports are sorted by (p, identity, params) regardless of
-worker scheduling, so two runs of one configuration are byte-identical.
+worker scheduling, so two runs of one configuration are byte-identical,
+and written as the scan goes: each task formats the records of one chunk
+of primes, and the parent writes the tasks' text in order.
 """
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 from math import ceil, comb, isqrt
+from operator import attrgetter
 
 from . import bernoulli as bn
 from . import congruences as cg
@@ -31,7 +38,9 @@ __all__ = [
     "UsageError",
     "ScanConfig",
     "sieve_odd_primes",
+    "Report",
     "run_verify",
+    "write_records",
     "run_oracle",
     "main",
 ]
@@ -40,9 +49,13 @@ ORACLE_CAP_LIMIT = 1000
 # one prime's context peaks near 200 B per unit of p with every identity
 # selected (the u-sums' rows; the default set's chunk sweeps hold no list
 # of p, a few KB in all), so p <= 4 * 10^6 keeps it under
-# 1 GB; each --jobs worker holds one context at a time
+# 1 GB; each --jobs worker holds one context at a time, and the records
+# of one chunk of primes, as text once each prime is formatted
 P_MAX_LIMIT = 4 * 10**6
-A_VALUES_LIMIT = 10**4  # each a adds one record per prime, all held until the scan ends
+# each a adds one record per prime, and a task holds the report text of its
+# chunk until it is written: at this limit up to CHUNK * 10^4 lines of about
+# 150 B, some 200 MB, per worker
+A_VALUES_LIMIT = 10**4
 DEFAULT_IDENTITIES = tuple(tag for tag, e in IDENTITIES.items() if e.default)
 
 
@@ -104,21 +117,33 @@ def _values(c: cg.CongruenceCheck) -> list:
     return [c.identity, c.p, list(c.params), str(c.modulus), str(c.lhs), str(c.rhs), c.verdict, 0]
 
 
-# a JSONL record as json.dumps writes the dict of CSV_HEADER's keys and
-# _values, as one str.format template: the identity tags need no escaping,
-# the ints of params stand bare, the big residues are strings and us is 0
-_JSONL_LINE = "{{" + ", ".join(
-    f'"{k}": {v}' for k, v in zip(CSV_HEADER, ('"{}"', "{}", "[{}]", '"{}"', '"{}"', '"{}"', "{}", "0"))
-) + "}}"
-
-
 def jsonl_line(c: cg.CongruenceCheck) -> str:
-    params = ", ".join(map(str, c.params))
-    return _JSONL_LINE.format(c.identity, c.p, params, c.modulus, c.lhs, c.rhs, "true" if c.verdict else "false")
+    """The JSONL record json.dumps writes for the dict of CSV_HEADER's keys
+    and _values: the identity tags need no escaping, the ints of params
+    stand bare, the big residues are strings and us is 0."""
+    identity, p, params, modulus, lhs, rhs, verdict = c
+    return (
+        f'{{"identity": "{identity}", "p": {p}, "params": [{", ".join(map(str, params))}], '
+        f'"modulus": "{modulus}", "lhs": "{lhs}", "rhs": "{rhs}", '
+        f'"match": {"true" if verdict else "false"}, "us": 0}}'
+    )
 
 
 def csv_row(c: cg.CongruenceCheck) -> list[str]:
     return [v if isinstance(v, str) else json.dumps(v) for v in _values(c)]
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _report_text(records: list[cg.CongruenceCheck], fmt: str) -> str:
+    """The report lines of `records` in the format `fmt` (no CSV header)."""
+    if fmt == "csv":
+        return _csv_text(map(csv_row, records))
+    return "".join([f"{jsonl_line(r)}\n" for r in records])
 
 
 _SEGMENT = 1 << 20
@@ -145,27 +170,8 @@ def sieve_odd_primes(lo: int, hi: int) -> list[int]:
     return out
 
 
-def _scan_chunk(args: tuple) -> list[tuple[list[cg.CongruenceCheck], "str | None"]]:
-    """For each prime of the chunk, in order, the selected per-prime checks,
-    all reading one PrimeContext of the chunk's PrimeRange; for p <= cap,
-    also the first field those checks populated that disagrees with its
-    naive route (None if all agree)."""
-    primes, tags, a_values, cd_triples, cap = args
-    entries = [IDENTITIES[t] for t in tags]
-    out = []
-    for ctx in PrimeRange(primes).contexts(a_values, cd_triples):
-        p = ctx.p
-        checks = [c for e in entries if p >= e.p_min for c in e.check(ctx)]
-        built = vars(ctx) if p <= cap else {}
-        oracles = (oracle(p, built[name]) for name, oracle in _ORACLE_FUNCS.items() if name in built)
-        out.append((checks, next(filter(None, oracles), None)))
-    return out
-
-
-def _pool_size(jobs: int) -> int:
-    """Workers for a pool of `jobs`: no more than the CPUs, since each is a
-    process the executor forks at its first submit."""
-    return min(jobs, os.cpu_count() or 1)
+# the order of the report's records
+_ORDER = attrgetter("p", "identity", "params")
 
 
 def _entries(cfg: ScanConfig) -> list:
@@ -174,60 +180,137 @@ def _entries(cfg: ScanConfig) -> list:
     return [e for tag, e in IDENTITIES.items() if tag in chosen and e.part_of not in chosen]
 
 
-def _scan(cfg: ScanConfig, lo: int, hi: int, cap: int):
-    """Yield _scan_chunk's (checks, disagreement) for each prime in [lo, hi],
-    in order.  Each task is a chunk of consecutive primes: an even share
-    per worker, at most CHUNK, since each chunk restarts every range sweep
-    at k = 1.  Closing the generator cancels the pool's pending work."""
-    tags = tuple(e.tag for e in _entries(cfg) if e.over == "p")
-    primes = sieve_odd_primes(lo, hi) if tags else []
-    workers = _pool_size(cfg.jobs)
-    size = max(1, min(CHUNK, ceil(len(primes) / workers)))
-    tasks = [(primes[i : i + size], tags, cfg.a_values, cfg.cd_triples, cap) for i in range(0, len(primes), size)]
-    if cfg.jobs == 1:
-        for task in tasks:
-            yield from _scan_chunk(task)
+def _prime_checks(primes: list[int], cfg: ScanConfig, cap: int):
+    """Yield (p, checks, disagreement) for each of `primes`, in order: the
+    selected per-prime checks, all reading one PrimeContext of the primes'
+    PrimeRange, and for p <= cap the first field those checks populated
+    that disagrees with its naive route (None if all agree)."""
+    entries = [e for e in _entries(cfg) if e.over == "p"]
+    for ctx in PrimeRange(primes).contexts(cfg.a_values, cfg.cd_triples):
+        p = ctx.p
+        checks = [c for e in entries if p >= e.p_min for c in e.check(ctx)]
+        built = vars(ctx) if p <= cap else {}
+        oracles = (oracle(p, built[name]) for name, oracle in _ORACLE_FUNCS.items() if name in built)
+        yield p, checks, next(filter(None, oracles), None)
+
+
+def _exact_checks(cfg: ScanConfig, lo: int, hi: int) -> list[cg.CongruenceCheck]:
+    """The records of the selected identities that run over n or a with
+    lo < p <= hi: exact_1_3 and exact_1_4 carry p = n, p3_special p = 3."""
+    out = []
+    for e in _entries(cfg):
+        if e.over == "n":
+            out += map(e.check, range(lo + 1, min(hi, cfg.n_max) + 1))
+        elif e.over == "a" and lo < 3 <= hi:
+            out += map(e.check, cfg.a_values)
+    return out
+
+
+def _scan_chunk(task: tuple) -> tuple[list[str], int, bool, "str | None"]:
+    """One task of a verify scan: the report text of every record with
+    lo < p <= hi, sorted by (p, identity, params), one piece per prime
+    with the exact records up to it; the number of records; whether every
+    verdict holds; and the first oracle disagreement up to cfg.oracle_cap."""
+    primes, lo, hi, cfg = task
+    # largest p last, so each prime pops the exact records up to it
+    exact = sorted(_exact_checks(cfg, lo, hi), key=_ORDER, reverse=True)
+    pieces, count, ok, bad = [], 0, True, None
+    # a last group at p = hi takes the exact records past the last prime
+    for p, group, disagreement in chain(_prime_checks(primes, cfg, cfg.oracle_cap), [(hi, [], None)]):
+        while exact and exact[-1].p <= p:
+            group.append(exact.pop())
+        group.sort(key=_ORDER)
+        pieces.append(_report_text(group, cfg.fmt))
+        count += len(group)
+        ok = ok and all(r.verdict for r in group)
+        bad = bad or disagreement
+    return pieces, count, ok, bad
+
+
+def _pool_size(jobs: int) -> int:
+    """Workers for a pool of `jobs`: no more than the CPUs, since each is a
+    process the executor forks at its first submit."""
+    return min(jobs, os.cpu_count() or 1)
+
+
+def _chunks(cfg: ScanConfig, hi: int) -> list[list[int]]:
+    """The primes in [cfg.p_min, hi] (none if no per-prime identity is
+    selected) cut into consecutive chunks, one task each: an even share per
+    worker, at most CHUNK, since each chunk restarts every range sweep at
+    k = 1."""
+    primes = sieve_odd_primes(cfg.p_min, hi) if any(e.over == "p" for e in _entries(cfg)) else []
+    size = max(1, min(CHUNK, ceil(len(primes) / _pool_size(cfg.jobs))))
+    return [primes[i : i + size] for i in range(0, len(primes), size)]
+
+
+def _run(fn, tasks: list, jobs: int):
+    """Yield fn(task) for each task, in order: in this process at jobs 1 or
+    for a single task, which a pool would only run later, else from a pool.
+    Closing the generator cancels the pool's pending work."""
+    if jobs == 1 or len(tasks) < 2:
+        yield from map(fn, tasks)
         return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=_pool_size(jobs)) as pool:
         try:
-            for chunk in pool.map(_scan_chunk, tasks):
-                yield from chunk
+            yield from pool.map(fn, tasks)
         finally:
             pool.shutdown(cancel_futures=True)
 
 
-def run_verify(cfg: ScanConfig) -> tuple[list[cg.CongruenceCheck], int]:
-    """Execute a verify scan; returns (sorted checks, exit code 0/1).  The
+class Report:
+    """A verify scan's report: iterating it runs the scan one task at a time
+    and yields the report text in p order, one piece per prime (after the
+    CSV header).  Once it is read to the end, len() is the number of
+    records and `code` the exit code: 0 if every check matches, else 1."""
+
+    def __init__(self, cfg: ScanConfig):
+        self.records = 0
+        self.code = 0
+        self._text = self._scan(cfg)
+
+    def __iter__(self):
+        return self._text
+
+    def __len__(self) -> int:
+        return self.records
+
+    def close(self) -> None:
+        """Stop the scan, cancelling a pool's pending tasks."""
+        self._text.close()
+
+    def _scan(self, cfg: ScanConfig):
+        # each task writes the records with p in (lo, hi]: its chunk of
+        # primes and the exact records between the previous chunk and its
+        # own last prime; the last task's interval reaches the largest p
+        # any record carries
+        chunks = _chunks(cfg, cfg.p_max) or [[]]
+        bounds = [0] + [c[-1] for c in chunks[:-1]] + [max(cfg.p_max, cfg.n_max)]
+        tasks = [(c, lo, hi, cfg) for c, lo, hi in zip(chunks, bounds, bounds[1:])]
+        if cfg.fmt == "csv":
+            yield _csv_text([CSV_HEADER])
+        bad = None
+        for pieces, count, ok, disagreement in _run(_scan_chunk, tasks, cfg.jobs):
+            self.records += count
+            if not ok:
+                self.code = 1
+            bad = bad or disagreement
+            yield from pieces
+        if bad:
+            print(f"oracle disagreement: {bad}", file=sys.stderr)
+            self.code = 1
+
+
+def run_verify(cfg: ScanConfig) -> Report:
+    """A verify scan's report, which runs the scan as it is read.  The
     oracle compares the contexts of the primes up to cfg.oracle_cap."""
     cfg.validate()
-    records: list[cg.CongruenceCheck] = []
-    bad = None
-    for checks, disagreement in _scan(cfg, cfg.p_min, cfg.p_max, cfg.oracle_cap):
-        records.extend(checks)
-        bad = bad or disagreement
-    # the exact identities and p = 3's wrap-up take well under a second
-    for e in _entries(cfg):
-        if e.over != "p":
-            index = range(1, cfg.n_max + 1) if e.over == "n" else cfg.a_values
-            records.extend(e.check(i) for i in index)
-
-    records.sort(key=lambda r: (r.p, r.identity, r.params))
-    code = 0 if all(r.verdict for r in records) else 1
-    if bad:
-        print(f"oracle disagreement: {bad}", file=sys.stderr)
-        code = 1
-    return records, code
+    return Report(cfg)
 
 
-def write_records(records: list[cg.CongruenceCheck], fmt: str, out) -> None:
-    if fmt == "csv":
-        w = csv.writer(out)
-        w.writerow(CSV_HEADER)
-        for r in records:
-            w.writerow(csv_row(r))
-    else:
-        for r in records:
-            out.write(jsonl_line(r) + "\n")
+def write_records(records: Report, out) -> None:
+    """Write each piece of the report as the scan yields it."""
+    for text in records:
+        out.write(text)
     out.flush()
 
 
@@ -255,14 +338,25 @@ def _oracle_central4(p: int, central4: int) -> "str | None":
     return None
 
 
-def _bernoulli_disagreement(p: int, j: int, value: int, name: str) -> "str | None":
-    """`name` unless `value` is B_(p-j) mod p by power-sum extraction, which
-    is compared with the exact recurrence first where p - j <= BERNOULLI_CAP."""
+@lru_cache(maxsize=hm.N_CAP)
+def _bernoulli_reference(p: int, j: int) -> "int | None":
+    """B_(p-j) mod p by power-sum extraction, or None where p - j <=
+    BERNOULLI_CAP and the exact recurrence disagrees with it.  Two fields
+    hold B_(p-3), bpm3 and bern[3]: the cache keeps the offsets of the last
+    prime or two, so both are compared with one extraction."""
     want = bn.bernoulli_mod_p(p, p - j)
     if p - j <= bn.BERNOULLI_CAP:
         b = bn.bernoulli_exact(p - j)
         if want != b.numerator * pow(b.denominator, -1, p) % p:
-            return f"bernoulli_mod_p(p={p}, index={p - j})"
+            return None
+    return want
+
+
+def _bernoulli_disagreement(p: int, j: int, value: int, name: str) -> "str | None":
+    """`name` unless `value` is _bernoulli_reference's B_(p-j) mod p."""
+    want = _bernoulli_reference(p, j)
+    if want is None:
+        return f"bernoulli_mod_p(p={p}, index={p - j})"
     return None if value == want else name
 
 
@@ -335,16 +429,21 @@ _ORACLE_FUNCS = {
 }
 
 
+def _oracle_chunk(task: tuple) -> "str | None":
+    """The first disagreement _prime_checks finds in a chunk of primes, which
+    stops there."""
+    primes, cfg, cap = task
+    return next(filter(None, (bad for _, _, bad in _prime_checks(primes, cfg, cap))), None)
+
+
 def run_oracle_quantities(cfg: ScanConfig) -> "str | None":
     """Scan the primes up to the oracle cap and compare the context fields
     the selected checks populated against naive enumeration; returns the
     first mismatch name, stopping the scan there."""
     hi = min(cfg.p_max, cfg.oracle_cap or ORACLE_CAP_LIMIT)
-    scan = _scan(cfg, cfg.p_min, hi, hi)
-    try:
-        return next(filter(None, (bad for _, bad in scan)), None)
-    finally:
-        scan.close()
+    tasks = [(c, cfg, hi) for c in _chunks(cfg, hi)]
+    with closing(_run(_oracle_chunk, tasks, cfg.jobs)) as scan:
+        return next(filter(None, scan), None)
 
 
 def run_oracle(cfg: ScanConfig) -> int:
@@ -487,17 +586,20 @@ def main(argv: "list[str] | None" = None) -> int:
         # open the report before the scan, so an unwritable --out fails at once
         out = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
         try:
-            records, code = run_verify(cfg)
-            write_records(records, cfg.fmt, out)
-        except BrokenPipeError:
-            # downstream consumer (head, etc.) closed the pipe; exit
-            # with the verification verdict and silence the flush
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+            with closing(run_verify(cfg)) as report:
+                try:
+                    write_records(report, out)
+                except BrokenPipeError:
+                    # downstream consumer (head, etc.) closed the pipe: silence
+                    # the flush and finish the scan for its verdict
+                    devnull = os.open(os.devnull, os.O_WRONLY)
+                    os.dup2(devnull, sys.stdout.fileno())
+                    for _ in report:
+                        pass
         finally:
             if cfg.out:
                 out.close()
-        return code
+        return report.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,10 +14,9 @@ Every check records both sides; a failed congruence produces a verdict
 of False, never an exception.  The per-prime checks read a PrimeContext.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .residues import SWEEP_RUN, OddPrime, binom_pm1, reduce_rational
 
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(NamedTuple):
     """One verified congruence: both sides are kept for auditing.
 
     modulus == 0 marks an exact integer identity (comparison in Z);

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -40,6 +41,18 @@ def run_cli(*args):
         text=True,
         timeout=600,
     )
+
+
+def verify_records(cfg: ScanConfig) -> tuple[list[CongruenceCheck], int]:
+    """run_verify's records, read back from its JSONL report, and its exit code."""
+    report = run_verify(cfg)
+    rows = map(json.loads, "".join(report).splitlines())
+    records = [
+        CongruenceCheck(r["identity"], r["p"], tuple(r["params"]), *map(int, (r["modulus"], r["lhs"], r["rhs"])), r["match"])
+        for r in rows
+    ]
+    assert len(report) == len(records)
+    return records, report.code
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +143,7 @@ def test_jsonl_line_matches_json_dumps():
         CongruenceCheck("morley", 7, (), 343, 323, 323, True),
         CongruenceCheck("chamberland_dilcher", 13, (1, 0, 1), 2197, 0, 2196, False),
         cg.exact_identity_1_3(3),
-        *run_verify(ScanConfig(p_max=40, identities=tuple(cli.IDENTITIES), n_max=5))[0],
+        *verify_records(ScanConfig(p_max=40, identities=tuple(cli.IDENTITIES), n_max=5))[0],
     ]
     assert records[2].lhs < 0
     for c in records:
@@ -139,30 +152,30 @@ def test_jsonl_line_matches_json_dumps():
 
 def test_run_verify_identity_filters():
     cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1_i",))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 0
     assert {r.identity for r in records} == {"lemma_2_1_i"}
     assert len(records) == len(sieve_odd_primes(5, 31))
 
     cfg = ScanConfig(p_min=5, p_max=31, identities=("eq_2_9",))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 0
     assert {r.identity for r in records} == {"eq_2_9"}
 
     cfg = ScanConfig(p_min=3, p_max=31, identities=("corollary",))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 0
     assert {r.identity for r in records} == {"corollary_a3", "corollary_a4", "corollary_a5"}
 
     # a part of lemma_2_1 adds no records next to the whole lemma
-    whole, _ = run_verify(ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1",)))
-    both, _ = run_verify(ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1", "lemma_2_1_ii")))
+    whole, _ = verify_records(ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1",)))
+    both, _ = verify_records(ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1", "lemma_2_1_ii")))
     assert both == whole
 
 
 def test_run_verify_sorted_output():
     cfg = ScanConfig(p_min=3, p_max=60)
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 0
     keys = [(r.p, r.identity, r.params) for r in records]
     assert keys == sorted(keys)
@@ -177,7 +190,7 @@ def test_run_verify_reports_failures_with_exit_1():
         identities=("chamberland_dilcher",),
         cd_triples=((1, 0, 1),),
     )
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 1
     assert records and all(not r.verdict for r in records)
     assert all(r.lhs == 0 for r in records)
@@ -195,7 +208,7 @@ def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
     monkeypatch.setitem(cli._ORACLE_FUNCS, "q2", lambda p, q2: f"injected(p={p})")
     cfg = ScanConfig(p_min=3, p_max=60, oracle_cap=31, jobs=jobs)
     assert run_oracle_quantities(cfg) == "injected(p=5)"
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 1
     assert records and all(r.verdict for r in records)
     keys = [(r.p, r.identity, r.params) for r in records]
@@ -231,9 +244,9 @@ def test_reports_match_golden_digests():
     assert set(GOLDEN_DIGESTS) == set(cli.IDENTITIES)
     changed = []
     for tag, want in GOLDEN_DIGESTS.items():
-        records, code = run_verify(ScanConfig(p_min=3, p_max=200, identities=(tag,), n_max=50))
-        text = "".join(cli.jsonl_line(r) + "\n" for r in records)
-        if code != 0 or hashlib.sha256(text.encode()).hexdigest() != want:
+        report = run_verify(ScanConfig(p_min=3, p_max=200, identities=(tag,), n_max=50))
+        text = "".join(report)
+        if report.code != 0 or hashlib.sha256(text.encode()).hexdigest() != want:
             changed.append(tag)
     assert changed == []
 
@@ -294,7 +307,7 @@ def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
 
     monkeypatch.setattr(hm, "even_index_sweep", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_2",))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 1
     assert [(r.p, r.identity) for r in records if not r.verdict] == [(13, "lemma_2_2_a")]
     assert run_oracle_quantities(cfg) == "even_double(p=13, s=1, t=2, e=1)"
@@ -313,7 +326,7 @@ def test_oracle_reads_the_range_behind_the_verdicts(monkeypatch):
 
     monkeypatch.setattr(rs, "signed_central_binomials", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("morley", "carlitz"))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 1
     assert [(r.p, r.identity) for r in records if not r.verdict] == [(13, "carlitz"), (13, "morley")]
     assert run_oracle_quantities(cfg) == "central_binomial(p=13, e=4)"
@@ -333,7 +346,7 @@ def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
 
     monkeypatch.setattr(cg, "staver_sweep", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("theorem_1_1", "cai_granville"))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 1
     bad = [(r.p, r.identity, r.params) for r in records if not r.verdict]
     assert bad == [(13, "theorem_1_1", (a,)) for a in range(3, 9)]
@@ -351,7 +364,7 @@ def test_oracle_reads_the_u_sums_behind_the_verdicts(monkeypatch):
 
     monkeypatch.setattr(cg, "chamberland_dilcher_u", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("chamberland_dilcher",))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 1
     assert [(r.p, r.params) for r in records if not r.verdict] == [(13, (1, 1, 1))]
     assert run_oracle_quantities(cfg) == "cd(p=13, eps=1, a=1, b=1)"
@@ -370,7 +383,7 @@ def test_oracle_reads_the_bernoulli_residue_behind_the_verdicts(monkeypatch):
 
     monkeypatch.setattr(bn, "bernoulli_pm3_mod_primes", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("carlitz", "lemma_2_2"))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == 1
     bad = [(r.p, r.identity) for r in records if not r.verdict]
     assert bad == [(13, "carlitz"), (13, "lemma_2_2_a"), (13, "lemma_2_2_b")]
@@ -403,7 +416,7 @@ def test_oracle_reads_the_half_sums_behind_the_verdicts(monkeypatch, damage, fai
 
     monkeypatch.setattr(hm, "inverse_power_sweep", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1",))
-    records, code = run_verify(cfg)
+    records, code = verify_records(cfg)
     assert code == (1 if failing else 0)
     assert [(r.p, r.identity, r.params) for r in records if not r.verdict] == [
         (13, "lemma_2_1_ii", n) for n in failing
@@ -433,10 +446,9 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     # itself, each PrimeRange sweep yields one value per prime and field,
     # each u-sum is built once, on its first read, and the naive routes
     # run only under the oracle, once per prime and argument.  B_(p-3) is
-    # held by two fields (bpm3 and bern[3]), each compared with power-sum
-    # extraction, so the offsets extracted are recorded, not counted
+    # held by two fields (bpm3 and bern[3]), both compared with the one
+    # power-sum extraction of each prime and offset
     calls = Counter()
-    extracted = set()
 
     def count(mod, name):
         fn = getattr(mod, name)
@@ -467,11 +479,11 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
         count(mod, name)
     extraction = bn.bernoulli_mod_p
 
-    def recorded_extraction(p, index):
-        extracted.add((p, p - index))
+    def counted_extraction(p, index):
+        calls["bernoulli_mod_p", p, (p - index,)] += 1
         return extraction(p, index)
 
-    monkeypatch.setattr(bn, "bernoulli_mod_p", recorded_extraction)
+    monkeypatch.setattr(bn, "bernoulli_mod_p", counted_extraction)
     per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
     no_lemma_2_1 = tuple(t for t in per_prime if not t.startswith("lemma_2_1"))
     primes = set(sieve_odd_primes(3, 200))
@@ -487,13 +499,16 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     for tags, keys, offsets, cap in (
         (DEFAULT_IDENTITIES, {"inverse_power_sweep"}, set(), 0),
         (no_lemma_2_1, {"chamberland_dilcher_u"}, set(), 0),
-        (DEFAULT_IDENTITIES, {"inverse_power_sweep"} | {name for _, name in naive}, set(range(3, 14, 2)), 200),
+        (DEFAULT_IDENTITIES, {"inverse_power_sweep", "bernoulli_mod_p"} | {name for _, name in naive},
+         set(range(3, 14, 2)), 200),
     ):
         calls.clear()
-        extracted.clear()
-        records, code = run_verify(ScanConfig(p_max=200, identities=tags, oracle_cap=cap))
+        # an extraction left in the cache by an earlier scan would go uncounted
+        cli._bernoulli_reference.cache_clear()
+        records, code = verify_records(ScanConfig(p_max=200, identities=tags, oracle_cap=cap))
         assert code == 0 and records
         assert {key for key, _, _ in calls} == always | keys
+        extracted = {(p, args[0]) for name, p, args in calls if name == "bernoulli_mod_p"}
         assert extracted == {(p, j) for p in primes - {3} for j in offsets if j <= p - 2}
         for key in {key for key, _, _ in calls}:
             assert {p for name, p, _ in calls if name == key} == (primes if key in from_3 else primes - {3}), key
@@ -533,11 +548,14 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    records, code = run_verify(ScanConfig(p_max=400, jobs=100_000))
+    records, code = verify_records(ScanConfig(p_max=400, jobs=100_000))
     assert code == 0 and records
     assert run_oracle_quantities(ScanConfig(p_max=31, jobs=100_000)) is None
-    records, code = run_verify(ScanConfig(p_max=20_000, jobs=2, identities=("carlitz",)))
+    records, code = verify_records(ScanConfig(p_max=20_000, jobs=2, identities=("carlitz",)))
     assert code == 0 and len(records) == len(sieve_odd_primes(3, 20_000))
+    # a single task (here the exact identities alone) runs without a pool
+    records, code = verify_records(ScanConfig(p_max=20_000, jobs=2, identities=("exact_1_4",), n_max=5))
+    assert code == 0 and len(records) == 5
     assert sizes == [2, 2, 2]
     for chunked, p_max in zip(chunks, (400, 31, 20_000)):
         primes = sieve_odd_primes(3, p_max)
@@ -557,7 +575,7 @@ def test_verify_never_builds_the_oracle_routes(monkeypatch):
     for mod, name in ((rs, "binom_pm1"), (cg, "binom_pm1"), (cg, "lhs_power_sums_batch"),
                       (hm, "even_index_sums"), (bn, "bernoulli_mod_p"), (bn, "power_sum_mod")):
         monkeypatch.setattr(mod, name, forbidden)
-    records, code = run_verify(ScanConfig(p_max=60, identities=tuple(cli.IDENTITIES), n_max=5))
+    records, code = verify_records(ScanConfig(p_max=60, identities=tuple(cli.IDENTITIES), n_max=5))
     assert code == 0 and records
 
 
@@ -567,7 +585,7 @@ def test_huge_a_runs_in_bounded_memory():
     cfg = ScanConfig(p_max=13, a_values=(10**9,), identities=("theorem_1_1", "cai_granville", "p3_special"))
     tracemalloc.start()
     try:
-        records, code = run_verify(cfg)
+        records, code = verify_records(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -583,7 +601,7 @@ def test_huge_cd_exponent_runs_in_bounded_memory():
     cfg = ScanConfig(p_max=7, identities=("chamberland_dilcher",), cd_triples=((1, 1, 10**8),))
     tracemalloc.start()
     try:
-        records, code = run_verify(cfg)
+        records, code = verify_records(cfg)
         exact = cg.chamberland_dilcher_exact(7, 1, 1, 10**6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -592,6 +610,48 @@ def test_huge_cd_exponent_runs_in_bounded_memory():
     assert [(r.p, r.params) for r in records] == [(5, (1, 1, 10**8)), (7, (1, 1, 10**8))]
     assert exact == cg.chamberland_dilcher_u(7, 1, 1, 10**6)
     assert peak < 4 * 2**20, peak
+
+
+def test_peak_memory_stays_flat_as_the_range_grows():
+    # the report is written one chunk of primes at a time, so a range with
+    # 3.3 times the primes (and records) peaks at about the same memory,
+    # where a scan that held its records until the end would peak over 3
+    # times higher
+    peaks = []
+    for p_max in (1500, 6000):
+        cfg = ScanConfig(p_max=p_max, a_values=tuple(range(1, 26)), identities=("theorem_1_1",))
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as out:
+                cli.write_records(run_verify(cfg), out)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("p_min, p_max", [(3, 300), (150, 260), (3, 100)])
+def test_jobs_do_not_change_the_report_of_exact_and_per_prime_identities(monkeypatch, fmt, p_min, p_max):
+    # exact_1_3 and exact_1_4 carry p = n <= n_max = 200 and p3_special
+    # p = 3, so they fall before, among and after the primes of several
+    # chunks (of 16 primes here), and each task writes those up to its
+    # last prime
+    monkeypatch.setattr(cli, "CHUNK", 16)
+    tags = ("theorem_1_1", "morley", "exact_1_3", "exact_1_4", "p3_special")
+    texts = []
+    for jobs in (1, 2):
+        report = run_verify(ScanConfig(p_min=p_min, p_max=p_max, identities=tags, n_max=200, jobs=jobs, fmt=fmt))
+        texts.append("".join(report))
+        assert report.code == 0
+    assert texts[0] == texts[1]
+    rows = [json.loads(line) for line in texts[0].splitlines()] if fmt == "jsonl" else [
+        dict(zip(CSV_HEADER, [r[0], int(r[1]), json.loads(r[2])])) for r in csv.reader(texts[0].splitlines()[1:])
+    ]
+    keys = [(r["p"], r["identity"], r["params"]) for r in rows]
+    primes = sieve_odd_primes(p_min, p_max)
+    assert keys == sorted(keys)
+    assert len(keys) == 2 * 200 + 8 + 8 * len(primes) + len([p for p in primes if p >= 5])
 
 
 def test_unwritable_out_fails_before_the_scan(monkeypatch, tmp_path, capsys):
@@ -607,7 +667,7 @@ def test_unwritable_out_fails_before_the_scan(monkeypatch, tmp_path, capsys):
 def test_default_set_matches_at_degenerate_primes(p):
     # q2 == 0 (mod p) at the Wieferich primes 1093 and 3511, and
     # B_(p-3) == 0 (mod p) at 16843, so those correction terms vanish
-    records, code = run_verify(ScanConfig(p_min=p, p_max=p))
+    records, code = verify_records(ScanConfig(p_min=p, p_max=p))
     assert code == 0
     assert {r.identity for r in records} >= {"theorem_1_1", "carlitz", "lemma_2_2_a", "eq_2_10"}
     assert all(r.verdict for r in records)
@@ -662,6 +722,25 @@ def test_cli_verify_mismatch_exits_1():
     )
     assert res.returncode == 1
     assert '"match": false' in res.stdout
+
+
+@pytest.mark.parametrize("args, code", [
+    (("--identity", "carlitz", "--p-max", "3000"), 0),
+    (("--identity", "chamberland_dilcher", "--cd", "1,0,1"), 1),
+], ids=["match", "mismatch"])
+def test_cli_verify_into_a_closed_pipe_exits_with_the_verdict(args, code):
+    # like `verify ... | head -c 100`: the reader takes the first chunk's
+    # first bytes and goes, the scan runs on for the whole range's verdict
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "carlitzscan", "verify", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=600) == code, err
+    assert "Traceback" not in err
+    assert head == run_cli("verify", *args).stdout[:100]
 
 
 def test_cli_csv_format(tmp_path):
