@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import comb, prod
 
-from .residues import OddPrime
+from .residues import SWEEP_RUN, OddPrime
 
 __all__ = [
     "bernoulli_exact",
@@ -125,7 +125,8 @@ def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
     -24 B_(p-3) == 6 T (mod p), so B_(p-3) == -T/4 with T the sum of x^(-3)
     over x <= p/3.  T is a prefix sum of a sequence free of p: one running
     fraction num/den modulo the product of the primes, read at x = p // 3,
-    serves every p (den = (x!)^3 is a unit mod each p not yet read).
+    serves every p (den = (x!)^3 is a unit mod each p not yet read).  The
+    state is reduced every SWEEP_RUN steps, as in the other sweeps.
     """
     primes = {int(OddPrime(p)) for p in primes}
     if 3 in primes:
@@ -135,8 +136,10 @@ def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
     for pos, p in sorted((p // 3, p) for p in primes):
         for x in range(x + 1, pos + 1):
             c = x * x * x
-            num = (num * c + den) % m
-            den = den * c % m
+            num = num * c + den
+            den *= c
+            if x % SWEEP_RUN == 0:
+                num, den = num % m, den % m
         out[p] = -num * pow(4 * den, -1, p) % p
     return out
 

@@ -318,14 +318,13 @@ def write_records(records: Report, out) -> None:
 # oracle mode: each PrimeContext field the checks read vs naive enumeration
 
 def _oracle_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
-    """The power sums the verdicts read (from the range's moments) against
-    direct powers for a <= 10 and exact binomials for a <= 5.  S_a =
-    1 + a M1 + C(a,2) M2 + C(a,3) M3 is unit-triangular in M1..M3 over
-    a = 1..3, so those three fix the moments themselves."""
+    """The power sums the verdicts read (theorem_row over the range's
+    moments) against direct powers for a <= 10.  S_a = 1 + a M1 +
+    C(a,2) M2 + C(a,3) M3 is unit-triangular in M1..M3 over a = 1..3, so
+    those three fix the moments themselves."""
     direct = cg.lhs_power_sums_batch(p, 10)
-    for a in range(1, 11):
-        lhs = cg.moment_power_sum(p, a, moments)
-        if lhs != direct[a] or (a <= 5 and lhs != cg.lhs_power_sum_exact(p, a)):
+    for a, lhs, _ in cg.theorem_row(p, moments, range(1, 11)):
+        if lhs != direct[a]:
             return f"power_sum(p={p}, a={a})"
     return None
 

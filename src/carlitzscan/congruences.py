@@ -30,9 +30,8 @@ __all__ = [
     "COROLLARY_COEFFICIENTS",
     "theorem_coefficient",
     "staver_sweep",
-    "moment_power_sum",
+    "theorem_row",
     "lhs_power_sums_batch",
-    "lhs_power_sum_exact",
     "rhs_theorem",
     "verify_theorem_1_1",
     "verify_corollary",
@@ -88,11 +87,6 @@ def theorem_coefficient(a: int) -> Fraction:
 COROLLARY_COEFFICIENTS = {3: Fraction(5, 8), 4: Fraction(2), 5: Fraction(55, 12)}
 
 
-def _sign_is_negative(a: int, k: int) -> bool:
-    # (-1)^((a-1)k) is -1 iff a-1 and k are both odd
-    return (a & 1) == 0 and (k & 1) == 1
-
-
 def staver_sweep(primes) -> dict[int, int]:
     """W = sum_{k=1}^{p-1} 2^k / k mod p^3 for each odd prime p of `primes`,
     from one sweep.
@@ -100,45 +94,61 @@ def staver_sweep(primes) -> dict[int, int]:
     Staver's identity sum_{k=0}^{n} 1/C(n, k) = (n+1)/2^(n+1) sum_{k=1}^{n+1}
     2^k/k at n = p-1 gives S_(-1) = sum_k 1/C(p-1, k) = 1 + p 2^(-p) W, the
     alternating power sum at a = -1 (mod p^4).  W is a prefix sum free of
-    p: with f = k! and g = 2^(k+1) k!, the numerator num = f sum_{j<=k} 2^j/j
-    steps as num = k num + g, so every step multiplies by k or 2k only.  The
-    state is kept modulo the product of the p^3, and a p leaves the product
-    once read at k = p-1.
+    p: with g = 2^(k+1) k!, the numerator num = k! sum_{j<=k} 2^j/j steps
+    as num = k num + g, so every step multiplies by k or 2k only, and at
+    k = p-1 the denominator k! = g / 2^p gives W = 2^p num / g.  The state
+    is kept modulo the product of the p^3, and a p leaves the product once
+    read at k = p-1.
     """
     primes = sorted({int(OddPrime(p)) for p in primes})
     m = prod(p**3 for p in primes)
-    num, f, g, k = 0, 1, 2, 0
+    num, g, k = 0, 2, 0
     out = {}
     for p in primes:
         for k in range(k + 1, p):
             num = k * num + g
-            f *= k
             g *= 2 * k
             if k % SWEEP_RUN == 0:
-                num, f, g = num % m, f % m, g % m
+                num, g = num % m, g % m
         p3 = p**3
-        out[p] = num * pow(f, -1, p3) % p3
+        out[p] = pow(2, p, p3) * num * pow(g, -1, p3) % p3
         m //= p3
     return out
 
 
-def moment_power_sum(p: int, a: int, moments: tuple[int, int, int]) -> int:
-    """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4, in O(1)
-    from the moments: the summand is (-1)^k u_k^a, and expanding
-    u_k^a = (1 + (u_k - 1))^a binomially up to (u_k - 1)^3 gives
-    1 + a M1 + C(a,2) M2 + C(a,3) M3 (the k-sum of (-1)^k is 1).
+def theorem_row(p: int, moments: tuple[int, int, int], a_values) -> list[tuple[int, int, int]]:
+    """(a, S_a, 2^(a(p-1))) mod p^4 for each a of `a_values`, in their order,
+    where S_a = sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a: the two
+    sides of Theorem 1.1 but its correction term, for any a >= 1.
+
+    The left side comes from the moments: the summand is (-1)^k u_k^a, and
+    expanding u_k^a = (1 + (u_k - 1))^a binomially up to (u_k - 1)^3 gives
+    1 + a M1 + C(a,2) M2 + C(a,3) M3 (the k-sum of (-1)^k is 1), with the
+    binomials in plain integer arithmetic.  The right side is t^a for
+    t = 2^(p-1), taken once per row by its own pow, not from M1 = t - 1, so
+    the two sides stay independent routes; where a steps by 1, t^a is one
+    product with the previous power.
     """
-    if a < 1:
-        raise ValueError(f"a must be >= 1, got {a}")
+    m = p**4
     m1, m2, m3 = moments
-    return (1 + a * m1 + comb(a, 2) * m2 + comb(a, 3) * m3) % p**4
+    t = pow(2, p - 1, m)
+    out = []
+    prev, power = 0, 1
+    for a in a_values:
+        if a < 1:
+            raise ValueError(f"a must be >= 1, got {a}")
+        power = power * t % m if a == prev + 1 else pow(t, a, m)
+        prev = a
+        c2 = a * (a - 1) // 2
+        out.append((a, (1 + a * m1 + c2 * m2 + c2 * (a - 2) // 3 * m3) % m, power))
+    return out
 
 
 def lhs_power_sums_batch(p: int, a_max: int) -> list[int]:
     """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a mod p^4 for every
     a = 1..a_max; entry [a] is the sum.
 
-    The direct-power oracle route for moment_power_sum.  The summand is
+    The direct-power oracle route for theorem_row's left side.  The summand is
     (-1)^k u_k^a with u_k = (-1)^k binomial(p-1, k), and a ladder of list
     products turns the (a-1)-th powers of the u_k into the a-th.  The
     terms at k and p-1-k are equal (p-1 is even), so only the half row is
@@ -161,18 +171,10 @@ def lhs_power_sums_batch(p: int, a_max: int) -> list[int]:
     return sums
 
 
-def lhs_power_sum_exact(p: int, a: int) -> int:
-    """Oracle route: the same sum over exact integer binomials, reduced mod p^4."""
-    m = int(p) ** 4
-    acc = 0
-    for k in range(p):
-        t = comb(p - 1, k) ** a
-        acc += -t if _sign_is_negative(a, k) else t
-    return acc % m
-
-
 def rhs_theorem(p: int, a: int, bpm3: "int | None") -> int:
-    """2^(a(p-1)) + (a(a-1)(3a-4)/48) p^3 B_(p-3) mod p^4.
+    """2^(a(p-1)) + (a(a-1)(3a-4)/48) p^3 B_(p-3) mod p^4, the right side of
+    Theorem 1.1 built for one a: carlitz reads it at a = 2, theorem_1_1 at
+    p = 3, and the tests compare theorem_row's records with it.
 
     For p >= 5 the Bernoulli factor enters as `bpm3`, B_(p-3) mod p (the
     p^3 in front makes that enough), and 48 is a unit, so the correction
@@ -192,23 +194,39 @@ def rhs_theorem(p: int, a: int, bpm3: "int | None") -> int:
     return (pow(2, a * (p - 1), m) + corr) % m
 
 
-def verify_theorem_1_1(c: "PrimeContext", a: int) -> CongruenceCheck:
-    """Check the headline congruence at (c.p, a), both sides mod p^4."""
-    rhs = rhs_theorem(c.p, a, c.bpm3)  # validates a
-    return _check("theorem_1_1", c.p, (a,), c.p**4, moment_power_sum(c.p, a, c.moments), rhs)
+def verify_theorem_1_1(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
+    """Check the headline congruence at c.p for each a of `a_values`, both
+    sides mod p^4, from one theorem_row.
+
+    For p >= 5 the correction is a(a-1)(3a-4) B_(p-3)/48 mod p, times p^3,
+    with B_(p-3)/48 taken once for the row; at p = 3 the right side is
+    rhs_theorem's exact rational.
+    """
+    p = int(c.p)
+    m = p**4
+    if p > 3:
+        p3, f = p**3, c.bpm3 * pow(48, -1, p) % p
+    out = []
+    for a, lhs, power in theorem_row(p, c.moments, a_values):
+        rhs = (power + a * (a - 1) * (3 * a - 4) * f % p * p3) % m if p > 3 else rhs_theorem(p, a, None)
+        out.append(CongruenceCheck("theorem_1_1", p, (a,), m, lhs, rhs, lhs == rhs))
+    return out
 
 
-def verify_corollary(c: "PrimeContext", a: int) -> CongruenceCheck:
+def verify_corollary(c: "PrimeContext", a_values=(3, 4, 5)) -> list[CongruenceCheck]:
     """The a = 3, 4, 5 specializations with their stated coefficients.
 
     Both sides are the theorem's at a; the verdict also requires the
     stated coefficient (5/8, 2, 55/12) to equal a(a-1)(3a-4)/48.
     """
-    if a not in COROLLARY_COEFFICIENTS:
-        raise ValueError(f"corollary is stated for a in (3, 4, 5), got {a}")
-    t = verify_theorem_1_1(c, a)
-    holds = COROLLARY_COEFFICIENTS[a] == theorem_coefficient(a)
-    return _check(f"corollary_a{a}", t.p, (a,), t.modulus, t.lhs, t.rhs, holds)
+    out = []
+    for t in verify_theorem_1_1(c, a_values):
+        (a,) = t.params
+        if a not in COROLLARY_COEFFICIENTS:
+            raise ValueError(f"corollary is stated for a in (3, 4, 5), got {a}")
+        holds = COROLLARY_COEFFICIENTS[a] == theorem_coefficient(a)
+        out.append(_check(f"corollary_a{a}", t.p, t.params, t.modulus, t.lhs, t.rhs, holds))
+    return out
 
 
 def verify_morley(c: "PrimeContext") -> CongruenceCheck:
@@ -231,15 +249,15 @@ def verify_carlitz(c: "PrimeContext") -> CongruenceCheck:
     return _check("carlitz", c.p, (), c.p**4, c.central4, rhs_theorem(c.p, 2, c.bpm3))
 
 
-def verify_cai_granville(c: "PrimeContext", a: int) -> CongruenceCheck:
-    """The mod-p^3 statement: the alternating power sum == 2^(a(p-1)), p >= 5."""
-    p = c.p
+def verify_cai_granville(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
+    """The mod-p^3 statement: the alternating power sum == 2^(a(p-1)), p >= 5,
+    for each a of `a_values`, from one theorem_row."""
+    p = int(c.p)
     if p < 5:
         raise ValueError("the mod-p^3 statement needs p >= 5")
     m = p**3
-    lhs = moment_power_sum(p, a, c.moments) % m
-    rhs = pow(2, a * (p - 1), m)
-    return _check("cai_granville", p, (a,), m, lhs, rhs)
+    return [CongruenceCheck("cai_granville", p, (a,), m, lhs % m, power % m, lhs % m == power % m)
+            for a, lhs, power in theorem_row(p, c.moments, a_values)]
 
 
 def _vu_binomial_row(n: int, p: int, m3: int, kmax: int) -> list[tuple[int, int]]:

@@ -57,7 +57,7 @@ class PrimeRange:
     def moments(self) -> dict[int, tuple[int, int, int]]:
         """The binomial moments (M1, M2, M3) mod p^4 keyed by p.
 
-        cg.moment_power_sum's expansion S_a = 1 + a M1 + C(a,2) M2 +
+        cg.theorem_row's expansion S_a = 1 + a M1 + C(a,2) M2 +
         C(a,3) M3 holds for every integer a, so three closed sums fix the
         moments: S_1 = 2^(p-1), S_2 = central4 and Staver's
         S_(-1) = 1 - M1 + M2 - M3 = 1 + p 2^(-p) W (cg.staver_sweep)."""
@@ -116,7 +116,7 @@ class PrimeContext:
 
     @cached_property
     def moments(self) -> tuple[int, int, int]:
-        """(M1, M2, M3) mod p^4; cg.moment_power_sum reads any a-th power sum from them."""
+        """(M1, M2, M3) mod p^4; cg.theorem_row reads any a-th power sum from them."""
         return self.prime_range.moments[self.p]
 
     @cached_property
@@ -193,12 +193,12 @@ def _part(whole: Callable, tag: str) -> Callable:
 IDENTITIES: dict[str, Identity] = {
     e.tag: e
     for e in (
-        Identity("theorem_1_1", lambda c: [cg.verify_theorem_1_1(c, a) for a in c.a_values], default=True),
+        Identity("theorem_1_1", lambda c: cg.verify_theorem_1_1(c, c.a_values), default=True),
         # a = 3, 4, 5 whatever a_values holds
-        Identity("corollary", lambda c: [cg.verify_corollary(c, a) for a in (3, 4, 5)]),
+        Identity("corollary", lambda c: cg.verify_corollary(c)),
         Identity("morley", lambda c: [cg.verify_morley(c)], p_min=5, default=True),
         Identity("carlitz", lambda c: [cg.verify_carlitz(c)], default=True),
-        Identity("cai_granville", lambda c: [cg.verify_cai_granville(c, a) for a in c.a_values], p_min=5),
+        Identity("cai_granville", lambda c: cg.verify_cai_granville(c, c.a_values), p_min=5),
         Identity("chamberland_dilcher", lambda c: [cg.verify_chamberland_dilcher(c, *t) for t in c.cd_triples], p_min=5),
         Identity("lemma_2_1", _lemma_2_1, p_min=5, default=True),
         Identity("lemma_2_1_i", _part(_lemma_2_1, "lemma_2_1_i"), p_min=5, part_of="lemma_2_1"),

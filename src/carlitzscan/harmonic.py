@@ -31,7 +31,6 @@ __all__ = [
     "even_index_sweep",
     "even_index_sums",
     "naive_half_harmonic",
-    "naive_even_single",
     "naive_even_double",
     "naive_even_triple",
     "verify_lemma_2_1",
@@ -231,11 +230,6 @@ def naive_half_harmonic(p: int, n: int, e: int) -> int:
     """Oracle: term-by-term with builtin modular inversion."""
     m = int(p) ** e
     return sum(pow(k, -n, m) for k in range(1, (p - 1) // 2 + 1)) % m
-
-
-def naive_even_single(p: int, n: int, e: int) -> int:
-    m = int(p) ** e
-    return sum(pow(k, -n, m) for k in range(2, p, 2)) % m
 
 
 def naive_even_double(p: int, s: int, t: int, e: int) -> int:

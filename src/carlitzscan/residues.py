@@ -6,7 +6,7 @@ pow(x, -1, m).
 """
 
 from fractions import Fraction
-from math import comb, prod
+from math import prod
 
 __all__ = [
     "NegativeValuation",
@@ -15,10 +15,7 @@ __all__ = [
     "inverse_range",
     "reduce_rational",
     "binom_pm1",
-    "binom_pm1_naive",
     "signed_central_binomials",
-    "symmetric_inverse_sums",
-    "symmetric_inverse_sums_naive",
 ]
 
 MAX_PRIME = 2**31  # supported range; keeps p^4 comfortably in a few machine words
@@ -120,12 +117,6 @@ def binom_pm1(p: int, e: int) -> list[int]:
     return table
 
 
-def binom_pm1_naive(p: int, e: int) -> list[int]:
-    """Same table via exact integer binomials (oracle route)."""
-    m = int(p) ** e
-    return [comb(p - 1, k) % m for k in range(p)]
-
-
 _FACTOR_RUN = 16  # factors multiplied as small ints before each reduction mod the big modulus
 # steps a chunk-wide sweep takes between reductions of its state mod the
 # chunk's products: each step multiplies by small ints only, so the state
@@ -160,40 +151,3 @@ def signed_central_binomials(primes) -> dict[int, int]:
             m //= m4
             f %= m
     return out
-
-
-def symmetric_inverse_sums(p: int, r: int, e: int) -> tuple[int, int, int]:
-    """Elementary symmetric sums (sigma1, sigma2, sigma3) of 1/1, ..., 1/r mod p^e.
-
-    Incremental Newton-style update per added term x = 1/k:
-    sigma3 += sigma2*x, sigma2 += sigma1*x, sigma1 += x.  O(r) total.
-    """
-    if not 0 <= r <= p - 1:
-        raise ValueError(f"r must be in 0..p-1, got {r}")
-    m = p**e
-    inv = inverse_range(r, m) if r else []
-    s1 = s2 = s3 = 0
-    for k in range(1, r + 1):
-        x = inv[k]
-        s3 = (s3 + s2 * x) % m
-        s2 = (s2 + s1 * x) % m
-        s1 = (s1 + x) % m
-    return s1, s2, s3
-
-
-def symmetric_inverse_sums_naive(p: int, r: int, e: int) -> tuple[int, int, int]:
-    """The same sums by literal enumeration of tuples (oracle route, O(r^3))."""
-    m = p**e
-    inv = [0] + [pow(k, -1, m) for k in range(1, r + 1)]
-    s1 = sum(inv[1:]) % m
-    s2 = 0
-    for k in range(2, r + 1):
-        for j in range(1, k):
-            s2 = (s2 + inv[j] * inv[k]) % m
-    s3 = 0
-    for k in range(3, r + 1):
-        for j in range(2, k):
-            x = inv[j] * inv[k] % m
-            for i in range(1, j):
-                s3 = (s3 + inv[i] * x) % m
-    return s1, s2, s3

@@ -1,0 +1,67 @@
+"""Routes only the tests read: slow references and the product expansion
+behind acceptance criterion 11.  Nothing in the package calls them."""
+
+from math import comb
+
+from carlitzscan.residues import inverse_range
+
+
+def lhs_power_sum_exact(p: int, a: int) -> int:
+    """sum_{k=0}^{p-1} (-1)^((a-1)k) binomial(p-1, k)^a over exact integer
+    binomials, reduced mod p^4: the reference for lhs_power_sums_batch."""
+    m = int(p) ** 4
+    acc = 0
+    for k in range(p):
+        t = comb(p - 1, k) ** a
+        # (-1)^((a-1)k) is -1 iff a-1 and k are both odd
+        acc += -t if a % 2 == 0 and k % 2 == 1 else t
+    return acc % m
+
+
+def binom_pm1_naive(p: int, e: int) -> list[int]:
+    """binomial(p-1, k) mod p^e for k = 0..p-1 via exact integer binomials."""
+    m = int(p) ** e
+    return [comb(p - 1, k) % m for k in range(p)]
+
+
+def symmetric_inverse_sums(p: int, r: int, e: int) -> tuple[int, int, int]:
+    """Elementary symmetric sums (sigma1, sigma2, sigma3) of 1/1, ..., 1/r mod p^e.
+
+    Incremental Newton-style update per added term x = 1/k:
+    sigma3 += sigma2*x, sigma2 += sigma1*x, sigma1 += x.  O(r) total.
+    """
+    if not 0 <= r <= p - 1:
+        raise ValueError(f"r must be in 0..p-1, got {r}")
+    m = p**e
+    inv = inverse_range(r, m) if r else []
+    s1 = s2 = s3 = 0
+    for k in range(1, r + 1):
+        x = inv[k]
+        s3 = (s3 + s2 * x) % m
+        s2 = (s2 + s1 * x) % m
+        s1 = (s1 + x) % m
+    return s1, s2, s3
+
+
+def symmetric_inverse_sums_naive(p: int, r: int, e: int) -> tuple[int, int, int]:
+    """The same sums by literal enumeration of tuples (O(r^3))."""
+    m = p**e
+    inv = [0] + [pow(k, -1, m) for k in range(1, r + 1)]
+    s1 = sum(inv[1:]) % m
+    s2 = 0
+    for k in range(2, r + 1):
+        for j in range(1, k):
+            s2 = (s2 + inv[j] * inv[k]) % m
+    s3 = 0
+    for k in range(3, r + 1):
+        for j in range(2, k):
+            x = inv[j] * inv[k] % m
+            for i in range(1, j):
+                s3 = (s3 + inv[i] * x) % m
+    return s1, s2, s3
+
+
+def naive_even_single(p: int, n: int, e: int) -> int:
+    """sum_{k even, k<p} 1/k^n mod p^e, term by term."""
+    m = int(p) ** e
+    return sum(pow(k, -n, m) for k in range(2, p, 2)) % m

@@ -29,7 +29,7 @@ from carlitzscan.congruences import (
 )
 from carlitzscan.context import CHUNK, IDENTITIES, PrimeContext, PrimeRange
 from carlitzscan.harmonic import verify_derived_sums, verify_lemma_2_1, verify_lemma_2_2
-from carlitzscan.residues import symmetric_inverse_sums
+from helpers import symmetric_inverse_sums
 
 THEOREM_P_MAX = 10**4
 CENTRAL_P_MAX = 10**5

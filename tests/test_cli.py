@@ -471,8 +471,8 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
 
     sweeps = ((cg, "staver_sweep"), (rs, "signed_central_binomials"), (bn, "bernoulli_pm3_mod_primes"),
               (hm, "inverse_power_sweep"), (hm, "even_index_sweep"))
-    naive = ((cg, "lhs_power_sums_batch"), (cg, "lhs_power_sum_exact"), (hm, "naive_half_harmonic"),
-             (hm, "naive_even_double"), (hm, "naive_even_triple"))
+    naive = ((cg, "lhs_power_sums_batch"), (hm, "naive_half_harmonic"), (hm, "naive_even_double"),
+             (hm, "naive_even_triple"))
     for mod, name in sweeps:
         count_sweep(mod, name)
     for mod, name in naive + ((bn, "fermat_quotient_2"), (cg, "chamberland_dilcher_u")):
@@ -489,7 +489,7 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     primes = set(sieve_odd_primes(3, 200))
     # the moments (from W and the central binomial) and the central binomial
     # are read at p = 3 too, the rest from p = 5
-    from_3 = {"staver_sweep", "signed_central_binomials", "lhs_power_sums_batch", "lhs_power_sum_exact"}
+    from_3 = {"staver_sweep", "signed_central_binomials", "lhs_power_sums_batch"}
     always = {"staver_sweep", "signed_central_binomials", "bernoulli_pm3_mod_primes",
               "even_index_sweep", "fermat_quotient_2"}
     # without lemma_2_1 no inverse-power sweep runs; the oracle under

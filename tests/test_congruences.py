@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 import pytest
@@ -18,12 +19,11 @@ from carlitzscan.congruences import (
     chamberland_dilcher_u,
     exact_identity_1_3,
     exact_identity_1_4,
-    lhs_power_sum_exact,
     lhs_power_sums_batch,
-    moment_power_sum,
     rhs_theorem,
     staver_sweep,
     theorem_coefficient,
+    theorem_row,
     verify_cai_granville,
     verify_carlitz,
     verify_chamberland_dilcher,
@@ -34,6 +34,8 @@ from carlitzscan.congruences import (
 )
 from carlitzscan.cli import sieve_odd_primes
 from carlitzscan.context import PrimeContext, PrimeRange
+from carlitzscan.residues import binom_pm1
+from helpers import lhs_power_sum_exact
 
 SMALL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -50,10 +52,10 @@ def test_moment_route_matches_direct_powers(p):
     moments = PrimeContext(p).moments
     assert all(mj % p**j == 0 for j, mj in enumerate(moments, 1))
     direct = lhs_power_sums_batch(p, 40)
-    for a in range(1, 41):
-        assert moment_power_sum(p, a, moments) == direct[a], (p, a)
+    for a, lhs, _ in theorem_row(p, moments, range(1, 41)):
+        assert lhs == direct[a], (p, a)
     with pytest.raises(ValueError):
-        moment_power_sum(p, 0, moments)
+        theorem_row(p, moments, (0,))
 
 
 STAVER_PRIMES = (*sieve_odd_primes(3, 300), 1093, 3511, 16843)
@@ -94,11 +96,44 @@ def test_moment_verdicts_at_vanishing_bernoulli_prime():
     ctx = PrimeContext(p)
     assert ctx.bpm3 == 0
     direct = lhs_power_sums_batch(p, 8)
-    for a in range(1, 9):
-        t = verify_theorem_1_1(ctx, a)
-        c = verify_cai_granville(ctx, a)
+    for a, t, c in zip(range(1, 9), verify_theorem_1_1(ctx, range(1, 9)), verify_cai_granville(ctx, range(1, 9)), strict=True):
         assert t.verdict and c.verdict, a
         assert t.lhs == direct[a] and c.lhs == direct[a] % p**3, a
+
+
+ROW_PRIMES = (3, 5, 7, 13, 1093, 3511, 16843)
+# unsorted, with duplicates, and with a huge a (t^a by pow where a does not step by 1)
+ROW_A_VALUES = ((9, 1, 3, 3, 10**9 + 7), (10, 2, 7, 1, 10, 4), (10**9 + 7, 5, 4, 3, 2, 1, 1))
+
+
+@pytest.mark.parametrize("p", ROW_PRIMES)
+def test_row_records_match_their_per_a_builds(p):
+    # one theorem_row serves every a of a list; each record must equal the
+    # one built for its a alone: rhs_theorem on the right, and on the left
+    # direct powers (the ladder for a <= 10, one pow per binomial above).
+    # 1093 and 3511 are Wieferich primes, and B_(p-3) == 0 (mod 16843)
+    ctx = PrimeContext(p)
+    m, m3 = p**4, p**3
+    direct = lhs_power_sums_batch(p, 10)
+    row = binom_pm1(p, 4)
+
+    @cache
+    def lhs(a):
+        if a <= 10:
+            return direct[a]
+        return sum(-pow(x, a, m) if a % 2 == 0 and k % 2 else pow(x, a, m) for k, x in enumerate(row)) % m
+
+    def theorem(tag, a):
+        return CongruenceCheck(tag, p, (a,), m, lhs(a), rhs_theorem(p, a, ctx.bpm3), True)
+
+    for a_values in ROW_A_VALUES:
+        assert verify_theorem_1_1(ctx, a_values) == [theorem("theorem_1_1", a) for a in a_values]
+        if p >= 5:
+            assert verify_cai_granville(ctx, a_values) == [
+                CongruenceCheck("cai_granville", p, (a,), m3, lhs(a) % m3, pow(2, a * (p - 1), m3), True)
+                for a in a_values
+            ]
+    assert verify_corollary(ctx, (5, 3, 4, 4)) == [theorem(f"corollary_a{a}", a) for a in (5, 3, 4, 4)]
 
 
 def test_rhs_theorem_frozen_values():
@@ -166,8 +201,7 @@ def test_theorem_coefficient_values():
 def test_verify_theorem_small_primes():
     for p in SMALL:
         ctx = PrimeContext(p)
-        for a in range(1, 9):
-            c = verify_theorem_1_1(ctx, a)
+        for a, c in zip(range(1, 9), verify_theorem_1_1(ctx, range(1, 9)), strict=True):
             assert c.verdict, (p, a, c.lhs, c.rhs)
             assert c.identity == "theorem_1_1"
             assert c.modulus == p**4
@@ -185,14 +219,12 @@ def test_rhs_reduces_to_power_of_two_mod_p3():
 def test_verify_corollary_matches_theorem():
     for p in (3, 5, 7, 31):
         ctx = PrimeContext(p)
-        for a in (3, 4, 5):
-            c = verify_corollary(ctx, a)
-            t = verify_theorem_1_1(ctx, a)
+        for a, c, t in zip((3, 4, 5), verify_corollary(ctx), verify_theorem_1_1(ctx, (3, 4, 5)), strict=True):
             assert c.verdict, (p, a)
             assert c.identity == f"corollary_a{a}"
             assert (c.lhs, c.rhs) == (t.lhs, t.rhs)
     with pytest.raises(ValueError):
-        verify_corollary(PrimeContext(7), 6)
+        verify_corollary(PrimeContext(7), (6,))
 
 
 def test_verify_morley_known_values():
@@ -231,14 +263,14 @@ def test_carlitz_refines_morley():
 
 
 def test_verify_cai_granville():
-    c = verify_cai_granville(PrimeContext(5), 3)
+    (c,) = verify_cai_granville(PrimeContext(5), (3,))
     assert (c.lhs, c.rhs, c.verdict) == (96, 96, True)
     for p in (5, 7, 11, 31):
         ctx = PrimeContext(p)
-        for a in (1, 2, 3, 6):
-            assert verify_cai_granville(ctx, a).verdict, (p, a)
+        for a, c in zip((1, 2, 3, 6), verify_cai_granville(ctx, (1, 2, 3, 6)), strict=True):
+            assert c.verdict, (p, a)
     with pytest.raises(ValueError):
-        verify_cai_granville(PrimeContext(3), 2)
+        verify_cai_granville(PrimeContext(3), (2,))
 
 
 def test_u_sum_frozen_values():
@@ -328,13 +360,12 @@ def test_p3_endgame_small_exponents():
 def test_p3_endgame_agrees_with_theorem_at_p3():
     # the difference 2^(2a) - (mod p^3 main term) reproduced by the
     # wrapped checker must equal what the full verifier sees
-    for a in (1, 2, 3, 5, 8, 13):
-        th = verify_theorem_1_1(PrimeContext(3), a)
+    for a, th in zip((1, 2, 3, 5, 8, 13), verify_theorem_1_1(PrimeContext(3), (1, 2, 3, 5, 8, 13)), strict=True):
         assert th.verdict, a
 
 
 def test_check_records_are_hashable_and_frozen():
-    c = verify_theorem_1_1(PrimeContext(5), 2)
+    (c,) = verify_theorem_1_1(PrimeContext(5), (2,))
     assert hash(c)
     with pytest.raises(Exception):
         c.lhs = 0
@@ -348,7 +379,7 @@ def test_side_facts_decide_the_verdict_under_python_O():
         "import carlitzscan.congruences as cg\n"
         "from carlitzscan.context import PrimeContext\n"
         "cg.theorem_coefficient = lambda a: Fraction(0)\n"
-        "print(cg.verify_corollary(PrimeContext(7), 3).verdict, cg.verify_p3_special(2).verdict)\n"
+        "print(cg.verify_corollary(PrimeContext(7), (3,))[0].verdict, cg.verify_p3_special(2).verdict)\n"
     )
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr

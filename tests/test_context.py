@@ -41,7 +41,7 @@ def range_values(r: PrimeRange) -> dict:
     """per_prime's layout, read from the range's fields."""
     def read(name, p):
         value = getattr(r, name)[p]
-        return tuple(cg.moment_power_sum(p, a, value) for a in (1, 2, 3)) if name == "moments" else value
+        return tuple(lhs for _, lhs, _ in cg.theorem_row(p, value, (1, 2, 3))) if name == "moments" else value
 
     def names(p):
         return ("moments", "central4", *(("bpm3", "inverse_powers", "even_sums") if p > 3 else ()))

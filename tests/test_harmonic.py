@@ -10,13 +10,13 @@ from carlitzscan.harmonic import (
     even_index_sums,
     inverse_power_sweep,
     naive_even_double,
-    naive_even_single,
     naive_even_triple,
     naive_half_harmonic,
     verify_derived_sums,
     verify_lemma_2_1,
     verify_lemma_2_2,
 )
+from helpers import naive_even_single
 
 SMALL = [5, 7, 11, 13]
 MEDIUM = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,

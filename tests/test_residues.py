@@ -12,14 +12,12 @@ from carlitzscan.residues import (
     NegativeValuation,
     OddPrime,
     binom_pm1,
-    binom_pm1_naive,
     inverse_range,
     is_odd_prime,
     reduce_rational,
     signed_central_binomials,
-    symmetric_inverse_sums,
-    symmetric_inverse_sums_naive,
 )
+from helpers import binom_pm1_naive, symmetric_inverse_sums, symmetric_inverse_sums_naive
 
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
