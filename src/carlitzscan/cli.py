@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import ceil, comb, isqrt
+from multiprocessing import SimpleQueue
 from operator import attrgetter
 
 from . import bernoulli as bn
@@ -185,10 +186,15 @@ def _prime_checks(primes: list[int], cfg: ScanConfig, cap: int):
     selected per-prime checks, all reading one PrimeContext of the primes'
     PrimeRange, and for p <= cap the first field those checks populated
     that disagrees with its naive route (None if all agree)."""
-    entries = [e for e in _entries(cfg) if e.over == "p"]
+    # one call per check: the selected parts of one whole share its call
+    calls = {}
+    for e in _entries(cfg):
+        if e.over == "p":
+            calls.setdefault(e.check, (e, set()))[1].add(e.tag)
     for ctx in PrimeRange(primes).contexts(cfg.a_values, cfg.cd_triples):
         p = ctx.p
-        checks = [c for e in entries if p >= e.p_min for c in e.check(ctx)]
+        checks = [c for e, tags in calls.values() if p >= e.p_min
+                  for c in e.check(ctx) if not e.part_of or c.identity in tags]
         built = vars(ctx) if p <= cap else {}
         oracles = (oracle(p, built[name]) for name, oracle in _ORACLE_FUNCS.items() if name in built)
         yield p, checks, next(filter(None, oracles), None)
@@ -227,10 +233,32 @@ def _scan_chunk(task: tuple) -> tuple[list[str], int, bool, "str | None"]:
     return pieces, count, ok, bad
 
 
+def _allowed_cpus() -> list[int]:
+    """The CPUs this process may run on: its affinity mask, or every CPU
+    where the platform has none."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:
+        return list(range(os.cpu_count() or 1))
+
+
 def _pool_size(jobs: int) -> int:
-    """Workers for a pool of `jobs`: no more than the CPUs, since each is a
-    process the executor forks at its first submit."""
-    return min(jobs, os.cpu_count() or 1)
+    """Workers for a pool of `jobs`: no more than the CPUs this process may
+    use, since each is a process the executor forks at its first submit."""
+    return min(jobs, len(_allowed_cpus()))
+
+
+def _take_cpu(cpus) -> None:
+    """Pool initializer: pin this worker to the next CPU in the queue `cpus`,
+    which holds one per worker.  A forked worker starts on its parent's CPU,
+    and where the kernel does not balance the load (a cpuset with
+    sched_load_balance off) it stays there, sharing that CPU with the other
+    workers.  Where the platform cannot pin, the worker runs where it is."""
+    cpu = cpus.get()
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except (AttributeError, OSError):
+        pass
 
 
 def _chunks(cfg: ScanConfig, hi: int) -> list[list[int]]:
@@ -244,17 +272,22 @@ def _chunks(cfg: ScanConfig, hi: int) -> list[list[int]]:
 
 
 def _run(fn, tasks: list, jobs: int):
-    """Yield fn(task) for each task, in order: in this process at jobs 1 or
-    for a single task, which a pool would only run later, else from a pool.
-    Closing the generator cancels the pool's pending work."""
-    if jobs == 1 or len(tasks) < 2:
+    """Yield fn(task) for each task, in order: in this process for one
+    worker or a single task, which a pool would only run later, else from a
+    pool whose workers each run on a CPU of their own.  Closing the
+    generator cancels the pool's pending work."""
+    workers = _pool_size(jobs)
+    if workers == 1 or len(tasks) < 2:
         yield from map(fn, tasks)
         return
-    with ProcessPoolExecutor(max_workers=_pool_size(jobs)) as pool:
-        try:
-            yield from pool.map(fn, tasks)
-        finally:
-            pool.shutdown(cancel_futures=True)
+    with closing(SimpleQueue()) as cpus:
+        for cpu in _allowed_cpus()[:workers]:
+            cpus.put(cpu)
+        with ProcessPoolExecutor(max_workers=workers, initializer=_take_cpu, initargs=(cpus,)) as pool:
+            try:
+                yield from pool.map(fn, tasks)
+            finally:
+                pool.shutdown(cancel_futures=True)
 
 
 class Report:

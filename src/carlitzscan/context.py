@@ -163,8 +163,11 @@ class Identity:
     `over` names what the check runs over: "p" (a PrimeContext, for each
     prime >= p_min in the range, returning a list of checks), "n" (each
     n = 1..n_max, at most n_cap, returning one check) or "a" (each
-    requested power, once per run).  A part (`part_of` set) adds nothing
-    when its whole identity is also selected.
+    requested power, once per run).  A part (`part_of` set) shares its
+    whole's check, whose records carry the tags of all its parts: a scan
+    calls it once per prime for every selected part of that whole and keeps
+    the records of those parts.  A part adds nothing when its whole identity
+    is also selected.
     """
 
     tag: str
@@ -185,11 +188,6 @@ def _derived_sums(c: PrimeContext) -> list[cg.CongruenceCheck]:
     return hm.verify_derived_sums(c)
 
 
-def _part(whole: Callable, tag: str) -> Callable:
-    """The checks of `whole` that carry the tag `tag`."""
-    return lambda c: [x for x in whole(c) if x.identity == tag]
-
-
 IDENTITIES: dict[str, Identity] = {
     e.tag: e
     for e in (
@@ -201,10 +199,11 @@ IDENTITIES: dict[str, Identity] = {
         Identity("cai_granville", lambda c: cg.verify_cai_granville(c, c.a_values), p_min=5),
         Identity("chamberland_dilcher", lambda c: [cg.verify_chamberland_dilcher(c, *t) for t in c.cd_triples], p_min=5),
         Identity("lemma_2_1", _lemma_2_1, p_min=5, default=True),
-        Identity("lemma_2_1_i", _part(_lemma_2_1, "lemma_2_1_i"), p_min=5, part_of="lemma_2_1"),
-        Identity("lemma_2_1_ii", _part(_lemma_2_1, "lemma_2_1_ii"), p_min=5, part_of="lemma_2_1"),
+        Identity("lemma_2_1_i", _lemma_2_1, p_min=5, part_of="lemma_2_1"),
+        Identity("lemma_2_1_ii", _lemma_2_1, p_min=5, part_of="lemma_2_1"),
         Identity("lemma_2_2", lambda c: hm.verify_lemma_2_2(c), p_min=5, default=True),
-        *(Identity(tag, _part(_derived_sums, tag), p_min=5, default=tag in ("eq_2_9", "eq_2_10"))
+        # parts of a whole that is no identity of its own
+        *(Identity(tag, _derived_sums, p_min=5, default=tag in ("eq_2_9", "eq_2_10"), part_of="derived_sums")
           for tag in ("eq_2_7", "eq_2_8", "eq_2_9", "eq_2_10")),
         Identity("exact_1_3", cg.exact_identity_1_3, over="n", n_cap=300),
         Identity("exact_1_4", cg.exact_identity_1_4, over="n", n_cap=200),

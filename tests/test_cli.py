@@ -7,10 +7,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 from math import ceil
+from types import SimpleNamespace
 
 import pytest
 
@@ -522,16 +525,19 @@ def test_lemma_2_1_reads_any_offset_after_bpm3():
     assert hm.verify_lemma_2_1(ctx) == hm.verify_lemma_2_1(PrimeContext(31))
 
 
-def test_pool_is_bounded_by_the_cpus(monkeypatch):
-    # each worker is a process forked at the first submit, so --jobs far
-    # above the CPU count is cut to it; the stand-in pool starts nothing.
-    # Each task is a chunk of consecutive primes: an even share per
-    # worker, at most CHUNK primes each
-    sizes, chunks = [], []
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool by a stand-in that starts no process: it
+    runs the initializer once per worker, then every task, in this process.
+    The namespace it returns records each pool's size and its tasks' chunks
+    of primes."""
+    seen = SimpleNamespace(sizes=[], chunks=[])
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            seen.sizes.append(max_workers)
+            for _ in range(max_workers):
+                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -540,14 +546,23 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
             return False
 
         def map(self, fn, tasks):
-            chunks.append([task[0] for task in tasks])
+            seen.chunks.append([task[0] for task in tasks])
             return map(fn, tasks)
 
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    return seen
+
+
+def test_pool_is_bounded_by_the_cpus(monkeypatch, inline_pool):
+    # each worker is a process forked at the first submit, so --jobs far
+    # above the CPUs this process may use is cut to them; the stand-in pool
+    # starts nothing and pins nothing.  Each task is a chunk of consecutive
+    # primes: an even share per worker, at most CHUNK primes each
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(cli.os, "sched_setaffinity", lambda pid, cpus: None)
     records, code = verify_records(ScanConfig(p_max=400, jobs=100_000))
     assert code == 0 and records
     assert run_oracle_quantities(ScanConfig(p_max=31, jobs=100_000)) is None
@@ -556,13 +571,95 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch):
     # a single task (here the exact identities alone) runs without a pool
     records, code = verify_records(ScanConfig(p_max=20_000, jobs=2, identities=("exact_1_4",), n_max=5))
     assert code == 0 and len(records) == 5
-    assert sizes == [2, 2, 2]
-    for chunked, p_max in zip(chunks, (400, 31, 20_000)):
+    assert inline_pool.sizes == [2, 2, 2]
+    for chunked, p_max in zip(inline_pool.chunks, (400, 31, 20_000)):
         primes = sieve_odd_primes(3, p_max)
         size = max(1, min(CHUNK, ceil(len(primes) / 2)))
         assert [p for chunk in chunked for p in chunk] == primes
         assert {len(chunk) for chunk in chunked[:-1]} <= {size} and 0 < len(chunked[-1]) <= size
-    assert len(chunks[2][0]) == CHUNK
+    assert len(inline_pool.chunks[2][0]) == CHUNK
+    # a mask of one CPU leaves one worker, which runs in this process
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {1})
+    records, code = verify_records(ScanConfig(p_max=400, jobs=2))
+    assert code == 0 and records and inline_pool.sizes == [2, 2, 2]
+
+
+@pytest.mark.parametrize("placement", ["pinned", "refused", "unsupported"])
+def test_each_pool_worker_takes_a_cpu_of_its_own(monkeypatch, inline_pool, placement):
+    # the parent queues the first CPUs of its mask, one per worker, and each
+    # worker's initializer pins it to the next one; where the kernel refuses
+    # or the platform has no affinity calls, the workers run where they are
+    # and the report is the same
+    cfg = ScanConfig(p_max=400, jobs=3)
+    want = verify_records(replace(cfg, jobs=1))
+    pinned = []
+
+    def pin(pid, cpus):
+        pinned.append((pid, cpus))
+        if placement == "refused":
+            raise OSError(22, "Invalid argument")
+
+    if placement == "unsupported":
+        monkeypatch.delattr(cli.os, "sched_getaffinity")
+        monkeypatch.delattr(cli.os, "sched_setaffinity")
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {11, 7, 2, 5})
+        monkeypatch.setattr(cli.os, "sched_setaffinity", pin)
+    assert verify_records(cfg) == want
+    assert inline_pool.sizes == [3]
+    assert pinned == ([] if placement == "unsupported" else [(0, {2}), (0, {5}), (0, {7})])
+
+
+def _cpus_of_this_worker(rendezvous: str) -> set[int]:
+    """A pool task: the CPUs its worker may use, read once each of the two
+    workers holds a task, so that no worker runs both."""
+    open(os.path.join(rendezvous, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + 60
+    while len(os.listdir(rendezvous)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.sched_getaffinity(0)
+
+
+def test_pool_workers_run_on_distinct_cpus(tmp_path):
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    if len(allowed) < 2:
+        pytest.skip("needs at least 2 CPUs to run on")
+    cpus = list(cli._run(_cpus_of_this_worker, [str(tmp_path)] * 2, 2))
+    assert len(os.listdir(tmp_path)) == 2
+    assert all(len(c) == 1 for c in cpus) and cpus[0] != cpus[1]
+    assert cpus[0] | cpus[1] <= allowed
+    # pinning moves the workers, not the parent
+    assert os.sched_getaffinity(0) == allowed
+
+
+def test_each_check_runs_once_per_prime(monkeypatch):
+    # the selected parts of one whole (eq_2_7..eq_2_10 of the derived sums,
+    # lemma 2.1's two halves) share one call of its check at each prime and
+    # keep the records of their own tags
+    calls = Counter()
+
+    def count(name):
+        fn = getattr(hm, name)
+
+        def counted(c):
+            calls[name, c.p] += 1
+            return fn(c)
+
+        monkeypatch.setattr(hm, name, counted)
+
+    for name in ("verify_derived_sums", "verify_lemma_2_1"):
+        count(name)
+    parts = ("lemma_2_1_i", "lemma_2_1_ii", "eq_2_7", "eq_2_8", "eq_2_9", "eq_2_10")
+    once = Counter({(name, p): 1 for name in ("verify_derived_sums", "verify_lemma_2_1")
+                    for p in sieve_odd_primes(5, 100)})
+    for tags in (DEFAULT_IDENTITIES, parts):
+        calls.clear()
+        records, code = verify_records(ScanConfig(p_max=100, identities=tags))
+        assert code == 0 and records
+        assert calls == once
+    alone = [r for tag in parts for r in verify_records(ScanConfig(p_max=100, identities=(tag,)))[0]]
+    assert records == sorted(alone, key=cli._ORDER)
 
 
 def test_verify_never_builds_the_oracle_routes(monkeypatch):
