@@ -96,7 +96,8 @@ def bernoulli_mod_p(p: int, index: int) -> int:
     """B_index mod p for an even index with 2 <= index <= p-3, p >= 5.
 
     Power-sum extraction, the oracle's route for the B_(p-j) that the
-    chunk sweeps take from Voronoi's congruence (voronoi_fold): with
+    chunk sweeps take from Voronoi's congruence (voronoi_fold, and its
+    c = 2, 3, 6 fold in bernoulli_pm3_mod_primes): with
     S = sum_{k=1}^{p-1} k^index mod p^2, we have
     S == p * B_index (mod p^2), so B_index == (S/p) mod p.
     Why: sum_{k<p} k^index = (B_{index+1}(p) - B_{index+1})/(index+1)
@@ -121,26 +122,31 @@ def bernoulli_mod_p(p: int, index: int) -> int:
 def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
     """B_(p-3) mod p for each prime p >= 5 of `primes`, from one sweep.
 
-    voronoi_fold's congruence at c = 3 and j = 3 reads
-    -24 B_(p-3) == 6 T (mod p), so B_(p-3) == -T/4 with T the sum of x^(-3)
-    over x <= p/3.  T is a prefix sum of a sequence free of p: one running
-    fraction num/den modulo the product of the primes, read at x = p // 3,
-    serves every p (den = (x!)^3 is a unit mod each p not yet read).  The
-    state is reduced every SWEEP_RUN steps, as in the other sweeps.
+    With S(n) = sum_{x<=n} x^(-3), Voronoi's congruence at c = 2, 3 and
+    6, folded by x -> p - x, gives S((p-1)/2) == -2B, S(p // 3) == -4B and
+    2 S(p // 6) + 2 S(p // 3) + S((p-1)/2) == -70B (mod p), B = B_(p-3);
+    hence B_(p-3) == -T/30 with T = S(p // 6), for p >= 7.  (At p = 5 the
+    factor 30 vanishes mod p, and B_2 = 1/6 == 1 is taken exactly.)  T is
+    a prefix sum of a sequence free of p: one running fraction num/den
+    modulo the product of the primes, read at x = p // 6, serves every p
+    (den = (x!)^3 is a unit mod each p not yet read).  The state is
+    reduced every SWEEP_RUN steps, as in the other sweeps.
     """
     primes = {int(OddPrime(p)) for p in primes}
     if 3 in primes:
         raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
+    out = {5: 1} if 5 in primes else {}
+    primes.discard(5)
     m = prod(primes)
-    num, den, x, out = 0, 1, 0, {}
-    for pos, p in sorted((p // 3, p) for p in primes):
+    num, den, x = 0, 1, 0
+    for pos, p in sorted((p // 6, p) for p in primes):
         for x in range(x + 1, pos + 1):
             c = x * x * x
             num = num * c + den
             den *= c
             if x % SWEEP_RUN == 0:
                 num, den = num % m, den % m
-        out[p] = -num * pow(4 * den, -1, p) % p
+        out[p] = -num * pow(30 * den, -1, p) % p
     return out
 
 

@@ -25,7 +25,7 @@ from contextlib import closing
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from math import ceil, comb, isqrt
+from math import ceil, comb
 from multiprocessing import SimpleQueue
 from operator import attrgetter
 
@@ -34,6 +34,7 @@ from . import congruences as cg
 from . import harmonic as hm
 from . import residues as rs
 from .context import CHUNK, DEFAULT_A, DEFAULT_CD_TRIPLES, IDENTITIES, PrimeContext, PrimeRange
+from .residues import sieve_odd_primes
 
 __all__ = [
     "UsageError",
@@ -145,30 +146,6 @@ def _report_text(records: list[cg.CongruenceCheck], fmt: str) -> str:
     if fmt == "csv":
         return _csv_text(map(csv_row, records))
     return "".join([f"{jsonl_line(r)}\n" for r in records])
-
-
-_SEGMENT = 1 << 20
-
-
-def sieve_odd_primes(lo: int, hi: int) -> list[int]:
-    """Odd primes in [lo, hi], by a sieve segmented into windows of 2^20."""
-    if hi < 3:
-        return []
-    lo = max(lo, 3)
-    small = [2] + sieve_odd_primes(3, isqrt(hi))
-    out = []
-    start = lo
-    while start <= hi:
-        end = min(start + _SEGMENT - 1, hi)
-        flags = bytearray([1]) * (end - start + 1)
-        for q in small:
-            if q * q > end:
-                break
-            first = max(q * q, (start + q - 1) // q * q)
-            flags[first - start :: q] = bytearray(len(range(first, end + 1, q)))
-        out.extend(n for n in range(start | 1, end + 1, 2) if flags[n - start])
-        start = end + 1
-    return out
 
 
 # the order of the report's records

@@ -42,7 +42,6 @@ __all__ = [
     "chamberland_dilcher_exact",
     "verify_chamberland_dilcher",
     "alternating_square_sum",
-    "alternating_square_sum_printed_limit",
     "exact_identity_1_3",
     "exact_identity_1_4",
     "verify_p3_special",
@@ -362,11 +361,11 @@ def verify_chamberland_dilcher(c: "PrimeContext", eps: int, a: int, b: int) -> C
     return _check("chamberland_dilcher", p, (eps, a, b), m3, c.cd[eps, a, b], (1 + (-1) ** eps * pow(2, b, m3)) % m3)
 
 
-def _alternating_binomial_sum(n: int, e: int, top: int) -> int:
-    """sum_{k=0}^{top} (-1)^k binomial(2n, k)^e, exact."""
+def _alternating_binomial_sum(n: int, e: int) -> int:
+    """sum_{k=0}^{2n} (-1)^k binomial(2n, k)^e, exact."""
     acc = 0
     c = 1
-    for k in range(top + 1):
+    for k in range(2 * n + 1):
         acc += c**e if k % 2 == 0 else -(c**e)
         c = c * (2 * n - k) // (k + 1)
     return acc
@@ -374,17 +373,7 @@ def _alternating_binomial_sum(n: int, e: int, top: int) -> int:
 
 def alternating_square_sum(n: int) -> int:
     """sum_{k=0}^{2n} (-1)^k binomial(2n, k)^2, exact."""
-    return _alternating_binomial_sum(n, 2, 2 * n)
-
-
-def alternating_square_sum_printed_limit(n: int) -> int:
-    """The same sum truncated at k = n.
-
-    Kept because the identity is sometimes printed with this upper
-    limit; truncation breaks it already at n = 1 (-3 vs -2), so the
-    full-range form is the one verified.
-    """
-    return _alternating_binomial_sum(n, 2, n)
+    return _alternating_binomial_sum(n, 2)
 
 
 def exact_identity_1_3(n: int) -> CongruenceCheck:
@@ -408,7 +397,7 @@ def exact_identity_1_4(n: int) -> CongruenceCheck:
         raise ValueError(f"n must be >= 0, got {n}")
     central = comb(2 * n, n) * comb(3 * n, n)
     rhs = central if n % 2 == 0 else -central
-    return _check("exact_1_4", n, (n,), 0, _alternating_binomial_sum(n, 3, 2 * n), rhs)
+    return _check("exact_1_4", n, (n,), 0, _alternating_binomial_sum(n, 3), rhs)
 
 
 def verify_p3_special(a: int) -> CongruenceCheck:

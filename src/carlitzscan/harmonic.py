@@ -94,10 +94,11 @@ def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
     c_(j-1)(x-1) and c_0 = x! are free of p, so one sweep of c_0..c_13 over
     x, multiplying by x only, serves every p.  It is read at x = (p-1)/2
     for the half-range sums, and at voronoi_fold's cuts (x = p // 3 but at
-    p = 13, 41, 61, 73) for the window.  c_0 and c_1 are kept modulo the
-    product of the p^3 (h1 is read mod p^3), c_2..c_12 modulo the product
-    of the p^2 and c_13 modulo that of the primes, and a p leaves the
-    products once read.
+    p = 13, 41, 61, 73) for the window.  All of c_0..c_13 are kept modulo
+    the product of the p^3 (h1 is read mod p^3): c_(j-1) is added into c_j
+    at each step, so a narrower modulus for the higher c_j would divide
+    c_1's wide carries by it at every reduction.  A p leaves the product
+    once read.
     """
     primes = sorted({_validate(OddPrime(p)) for p in primes})
     top = N_CAP + 1
@@ -109,16 +110,14 @@ def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
             for x in folds[p, j][1]:
                 reads[x, p].append(j)
         reads[(p - 1) // 2, p].append(0)
-    m1 = prod(primes)
-    m2 = m1 * m1
-    mods = [m2 * m1] * 2 + [m2] * (top - 2) + [m1]
+    m = prod(primes) ** 3
     c = [1] + [0] * top
     totals, out, x = defaultdict(int), {}, 0
     for (pos, p), offsets in sorted(reads.items()):
         for x in range(x + 1, pos + 1):
             c = [x * a + b for a, b in zip(c, [0, *c])]
             if x % SWEEP_RUN == 0:
-                c = [v % m for v, m in zip(c, mods)]
+                c = [v % m for v in c]
         x = pos
         if offsets != [0]:
             g = pow(c[0], -1, p)
@@ -132,9 +131,7 @@ def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
         hn = {n: ps[n] if n % 2 == 0 else ps[n] % p for n in range(2, n_top + 1)}
         window = {j: voronoi_bernoulli(p, j, folds[p, j][0], totals[p, j]) for j in _window_offsets(p)}
         out[p] = HalfSums(c[1] * g % p3, hn), window
-        m1 //= p
-        m2 //= p2
-        mods = [m2 * m1] * 2 + [m2] * (top - 2) + [m1]
+        m //= p3
     return out
 
 
@@ -151,14 +148,15 @@ def even_index_sweep(primes) -> dict[int, EvenSums]:
 
     each added to a running numerator over k! or k!^2.  The state is free
     of p and every step multiplies by k or k^2 only.  The double sum read
-    mod p^2 and its inputs are kept modulo the product of the p^2, the rest
-    modulo that of the primes, and a p leaves the products once read.
+    mod p^2, its inputs, and c2 and t, which take c1's carries, are kept
+    modulo the product of the p^2, the rest modulo that of the primes, and
+    a p leaves the products once read.
     """
     primes = sorted({_validate(OddPrime(p)) for p in primes})
     m1 = prod(primes)
     m2 = m1 * m1
-    f, c1, d112 = 1, 0, 0  # mod m2; d112 over f
-    f2, c2, c1f, q, d121, d211, t = 1, 0, 0, 0, 0, 0, 0  # mod m1; d121, d211 over f^2, t over f
+    f, c1, d112, c2, t = 1, 0, 0, 0, 0  # mod m2; d112, t over f
+    f2, c1f, q, d121, d211 = 1, 0, 0, 0, 0  # mod m1; d121, d211 over f^2
     out, k = {}, 0
     for p in primes:
         for k in range(k + 1, p):
@@ -176,8 +174,8 @@ def even_index_sweep(primes) -> dict[int, EvenSums]:
             f *= k
             f2 *= kk
             if k % SWEEP_RUN == 0:
-                f, c1, d112 = f % m2, c1 % m2, d112 % m2
-                f2, c2, c1f, q, d121, d211, t = (v % m1 for v in (f2, c2, c1f, q, d121, d211, t))
+                f, c1, d112, c2, t = (v % m2 for v in (f, c1, d112, c2, t))
+                f2, c1f, q, d121, d211 = (v % m1 for v in (f2, c1f, q, d121, d211))
         k = p - 1
         p2 = p * p
         g = pow(f, -1, p2)  # 1 / (p-1)!

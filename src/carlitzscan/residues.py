@@ -2,16 +2,20 @@
 
 Everything here is exact integer arithmetic on plain ints (canonical
 residues in [0, p^e)); single inverses come from the builtin
-pow(x, -1, m).
+pow(x, -1, m).  The program's sieve of odd primes lives here too: the
+central binomial sweep factors its start by it, and the CLI scans the
+primes it lists.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 __all__ = [
     "NegativeValuation",
     "OddPrime",
     "is_odd_prime",
+    "sieve_odd_primes",
     "inverse_range",
     "reduce_rational",
     "binom_pm1",
@@ -49,6 +53,30 @@ def is_odd_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+_SEGMENT = 1 << 20
+
+
+def sieve_odd_primes(lo: int, hi: int) -> list[int]:
+    """Odd primes in [lo, hi], by a sieve segmented into windows of 2^20."""
+    if hi < 3:
+        return []
+    lo = max(lo, 3)
+    small = [2] + sieve_odd_primes(3, isqrt(hi))
+    out = []
+    start = lo
+    while start <= hi:
+        end = min(start + _SEGMENT - 1, hi)
+        flags = bytearray([1]) * (end - start + 1)
+        for q in small:
+            if q * q > end:
+                break
+            first = max(q * q, (start + q - 1) // q * q)
+            flags[first - start :: q] = bytearray(len(range(first, end + 1, q)))
+        out.extend(n for n in range(start | 1, end + 1, 2) if flags[n - start])
+        start = end + 1
+    return out
 
 
 class OddPrime(int):
@@ -124,30 +152,62 @@ _FACTOR_RUN = 16  # factors multiplied as small ints before each reduction mod t
 SWEEP_RUN = 8
 
 
+def _runs_mod(factors, m: int, acc: int = 1) -> int:
+    """acc times the product of `factors` mod m, multiplied in runs of _FACTOR_RUN."""
+    for lo in range(0, len(factors), _FACTOR_RUN):
+        acc = acc * prod(factors[lo : lo + _FACTOR_RUN]) % m
+    return acc
+
+
+def _central_binomial_mod(mid: int, m: int) -> int:
+    """C(2 mid, mid) mod m from its prime factorisation (Kummer).
+
+    Each prime q <= n = 2 mid enters to the power
+    sum_i (floor(n/q^i) - 2 floor(mid/q^i)).  For q > sqrt(n) only i = 1
+    counts, and the power is 1 exactly when floor(n/q) is odd, that is
+    for q in (n/(2j), n/(2j-1)]: those primes enter as plain products.
+    """
+    n, root = 2 * mid, isqrt(2 * mid)
+    primes = [2] + sieve_odd_primes(3, n)
+    factors = []
+    for q in primes[: bisect_right(primes, root)]:
+        e, qi = 0, q
+        while qi <= n:
+            e += n // qi - 2 * (mid // qi)
+            qi *= q
+        factors.append(q**e)
+    for j in range(1, n // (2 * root) + 2):
+        lo, hi = max(n // (2 * j), root), n // (2 * j - 1)
+        factors += primes[bisect_right(primes, lo) : bisect_right(primes, hi)]
+    return _runs_mod(factors, m)
+
+
 def signed_central_binomials(primes) -> dict[int, int]:
     """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4 for each odd prime p of
     `primes`, from one sweep.
 
-    (-1)^mid C(p-1, mid) = (-1)^mid (p-1)! / mid!^2 with mid = (p-1)/2, so
-    one running k! modulo the product of the p^4, read at k = mid and at
-    k = p-1, serves every p.  A p's modulus leaves the product once both
-    of its readings are taken.  The factors go in by runs of
+    With mid = (p-1)/2, the chunk's first C(2 mid, mid) comes from its
+    prime factorisation modulo the product of the p^4
+    (_central_binomial_mod).  The sweep then walks to each later prime's
+    mid by C(2k+2, k+1) = C(2k, k) * 2(2k+1) / (k+1), kept as a running
+    numerator and denominator: every k+1 <= mid < p for each p still in
+    the product, so the denominator stays a unit.  A p's modulus leaves
+    the product once it is read.  The factors go in by runs of
     _FACTOR_RUN, which spares most reductions of the big product.
     """
-    primes = {int(OddPrime(p)) for p in primes}
+    primes = sorted({int(OddPrime(p)) for p in primes})
+    if not primes:
+        return {}
     m = prod(p**4 for p in primes)
-    reads = sorted((pos, p) for p in primes for pos in ((p - 1) // 2, p - 1))
-    half, out = {}, {}
-    f = k = 1  # f = k! mod m
-    for pos, p in reads:
-        for lo in range(k + 1, pos + 1, _FACTOR_RUN):
-            f = f * prod(range(lo, min(lo + _FACTOR_RUN, pos + 1))) % m
-        k, m4, mid = pos, p**4, (p - 1) // 2
-        if pos == mid:
-            half[p] = f % m4
-        else:
-            c = f * pow(half.pop(p), -2, m4) % m4
-            out[p] = c if mid % 2 == 0 else -c % m4
-            m //= m4
-            f %= m
+    k = (primes[0] - 1) // 2
+    num, den, out = _central_binomial_mod(k, m), 1, {}
+    for p in primes:
+        mid, m4 = (p - 1) // 2, p**4
+        num = _runs_mod(range(4 * k + 2, 4 * mid, 4), m, num)  # 2(2i+1) for k <= i < mid
+        den = _runs_mod(range(k + 1, mid + 1), m, den)
+        k = mid
+        c = num * pow(den, -1, m4) % m4
+        out[p] = c if mid % 2 == 0 else -c % m4
+        m //= m4
+        num, den = num % m, den % m
     return out

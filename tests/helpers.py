@@ -18,6 +18,14 @@ def lhs_power_sum_exact(p: int, a: int) -> int:
     return acc % m
 
 
+def alternating_square_sum_printed_limit(n: int) -> int:
+    """sum_{k=0}^{n} (-1)^k binomial(2n, k)^2, exact: the sum with the
+    upper limit it is sometimes printed with.  Truncation breaks the
+    identity already at n = 1 (-3 vs -2), so the full range 0..2n is the
+    one verified."""
+    return sum((-1) ** k * comb(2 * n, k) ** 2 for k in range(n + 1))
+
+
 def binom_pm1_naive(p: int, e: int) -> list[int]:
     """binomial(p-1, k) mod p^e for k = 0..p-1 via exact integer binomials."""
     m = int(p) ** e

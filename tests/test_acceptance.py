@@ -16,7 +16,6 @@ from carlitzscan.bernoulli import bernoulli_exact, bernoulli_pm3_mod_primes
 from carlitzscan.cli import ScanConfig, run_oracle_quantities, sieve_odd_primes
 from carlitzscan.congruences import (
     COROLLARY_COEFFICIENTS,
-    alternating_square_sum_printed_limit,
     binom_pm1,
     exact_identity_1_3,
     exact_identity_1_4,
@@ -29,7 +28,7 @@ from carlitzscan.congruences import (
 )
 from carlitzscan.context import CHUNK, IDENTITIES, PrimeContext, PrimeRange
 from carlitzscan.harmonic import verify_derived_sums, verify_lemma_2_1, verify_lemma_2_2
-from helpers import symmetric_inverse_sums
+from helpers import alternating_square_sum_printed_limit, symmetric_inverse_sums
 
 THEOREM_P_MAX = 10**4
 CENTRAL_P_MAX = 10**5

@@ -14,7 +14,6 @@ from carlitzscan.congruences import (
     CongruenceCheck,
     ExcludedTriple,
     alternating_square_sum,
-    alternating_square_sum_printed_limit,
     chamberland_dilcher_exact,
     chamberland_dilcher_u,
     exact_identity_1_3,
@@ -35,7 +34,7 @@ from carlitzscan.congruences import (
 from carlitzscan.cli import sieve_odd_primes
 from carlitzscan.context import PrimeContext, PrimeRange
 from carlitzscan.residues import binom_pm1
-from helpers import lhs_power_sum_exact
+from helpers import alternating_square_sum_printed_limit, lhs_power_sum_exact
 
 SMALL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 

@@ -8,6 +8,7 @@ import pytest
 from carlitzscan import bernoulli as bn
 from carlitzscan import congruences as cg
 from carlitzscan import harmonic as hm
+from carlitzscan import residues as rs
 from carlitzscan.cli import sieve_odd_primes
 from carlitzscan.context import PrimeContext, PrimeRange
 
@@ -103,7 +104,9 @@ def test_sweeps_hold_no_list_of_p():
     # each sweep keeps a fixed number of residues modulo the chunk's
     # products, so one prime peaks in kilobytes, where a per-prime sweep
     # over an inverse table (even_index_sums) holds p entries (p = 20011
-    # keeps tracemalloc, which slows the sweeps about 40-fold, to seconds)
+    # keeps tracemalloc, which slows the sweeps about 40-fold, to seconds);
+    # the central binomial's start holds its sieve's flags, one byte per
+    # integer below p, and its list of the primes below p, under 48 B each
     def peak(fn, arg) -> int:
         tracemalloc.start()
         try:
@@ -115,6 +118,7 @@ def test_sweeps_hold_no_list_of_p():
     p = 20011
     for sweep in (cg.staver_sweep, hm.inverse_power_sweep, hm.even_index_sweep):
         assert peak(sweep, [p]) < 16 * 1024, sweep.__name__
+    assert peak(rs.signed_central_binomials, [p]) < p + 48 * len(sieve_odd_primes(3, p))
     assert peak(hm.even_index_sums, p) > 256 * 1024
 
 

@@ -15,6 +15,7 @@ from carlitzscan.residues import (
     inverse_range,
     is_odd_prime,
     reduce_rational,
+    sieve_odd_primes,
     signed_central_binomials,
 )
 from helpers import binom_pm1_naive, symmetric_inverse_sums, symmetric_inverse_sums_naive
@@ -133,6 +134,16 @@ def test_signed_central_binomial_matches_comb():
         for e in (1, 2, 3, 4):
             want = (-1) ** mid * comb(p - 1, mid) % p**e
             assert c % p**e == want, (p, e)
+    # a chunk's first prime takes its value from the factorisation of
+    # C(p-1, (p-1)/2) and the later ones walk to theirs by the ratio of
+    # consecutive central binomials: both where the first prime is not 3,
+    # up to four primes just below 10^5
+    for primes in (sieve_odd_primes(733, 1523), [10007], sieve_odd_primes(99900, 10**5)[-4:]):
+        central4 = signed_central_binomials(primes)
+        assert sorted(central4) == primes
+        for p, c in central4.items():
+            mid = (p - 1) // 2
+            assert c == (-1) ** mid * comb(p - 1, mid) % p**4, p
 
 
 def test_symmetric_inverse_sums_known():
