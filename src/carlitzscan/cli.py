@@ -23,17 +23,14 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
-from math import ceil, comb
+from math import ceil
 from multiprocessing import SimpleQueue
 from operator import attrgetter
 
-from . import bernoulli as bn
 from . import congruences as cg
-from . import harmonic as hm
 from . import residues as rs
-from .context import CHUNK, DEFAULT_A, DEFAULT_CD_TRIPLES, IDENTITIES, PrimeContext, PrimeRange
+from .context import CHUNK, DEFAULT_A, DEFAULT_CD_TRIPLES, FIELDS, IDENTITIES, PrimeContext, PrimeRange
 from .residues import sieve_odd_primes
 
 __all__ = [
@@ -162,7 +159,8 @@ def _prime_checks(primes: list[int], cfg: ScanConfig, cap: int):
     """Yield (p, checks, disagreement) for each of `primes`, in order: the
     selected per-prime checks, all reading one PrimeContext of the primes'
     PrimeRange, and for p <= cap the first field those checks populated
-    that disagrees with its naive route (None if all agree)."""
+    that disagrees with its naive route, in FIELDS order (None if all
+    agree)."""
     # one call per check: the selected parts of one whole share its call
     calls = {}
     for e in _entries(cfg):
@@ -173,7 +171,7 @@ def _prime_checks(primes: list[int], cfg: ScanConfig, cap: int):
         checks = [c for e, tags in calls.values() if p >= e.p_min
                   for c in e.check(ctx) if not e.part_of or c.identity in tags]
         built = vars(ctx) if p <= cap else {}
-        oracles = (oracle(p, built[name]) for name, oracle in _ORACLE_FUNCS.items() if name in built)
+        oracles = (f.naive(p, built[name]) for name, f in FIELDS.items() if name in built and p >= f.p_min)
         yield p, checks, next(filter(None, oracles), None)
 
 
@@ -325,118 +323,7 @@ def write_records(records: Report, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# oracle mode: each PrimeContext field the checks read vs naive enumeration
-
-def _oracle_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
-    """The power sums the verdicts read (theorem_row over the range's
-    moments) against direct powers for a <= 10.  S_a = 1 + a M1 +
-    C(a,2) M2 + C(a,3) M3 is unit-triangular in M1..M3 over a = 1..3, so
-    those three fix the moments themselves."""
-    direct = cg.lhs_power_sums_batch(p, 10)
-    for a, lhs, _ in cg.theorem_row(p, moments, range(1, 11)):
-        if lhs != direct[a]:
-            return f"power_sum(p={p}, a={a})"
-    return None
-
-
-def _oracle_central4(p: int, central4: int) -> "str | None":
-    """The range's sweep against exact binomials."""
-    mid = (p - 1) // 2
-    if central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
-        return f"central_binomial(p={p}, e=4)"
-    return None
-
-
-@lru_cache(maxsize=hm.N_CAP)
-def _bernoulli_reference(p: int, j: int) -> "int | None":
-    """B_(p-j) mod p by power-sum extraction, or None where p - j <=
-    BERNOULLI_CAP and the exact recurrence disagrees with it.  Two fields
-    hold B_(p-3), bpm3 and bern[3]: the cache keeps the offsets of the last
-    prime or two, so both are compared with one extraction."""
-    want = bn.bernoulli_mod_p(p, p - j)
-    if p - j <= bn.BERNOULLI_CAP:
-        b = bn.bernoulli_exact(p - j)
-        if want != b.numerator * pow(b.denominator, -1, p) % p:
-            return None
-    return want
-
-
-def _bernoulli_disagreement(p: int, j: int, value: int, name: str) -> "str | None":
-    """`name` unless `value` is _bernoulli_reference's B_(p-j) mod p."""
-    want = _bernoulli_reference(p, j)
-    if want is None:
-        return f"bernoulli_mod_p(p={p}, index={p - j})"
-    return None if value == want else name
-
-
-def _oracle_bern(p: int, bern: dict[int, int]) -> "str | None":
-    """The offsets against the odd j in 3..min(N_CAP + 1, p - 2) that lemma
-    2.1 reads, then each B_(p-j) against _bernoulli_disagreement's routes."""
-    if sorted(bern) != list(range(3, min(hm.N_CAP + 1, p - 2) + 1, 2)):
-        return f"bern_offsets(p={p})"
-    bad = (_bernoulli_disagreement(p, j, v, f"bern(p={p}, j={j})") for j, v in sorted(bern.items()))
-    return next(filter(None, bad), None)
-
-
-def _oracle_bpm3(p: int, bpm3: "int | None") -> "str | None":
-    """The range's sweep against _bernoulli_disagreement's routes; p = 3
-    carries None (the checks use B_0 = 1)."""
-    if p == 3:
-        return None if bpm3 is None else "bpm3(p=3)"
-    return _bernoulli_disagreement(p, 3, bpm3, f"bernoulli_pm3(p={p})")
-
-
-def _oracle_q2(p: int, q2: int) -> "str | None":
-    if q2 != (pow(2, p - 1) - 1) // p % p**3:
-        return f"fermat_quotient_2(p={p})"
-    return None
-
-
-def _oracle_half_sums(p: int, half: hm.HalfSums) -> "str | None":
-    """The range's half-range sums against term-by-term inversion, after
-    their exponents against the n = 2..min(N_CAP, p-2) lemma 2.1 reads."""
-    if sorted(half.hn) != list(range(2, min(hm.N_CAP, p - 2) + 1)):
-        return f"half_hn_keys(p={p})"
-    if half.h1 != hm.naive_half_harmonic(p, 1, 3):
-        return f"half_h1(p={p})"
-    for n, v in half.hn.items():
-        if v != hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1):
-            return f"half_hn(p={p}, n={n})"
-    return None
-
-
-def _oracle_even_sums(p: int, even: hm.EvenSums) -> "str | None":
-    """The range's even-index sums against the literal sums, after the
-    double sums' keys (s, t, e) against the three the checks read."""
-    if sorted(even.double) != [(1, 1, 2), (1, 2, 1), (2, 1, 1)]:
-        return f"even_double_keys(p={p})"
-    for (s, t, e), v in even.double.items():
-        if v != hm.naive_even_double(p, s, t, e):
-            return f"even_double(p={p}, s={s}, t={t}, e={e})"
-    if even.triple != hm.naive_even_triple(p):
-        return f"even_triple(p={p})"
-    return None
-
-
-def _oracle_cd(p: int, cd: dict[tuple[int, int, int], int]) -> "str | None":
-    for (eps, a, b), v in sorted(cd.items()):
-        if v != cg.chamberland_dilcher_exact(p, eps, a, b):
-            return f"cd(p={p}, eps={eps}, a={a}, b={b})"
-    return None
-
-
-# one naive route per PrimeContext field, keyed by the field's name
-_ORACLE_FUNCS = {
-    "moments": _oracle_moments,
-    "central4": _oracle_central4,
-    "bpm3": _oracle_bpm3,
-    "bern": _oracle_bern,
-    "q2": _oracle_q2,
-    "half_sums": _oracle_half_sums,
-    "even_sums": _oracle_even_sums,
-    "cd": _oracle_cd,
-}
-
+# oracle mode: each PrimeContext field the checks read vs its naive route
 
 def _oracle_chunk(task: tuple) -> "str | None":
     """The first disagreement _prime_checks finds in a chunk of primes, which

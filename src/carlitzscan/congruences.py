@@ -195,7 +195,7 @@ def rhs_theorem(p: int, a: int, bpm3: "int | None") -> int:
 
 def verify_theorem_1_1(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
     """Check the headline congruence at c.p for each a of `a_values`, both
-    sides mod p^4, from one theorem_row.
+    sides mod p^4, from the context's theorem_row of `a_values`.
 
     For p >= 5 the correction is a(a-1)(3a-4) B_(p-3)/48 mod p, times p^3,
     with B_(p-3)/48 taken once for the row; at p = 3 the right side is
@@ -206,7 +206,7 @@ def verify_theorem_1_1(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
     if p > 3:
         p3, f = p**3, c.bpm3 * pow(48, -1, p) % p
     out = []
-    for a, lhs, power in theorem_row(p, c.moments, a_values):
+    for a, lhs, power in c.row(a_values):
         rhs = (power + a * (a - 1) * (3 * a - 4) * f % p * p3) % m if p > 3 else rhs_theorem(p, a, None)
         out.append(CongruenceCheck("theorem_1_1", p, (a,), m, lhs, rhs, lhs == rhs))
     return out
@@ -250,13 +250,13 @@ def verify_carlitz(c: "PrimeContext") -> CongruenceCheck:
 
 def verify_cai_granville(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
     """The mod-p^3 statement: the alternating power sum == 2^(a(p-1)), p >= 5,
-    for each a of `a_values`, from one theorem_row."""
+    for each a of `a_values`, from the context's theorem_row of `a_values`."""
     p = int(c.p)
     if p < 5:
         raise ValueError("the mod-p^3 statement needs p >= 5")
     m = p**3
     return [CongruenceCheck("cai_granville", p, (a,), m, lhs % m, power % m, lhs % m == power % m)
-            for a, lhs, power in theorem_row(p, c.moments, a_values)]
+            for a, lhs, power in c.row(a_values)]
 
 
 def _vu_binomial_row(n: int, p: int, m3: int, kmax: int) -> list[tuple[int, int]]:

@@ -1,23 +1,22 @@
-"""Per-chunk and per-prime quantities, and one registry entry per identity.
+"""Per-prime quantities declared once, and one registry entry per identity.
 
-A PrimeRange computes, for a chunk of primes at once, the quantities
-that are prefix products or prefix sums of sequences free of p (the
-central binomial, Staver's sum behind the binomial moments, B_(p-3),
-the half-range sums with the Bernoulli window, and the even-index
-sums).  A PrimeContext holds the per-prime quantities the checks read
-(the three binomial moments behind every alternating power sum, the
-central binomial, B_(p-3), the Bernoulli window, q2, the two harmonic
-sums and the u-sums), reading the chunk-wide ones from its range.  It
-is the only producer of them: each is built the first time a check
-reads it and then shared by every other check at that prime.  Its
-fields are also what `oracle` compares: whatever the selected checks
-populated.
+FIELDS declares each quantity the checks read: how it is produced, its
+naive route and the least p it applies to.  Most come from a sweep over
+a chunk of primes at once, since they are prefix products or prefix sums
+of sequences free of p (the central binomial, Staver's sum behind the
+binomial moments, B_(p-3), the half-range sums with the Bernoulli
+window, and the even-index sums); q2 and the u-sums are built per prime.
+A PrimeRange holds each sweep's values keyed by p, and a PrimeContext
+the values at one prime, reading the swept ones from its range.  Both
+build a field on its first read and keep it, so every check at a prime
+shares one value.  What a context holds is also what `oracle` compares:
+the fields the selected checks populated, each with its naive route.
 IDENTITIES declares each identity once: its tag, where it applies,
 whether `verify` runs it by default, and its check function.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from math import comb
 from typing import Callable
 
 from . import bernoulli as bn
@@ -25,7 +24,8 @@ from . import congruences as cg
 from . import harmonic as hm
 from . import residues as rs
 
-__all__ = ["CHUNK", "DEFAULT_A", "DEFAULT_CD_TRIPLES", "PrimeRange", "PrimeContext", "Identity", "IDENTITIES"]
+__all__ = ["CHUNK", "DEFAULT_A", "DEFAULT_CD_TRIPLES", "Field", "FIELDS", "PrimeRange", "PrimeContext",
+           "Identity", "IDENTITIES"]
 
 DEFAULT_A = (1, 2, 3, 4, 5, 6, 7, 8)
 DEFAULT_CD_TRIPLES = ((0, 2, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1), (0, 3, 0))
@@ -46,50 +46,171 @@ class _OnRead(dict):
         return value
 
 
+@dataclass(frozen=True)
+class Field:
+    """One quantity the checks read, declared once.
+
+    Its producer is either `sweep`, which takes a PrimeRange and the
+    range's primes >= p_min and returns the values keyed by p, or `build`,
+    which takes a PrimeContext and returns its value.  `naive(p, value)`
+    is the oracle's independent route: the name of the first quantity
+    that disagrees, or None.  Below p_min the field is None.
+    """
+
+    naive: Callable
+    p_min: int = 3
+    sweep: "Callable | None" = None
+    build: "Callable | None" = None
+
+
+# the producers look up their kernels in their modules at call time, so a
+# wrapper rebound there (a tracer, a test's corruption) sees each call
+
+def _moments(r: "PrimeRange", primes) -> dict[int, tuple[int, int, int]]:
+    """The binomial moments (M1, M2, M3) mod p^4 keyed by p.
+
+    cg.theorem_row's expansion S_a = 1 + a M1 + C(a,2) M2 + C(a,3) M3
+    holds for every integer a, so three closed sums fix the moments:
+    S_1 = 2^(p-1), S_2 = central4 and Staver's
+    S_(-1) = 1 - M1 + M2 - M3 = 1 + p 2^(-p) W (cg.staver_sweep)."""
+    out = {}
+    for p, w in cg.staver_sweep(primes).items():
+        m = p**4
+        m1 = pow(2, p - 1, m) - 1
+        m2 = r.central4[p] - 1 - 2 * m1
+        s_neg = 1 + p * pow(2, -p, m) * w
+        out[p] = (m1, m2 % m, (1 - m1 + m2 - s_neg) % m)
+    return out
+
+
+def _inverse_powers(r: "PrimeRange", primes, name: str) -> dict:
+    """The half-range sums or the window keyed by p, as `name` says.  One
+    hm.inverse_power_sweep yields both, so the first read keeps both."""
+    pairs = hm.inverse_power_sweep(primes)
+    vars(r).update(half_sums={p: h for p, (h, _) in pairs.items()}, window={p: w for p, (_, w) in pairs.items()})
+    return vars(r)[name]
+
+
+def _naive_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
+    """The power sums the verdicts read (theorem_row over the range's
+    moments) against direct powers for a <= 10.  S_a = 1 + a M1 +
+    C(a,2) M2 + C(a,3) M3 is unit-triangular in M1..M3 over a = 1..3, so
+    those three fix the moments themselves."""
+    direct = cg.lhs_power_sums_batch(p, 10)
+    for a, lhs, _ in cg.theorem_row(p, moments, range(1, 11)):
+        if lhs != direct[a]:
+            return f"power_sum(p={p}, a={a})"
+    return None
+
+
+def _naive_central4(p: int, central4: int) -> "str | None":
+    """The range's sweep against exact binomials."""
+    mid = (p - 1) // 2
+    if central4 != (-1) ** mid * comb(p - 1, mid) % p**4:
+        return f"central_binomial(p={p}, e=4)"
+    return None
+
+
+def _naive_bernoulli(p: int, values: dict[int, int], name: str) -> "str | None":
+    """`name`, formatted with p and j, at the first offset j whose value is
+    not B_(p-j) mod p by power-sum extraction, itself checked against the
+    exact recurrence where p - j <= BERNOULLI_CAP; None if all agree."""
+    for j, value in sorted(values.items()):
+        want = bn.bernoulli_mod_p(p, p - j)
+        if p - j <= bn.BERNOULLI_CAP:
+            b = bn.bernoulli_exact(p - j)
+            if want != b.numerator * pow(b.denominator, -1, p) % p:
+                return f"bernoulli_mod_p(p={p}, index={p - j})"
+        if value != want:
+            return name.format(p=p, j=j)
+    return None
+
+
+def _naive_window(p: int, window: dict[int, int]) -> "str | None":
+    """The offsets against the odd j in 5..min(N_CAP + 1, p - 2) that lemma
+    2.1 reads beside B_(p-3), then each B_(p-j) against power-sum extraction."""
+    if sorted(window) != list(range(5, min(hm.N_CAP + 1, p - 2) + 1, 2)):
+        return f"bern_offsets(p={p})"
+    return _naive_bernoulli(p, window, "bern(p={p}, j={j})")
+
+
+def _naive_q2(p: int, q2: int) -> "str | None":
+    if q2 != (pow(2, p - 1) - 1) // p % p**3:
+        return f"fermat_quotient_2(p={p})"
+    return None
+
+
+def _naive_half_sums(p: int, half: hm.HalfSums) -> "str | None":
+    """The range's half-range sums against term-by-term inversion, after
+    their exponents against the n = 2..min(N_CAP, p-2) lemma 2.1 reads."""
+    if sorted(half.hn) != list(range(2, min(hm.N_CAP, p - 2) + 1)):
+        return f"half_hn_keys(p={p})"
+    if half.h1 != hm.naive_half_harmonic(p, 1, 3):
+        return f"half_h1(p={p})"
+    for n, v in half.hn.items():
+        if v != hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1):
+            return f"half_hn(p={p}, n={n})"
+    return None
+
+
+def _naive_even_sums(p: int, even: hm.EvenSums) -> "str | None":
+    """The range's even-index sums against the literal sums, after the
+    double sums' keys (s, t, e) against the three the checks read."""
+    if sorted(even.double) != [(1, 1, 2), (1, 2, 1), (2, 1, 1)]:
+        return f"even_double_keys(p={p})"
+    for (s, t, e), v in even.double.items():
+        if v != hm.naive_even_double(p, s, t, e):
+            return f"even_double(p={p}, s={s}, t={t}, e={e})"
+    if even.triple != hm.naive_even_triple(p):
+        return f"even_triple(p={p})"
+    return None
+
+
+def _naive_cd(p: int, cd: dict[tuple[int, int, int], int]) -> "str | None":
+    for (eps, a, b), v in sorted(cd.items()):
+        if v != cg.chamberland_dilcher_exact(p, eps, a, b):
+            return f"cd(p={p}, eps={eps}, a={a}, b={b})"
+    return None
+
+
+# every quantity a check reads, in the order `oracle` compares them; a
+# new one needs its entry here and a test against its naive route
+FIELDS: dict[str, Field] = {
+    # (M1, M2, M3) mod p^4; cg.theorem_row reads any a-th power sum from them
+    "moments": Field(_naive_moments, sweep=_moments),
+    # (-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4
+    "central4": Field(_naive_central4, sweep=lambda r, primes: rs.signed_central_binomials(primes)),
+    # B_(p-3) mod p (at p = 3 the checks use B_0 = 1)
+    "bpm3": Field(lambda p, v: _naive_bernoulli(p, {3: v}, "bernoulli_pm3(p={p})"), 5,
+                  sweep=lambda r, primes: bn.bernoulli_pm3_mod_primes(primes)),
+    # B_(p-j) mod p keyed by lemma 2.1's odd offsets 5 <= j <= min(N_CAP + 1, p - 2)
+    "window": Field(_naive_window, 5, sweep=lambda r, primes: _inverse_powers(r, primes, "window")),
+    # the Fermat quotient (2^(p-1) - 1)/p mod p^3
+    "q2": Field(_naive_q2, build=lambda c: bn.fermat_quotient_2(c.p)),
+    "half_sums": Field(_naive_half_sums, 5, sweep=lambda r, primes: _inverse_powers(r, primes, "half_sums")),
+    "even_sums": Field(_naive_even_sums, 5, sweep=lambda r, primes: hm.even_index_sweep(primes)),
+    # the u-sum mod p^3 keyed by its (eps, a, b) triple, each built on its
+    # first read; it keeps p, not the context, which it would hold in a cycle
+    "cd": Field(_naive_cd, build=lambda c: _OnRead(lambda t, p=c.p: cg.chamberland_dilcher_u(p, *t))),
+}
+
+
 class PrimeRange:
-    """The chunk-wide quantities of a chunk of odd primes, each field a dict
-    keyed by p from one sweep over the chunk, built on its first read."""
+    """The swept fields of a chunk of odd primes: each a dict keyed by p
+    from one sweep over the chunk, built on its first read."""
 
     def __init__(self, primes):
         self.primes = tuple(sorted({rs.OddPrime(p) for p in primes}))
 
-    @cached_property
-    def moments(self) -> dict[int, tuple[int, int, int]]:
-        """The binomial moments (M1, M2, M3) mod p^4 keyed by p.
-
-        cg.theorem_row's expansion S_a = 1 + a M1 + C(a,2) M2 +
-        C(a,3) M3 holds for every integer a, so three closed sums fix the
-        moments: S_1 = 2^(p-1), S_2 = central4 and Staver's
-        S_(-1) = 1 - M1 + M2 - M3 = 1 + p 2^(-p) W (cg.staver_sweep)."""
-        out = {}
-        for p, w in cg.staver_sweep(self.primes).items():
-            m = p**4
-            m1 = pow(2, p - 1, m) - 1
-            m2 = self.central4[p] - 1 - 2 * m1
-            s_neg = 1 + p * pow(2, -p, m) * w
-            out[p] = (m1, m2 % m, (1 - m1 + m2 - s_neg) % m)
-        return out
-
-    @cached_property
-    def central4(self) -> dict[int, int]:
-        """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4 keyed by p."""
-        return rs.signed_central_binomials(self.primes)
-
-    @cached_property
-    def bpm3(self) -> dict[int, int]:
-        """B_(p-3) mod p keyed by p, for p >= 5."""
-        return bn.bernoulli_pm3_mod_primes([p for p in self.primes if p > 3])
-
-    @cached_property
-    def inverse_powers(self) -> dict[int, tuple[hm.HalfSums, dict[int, int]]]:
-        """The half-range sums and the B_(p-j) mod p of lemma 2.1's offsets
-        j >= 5 keyed by p, for p >= 5."""
-        return hm.inverse_power_sweep([p for p in self.primes if p > 3])
-
-    @cached_property
-    def even_sums(self) -> dict[int, hm.EvenSums]:
-        """The even-largest-index sums keyed by p, for p >= 5."""
-        return hm.even_index_sweep([p for p in self.primes if p > 3])
+    def __getattr__(self, name: str):
+        # reached only for a name the instance does not hold yet; an
+        # unknown one fails before the instance is read, so copy and
+        # pickle, which probe a bare instance, see a plain AttributeError
+        field = FIELDS.get(name)
+        if field is None or field.sweep is None:
+            raise AttributeError(f"{type(self).__name__} has no field {name!r}")
+        value = vars(self)[name] = field.sweep(self, [p for p in self.primes if p >= field.p_min])
+        return value
 
     def contexts(self, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES):
         """One PrimeContext per prime, in order, each reading this range."""
@@ -100,11 +221,10 @@ class PrimeContext:
     """The quantities at one odd prime p, each computed at most once.
 
     `a_values` and `cd_triples` are the powers and u-sum triples the
-    checks run over.  `moments`, `central4`, `bpm3`, `bern`, `half_sums`
-    and `even_sums` are read from `prime_range`, a PrimeRange holding p
-    (by default one of p alone).  The keyed field
-    `cd` builds each entry on its first read, so a context holds what
-    its checks read.
+    checks run over.  Each FIELDS entry is an attribute, built on its
+    first read: a swept one is read from `prime_range`, a PrimeRange
+    holding p (by default one of p alone).  `row` keeps each
+    cg.theorem_row the checks read.
     """
 
     def __init__(self, p: int, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES,
@@ -113,47 +233,30 @@ class PrimeContext:
         self.a_values = tuple(a_values)
         self.cd_triples = tuple(cd_triples)
         self.prime_range = prime_range or PrimeRange((self.p,))
+        self.rows = {}
 
-    @cached_property
-    def moments(self) -> tuple[int, int, int]:
-        """(M1, M2, M3) mod p^4; cg.theorem_row reads any a-th power sum from them."""
-        return self.prime_range.moments[self.p]
+    def __getattr__(self, name: str):
+        # as PrimeRange.__getattr__: an unknown name never reads the instance
+        field = FIELDS.get(name)
+        if field is None:
+            raise AttributeError(f"{type(self).__name__} has no field {name!r}")
+        if self.p < field.p_min:
+            value = None
+        elif field.build:
+            value = field.build(self)
+        else:
+            value = getattr(self.prime_range, name)[self.p]
+        vars(self)[name] = value
+        return value
 
-    @cached_property
-    def central4(self) -> int:
-        """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4."""
-        return self.prime_range.central4[self.p]
-
-    @cached_property
-    def bpm3(self) -> "int | None":
-        """B_(p-3) mod p, or None at p = 3 (where the checks use B_0 = 1)."""
-        return None if self.p == 3 else self.prime_range.bpm3[self.p]
-
-    @cached_property
-    def bern(self) -> dict[int, int]:
-        """B_(p-j) mod p keyed by the odd offset j <= min(N_CAP + 1, p - 2) that
-        lemma 2.1 reads, for p >= 5: j = 3 is `bpm3`, and the range's
-        inverse-power sweep gives the rest."""
-        return {3: self.bpm3, **self.prime_range.inverse_powers[hm._validate(self.p)][1]}
-
-    @cached_property
-    def q2(self) -> int:
-        """The Fermat quotient (2^(p-1) - 1)/p mod p^3."""
-        return bn.fermat_quotient_2(self.p)
-
-    @cached_property
-    def half_sums(self) -> hm.HalfSums:
-        return self.prime_range.inverse_powers[hm._validate(self.p)][0]
-
-    @cached_property
-    def even_sums(self) -> hm.EvenSums:
-        return self.prime_range.even_sums[hm._validate(self.p)]
-
-    @cached_property
-    def cd(self) -> dict[tuple[int, int, int], int]:
-        """The u-sum mod p^3 keyed by its (eps, a, b) triple."""
-        p = self.p  # not self: the field would hold its context in a cycle
-        return _OnRead(lambda t: cg.chamberland_dilcher_u(p, *t))
+    def row(self, a_values) -> list[tuple[int, int, int]]:
+        """cg.theorem_row over `a_values`, built once per tuple of a values:
+        theorem_1_1 and cai_granville share the row of `a_values`, and the
+        corollary reads that of (3, 4, 5)."""
+        key = tuple(a_values)
+        if key not in self.rows:
+            self.rows[key] = cg.theorem_row(self.p, self.moments, key)
+        return self.rows[key]
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ Bernoulli residues mod p (also read from the context).
 """
 
 from collections import defaultdict
+from itertools import accumulate
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -231,10 +232,10 @@ def naive_half_harmonic(p: int, n: int, e: int) -> int:
 
 
 def naive_even_double(p: int, s: int, t: int, e: int) -> int:
-    """Oracle: the literal sum over every pair j < k, k even."""
+    """Oracle: the literal sum over every pair j < k, k even, from prefix sums."""
     m = int(p) ** e
-    inv_s = [pow(j, -s, m) for j in range(1, p)]  # inv_s[j - 1] = 1/j^s
-    return sum(pow(k, -t, m) * sum(inv_s[: k - 1]) for k in range(2, p, 2)) % m
+    prefix = list(accumulate((pow(j, -s, m) for j in range(1, p)), initial=0))  # sum_{j<k} 1/j^s at k - 1
+    return sum(pow(k, -t, m) * prefix[k - 1] for k in range(2, p, 2)) % m
 
 
 def naive_even_triple(p: int) -> int:
@@ -261,11 +262,11 @@ def verify_lemma_2_1(c: "PrimeContext") -> list[CongruenceCheck]:
         even n, mod p^2:  n (2^(n+1) - 1) / (2(n+1)) * p * B_(p-n-1);
         odd n,  mod p:    -(2 (2^(n-1) - 1) / n) * B_(p-n).
 
-    The B_(p-j) are read from c.bern, which builds each on its first read.
+    B_(p-3) is read from c.bpm3, the other B_(p-j) from c.window.
     """
     p = _validate(c.p)
     m3, m2 = p**3, p * p
-    half, bern = c.half_sums, c.bern
+    half, bern = c.half_sums, {3: c.bpm3, **c.window}
     q = c.q2 % m3
     rhs1 = (
         -2 * q

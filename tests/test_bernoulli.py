@@ -102,7 +102,8 @@ def test_power_sum_divisibility_backing_the_extraction():
 def test_bernoulli_window_matches_single_extractions():
     for p in (11, 13, 31, 61, 101):
         offsets = [j for j in range(3, 14, 2) if j <= p - 2]
-        window = PrimeContext(p).bern
+        ctx = PrimeContext(p)
+        window = {3: ctx.bpm3, **ctx.window}
         assert sorted(window) == sorted(offsets)
         for j in offsets:
             assert window[j] == bernoulli_mod_p(p, p - j), (p, j)
@@ -150,7 +151,7 @@ def _range_windows(primes) -> dict:
     windows = {}
     for i in range(0, len(primes), CHUNK):
         r = PrimeRange(primes[i : i + CHUNK])
-        windows.update({p: {3: r.bpm3[p], **r.inverse_powers[p][1]} for p in r.primes})
+        windows.update({p: {3: r.bpm3[p], **r.window[p]} for p in r.primes})
     return windows
 
 

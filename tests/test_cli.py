@@ -1,17 +1,18 @@
 """End-to-end and unit tests for the command-line front end."""
 
+import copy
 import csv
 import hashlib
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import time
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
-from functools import cached_property
 from math import ceil
 from types import SimpleNamespace
 
@@ -33,7 +34,7 @@ from carlitzscan.cli import (
     sieve_odd_primes,
 )
 from carlitzscan.congruences import CongruenceCheck
-from carlitzscan.context import CHUNK, PrimeContext, PrimeRange
+from carlitzscan.context import CHUNK, FIELDS, PrimeContext, PrimeRange
 from carlitzscan.residues import is_odd_prime
 
 
@@ -208,7 +209,7 @@ def test_oracle_quantity_filter_runs_clean():
 def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
     if jobs > 1 and multiprocessing.get_start_method() != "fork":
         pytest.skip("pool workers see the patched oracle table only when forked")
-    monkeypatch.setitem(cli._ORACLE_FUNCS, "q2", lambda p, q2: f"injected(p={p})")
+    monkeypatch.setitem(FIELDS, "q2", replace(FIELDS["q2"], naive=lambda p, q2: f"injected(p={p})"))
     cfg = ScanConfig(p_min=3, p_max=60, oracle_cap=31, jobs=jobs)
     assert run_oracle_quantities(cfg) == "injected(p=5)"
     records, code = verify_records(cfg)
@@ -430,27 +431,68 @@ def test_oracle_reads_the_half_sums_behind_the_verdicts(monkeypatch, damage, fai
 
 
 def test_every_context_field_has_one_oracle(monkeypatch):
-    fields = {name for name, v in vars(PrimeContext).items() if isinstance(v, cached_property)}
-    assert fields == set(cli._ORACLE_FUNCS)
+    # each FIELDS entry has exactly one producer (a range sweep or a
+    # per-prime build) and a naive route
+    for name, field in FIELDS.items():
+        assert (field.sweep is None) != (field.build is None), name
+        assert callable(field.naive), name
     # and the default oracle run (every identity) compares each of them
     seen = Counter()
-    for name, oracle in list(cli._ORACLE_FUNCS.items()):
-        def counted(p, value, name=name, oracle=oracle):
+    for name, field in list(FIELDS.items()):
+        def counted(p, value, name=name, naive=field.naive):
             seen[name] += 1
-            return oracle(p, value)
+            return naive(p, value)
 
-        monkeypatch.setitem(cli._ORACLE_FUNCS, name, counted)
+        monkeypatch.setitem(FIELDS, name, replace(field, naive=counted))
     assert cli.main(["oracle", "--p-max", "31"]) == 0
-    assert set(seen) == fields
+    assert set(seen) == set(FIELDS)
+
+
+def test_unknown_names_fail_before_the_lookup_reads_the_instance():
+    # __getattr__ serves FIELDS names only; any other name raises
+    # AttributeError without reading p or the range, so getattr's default,
+    # copy and pickle, which probe instances (bare ones too), work
+    ctx, r = PrimeContext(7), PrimeRange([5, 7])
+    for obj in (ctx, r, object.__new__(PrimeContext), object.__new__(PrimeRange)):
+        assert getattr(obj, "x", None) is None
+        with pytest.raises(AttributeError, match="'x'"):
+            obj.x
+    # a range holds the swept fields only; q2 and the u-sums are per prime
+    for name in ("q2", "cd"):
+        with pytest.raises(AttributeError):
+            getattr(r, name)
+    twin = copy.copy(ctx)
+    assert twin.q2 == ctx.q2 == bn.fermat_quotient_2(7) and twin.prime_range is ctx.prime_range
+    assert "q2" in vars(twin) and "q2" in vars(ctx)
+    back = pickle.loads(pickle.dumps(PrimeContext(11)))
+    assert (back.p, back.bpm3, back.window) == (11, bn.bernoulli_mod_p(11, 8), PrimeContext(11).window)
+    assert pickle.loads(pickle.dumps(r)).central4 == r.central4
+
+
+def test_row_is_built_once_per_list_of_a_values(monkeypatch):
+    # theorem_1_1 and cai_granville read the row of the scan's a values,
+    # the corollary that of (3, 4, 5): two rows per prime, not three
+    calls = Counter()
+    fast = cg.theorem_row
+
+    def counted(p, moments, a_values):
+        calls[p, tuple(a_values)] += 1
+        return fast(p, moments, a_values)
+
+    monkeypatch.setattr(cg, "theorem_row", counted)
+    tags = ("theorem_1_1", "corollary", "cai_granville")
+    records, code = verify_records(ScanConfig(p_max=100, identities=tags))
+    assert code == 0 and records
+    primes = sieve_odd_primes(3, 100)
+    assert calls == Counter({(p, a): 1 for p in primes for a in (cli.DEFAULT_A, (3, 4, 5))})
 
 
 def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     # the context is the only producer: no check computes a quantity
     # itself, each PrimeRange sweep yields one value per prime and field,
     # each u-sum is built once, on its first read, and the naive routes
-    # run only under the oracle, once per prime and argument.  B_(p-3) is
-    # held by two fields (bpm3 and bern[3]), both compared with the one
-    # power-sum extraction of each prime and offset
+    # run only under the oracle, once per prime and argument: one
+    # power-sum extraction of each prime and Bernoulli offset
     calls = Counter()
 
     def count(mod, name):
@@ -506,8 +548,6 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
          set(range(3, 14, 2)), 200),
     ):
         calls.clear()
-        # an extraction left in the cache by an earlier scan would go uncounted
-        cli._bernoulli_reference.cache_clear()
         records, code = verify_records(ScanConfig(p_max=200, identities=tags, oracle_cap=cap))
         assert code == 0 and records
         assert {key for key, _, _ in calls} == always | keys

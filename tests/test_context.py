@@ -10,7 +10,7 @@ from carlitzscan import congruences as cg
 from carlitzscan import harmonic as hm
 from carlitzscan import residues as rs
 from carlitzscan.cli import sieve_odd_primes
-from carlitzscan.context import PrimeContext, PrimeRange
+from carlitzscan.context import FIELDS, PrimeContext, PrimeRange
 
 PRIMES_TO_3000 = sieve_odd_primes(3, 3000)
 FALLBACK_PRIMES = (13, 41, 61, 73)  # where 3^(j-1) == 1 (mod p) for a window offset j
@@ -33,19 +33,20 @@ def per_prime(p: int, bernoulli_window) -> dict:
         )
         window = dict(bernoulli_window(p))
         values["bpm3"] = window.pop(3)
-        values["inverse_powers"] = (half, window)
+        values["window"] = window
+        values["half_sums"] = half
         values["even_sums"] = hm.even_index_sums(p)
     return values
 
 
 def range_values(r: PrimeRange) -> dict:
-    """per_prime's layout, read from the range's fields."""
+    """per_prime's layout, read from the range's swept fields."""
     def read(name, p):
         value = getattr(r, name)[p]
         return tuple(lhs for _, lhs, _ in cg.theorem_row(p, value, (1, 2, 3))) if name == "moments" else value
 
     def names(p):
-        return ("moments", "central4", *(("bpm3", "inverse_powers", "even_sums") if p > 3 else ()))
+        return [name for name, field in FIELDS.items() if field.sweep and p >= field.p_min]
 
     return {p: {name: read(name, p) for name in names(p)} for p in r.primes}
 
@@ -76,15 +77,16 @@ def test_range_at_the_degenerate_primes(bernoulli_window):
         alone = PrimeContext(p)
         assert alone.central4 == r.central4[p]
         assert alone.moments == r.moments[p]
-        assert alone.bpm3 == (None if p == 3 else r.bpm3[p])
         if p > 3:
-            assert (alone.half_sums, alone.even_sums) == (r.inverse_powers[p][0], r.even_sums[p])
+            assert (alone.bpm3, alone.window, alone.half_sums, alone.even_sums) == (
+                r.bpm3[p], r.window[p], r.half_sums[p], r.even_sums[p])
     for sweep in (bn.bernoulli_pm3_mod_primes, hm.inverse_power_sweep, hm.even_index_sweep):
         with pytest.raises(ValueError):
             sweep([3, 5])
-    for name in ("half_sums", "even_sums", "bern"):
-        with pytest.raises(ValueError):
-            getattr(PrimeContext(3), name)
+    # a field is None below its least p, and the range sweeps it from there
+    for name in ("bpm3", "window", "half_sums", "even_sums"):
+        assert getattr(PrimeContext(3), name) is None
+        assert 3 not in getattr(r, name)
     with pytest.raises(ValueError):
         PrimeRange([5, 9])
 
@@ -130,18 +132,40 @@ def test_contexts_read_their_range():
     assert {c.p: c.moments for c in contexts} == r.moments
     assert {c.p: c.central4 for c in contexts} == r.central4
     assert {c.p: c.bpm3 for c in contexts} == r.bpm3
-    assert {c.p: (c.half_sums, {j: b for j, b in c.bern.items() if j > 3}) for c in contexts} == r.inverse_powers
+    assert {c.p: c.window for c in contexts} == r.window
+    assert {c.p: c.half_sums for c in contexts} == r.half_sums
     assert {c.p: c.even_sums for c in contexts} == r.even_sums
 
 
+def test_inverse_power_sweep_runs_once_per_range(monkeypatch):
+    # the half-range sums and the window come from one sweep: reading
+    # either first keeps both on the range
+    calls = []
+    fast = hm.inverse_power_sweep
+    pairs = fast([5, 7, 11])
+    want = {"half_sums": {p: v[0] for p, v in pairs.items()}, "window": {p: v[1] for p, v in pairs.items()}}
+
+    def counted(primes):
+        calls.append(list(primes))
+        return fast(primes)
+
+    monkeypatch.setattr(hm, "inverse_power_sweep", counted)
+    for first, second in (("window", "half_sums"), ("half_sums", "window")):
+        calls.clear()
+        r = PrimeRange([3, 5, 7, 11])
+        assert getattr(r, first) == want[first]
+        assert getattr(r, second) == want[second]
+        assert calls == [[5, 7, 11]]
+
+
 def test_bernoulli_window_holds_the_range_value():
-    # lemma 2.1's window takes j = 3 from the range's B_(p-3) sweep and
-    # j >= 5 from its inverse-power sweep
+    # lemma 2.1 reads B_(p-3) from the range's B_(p-3) sweep and the
+    # window's offsets j >= 5 from its inverse-power sweep
     for p in (5, 7, 13, 41, 61, 73, 101):
         ctx = PrimeContext(p)
         top = min(13, p - 2)
-        assert ctx.bern == {j: bn.bernoulli_mod_p(p, p - j) for j in range(3, top + 1, 2)}
-        assert ctx.bern[3] == ctx.bpm3
+        assert ctx.window == {j: bn.bernoulli_mod_p(p, p - j) for j in range(5, top + 1, 2)}
+        assert ctx.bpm3 == bn.bernoulli_mod_p(p, p - 3)
 
 
 def test_context_keeps_no_ladder():
@@ -152,9 +176,9 @@ def test_context_keeps_no_ladder():
     try:
         ctx = PrimeContext(100003)
         before = tracemalloc.get_traced_memory()[0]
-        assert ctx.bpm3 == ctx.bern[3]
+        assert ctx.bpm3 is not None and ctx.window
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert sorted(ctx.bern) == [3, 5, 7, 9, 11, 13]
+    assert sorted(ctx.window) == [5, 7, 9, 11, 13]
     assert held < 64 * 1024, held

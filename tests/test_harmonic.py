@@ -76,6 +76,15 @@ def test_even_double_matches_naive():
             assert v == naive_even_double(p, s, t, e), (p, s, t, e)
 
 
+def test_naive_even_double_is_linear():
+    # the oracle's literal double sums keep a running prefix, so a prime
+    # above 10^4 takes a fraction of a second, and they match the
+    # per-prime sweep there
+    p = 10007
+    for (s, t, e), v in even_index_sums(p).double.items():
+        assert v == naive_even_double(p, s, t, e), (s, t, e)
+
+
 def test_even_triple_matches_naive():
     for p in SMALL + [17, 19, 31]:
         assert even_index_sums(p).triple == naive_even_triple(p), p
