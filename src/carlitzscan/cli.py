@@ -45,11 +45,12 @@ __all__ = [
 ]
 
 ORACLE_CAP_LIMIT = 1000
-# one prime's context peaks near 200 B per unit of p with every identity
-# selected (the u-sums' rows; the default set's chunk sweeps hold no list
-# of p, a few KB in all), so p <= 4 * 10^6 keeps it under
-# 1 GB; each --jobs worker holds one context at a time, and the records
-# of one chunk of primes, as text once each prime is formatted
+# one prime peaks near 200 B per unit of p with every identity selected
+# (the u-sums' rows: a chunk builds its u-sums one prime at a time, each
+# row freed before the next; the default set's chunk sweeps hold no list
+# of p, a few KB in all), so p <= 4 * 10^6 keeps it under 1 GB; each
+# --jobs worker runs one chunk at a time and holds its records, as text
+# once each prime is formatted
 P_MAX_LIMIT = 4 * 10**6
 # each a adds one record per prime, and a task holds the report text of its
 # chunk until it is written: at this limit up to CHUNK * 10^4 lines of about
@@ -71,7 +72,6 @@ class ScanConfig:
     n_max: int = 100
     jobs: int = 1
     fmt: str = "jsonl"
-    out: "str | None" = None
     oracle_cap: int = 0
     cd_triples: tuple[tuple[int, int, int], ...] = DEFAULT_CD_TRIPLES
 
@@ -166,7 +166,7 @@ def _prime_checks(primes: list[int], cfg: ScanConfig, cap: int):
     for e in _entries(cfg):
         if e.over == "p":
             calls.setdefault(e.check, (e, set()))[1].add(e.tag)
-    for ctx in PrimeRange(primes).contexts(cfg.a_values, cfg.cd_triples):
+    for ctx in PrimeRange(primes, cfg.cd_triples).contexts(cfg.a_values):
         p = ctx.p
         checks = [c for e, tags in calls.values() if p >= e.p_min
                   for c in e.check(ctx) if not e.part_of or c.identity in tags]
@@ -474,13 +474,12 @@ def main(argv: "list[str] | None" = None) -> int:
             n_max=ns.n_max,
             jobs=ns.jobs,
             fmt=ns.format,
-            out=ns.out,
             oracle_cap=ns.oracle_cap,
             cd_triples=_parse_cd(ns.cd),
         )
         cfg.validate()
         # open the report before the scan, so an unwritable --out fails at once
-        out = open(cfg.out, "w", newline="") if cfg.out else sys.stdout
+        out = open(ns.out, "w", newline="") if ns.out else sys.stdout
         try:
             with closing(run_verify(cfg)) as report:
                 try:
@@ -493,7 +492,7 @@ def main(argv: "list[str] | None" = None) -> int:
                     for _ in report:
                         pass
         finally:
-            if cfg.out:
+            if ns.out:
                 out.close()
         return report.code
     except UsageError as exc:

@@ -1,16 +1,17 @@
 """Per-prime quantities declared once, and one registry entry per identity.
 
 FIELDS declares each quantity the checks read: how it is produced, its
-naive route and the least p it applies to.  Most come from a sweep over
-a chunk of primes at once, since they are prefix products or prefix sums
-of sequences free of p (the central binomial, Staver's sum behind the
-binomial moments, B_(p-3), the half-range sums with the Bernoulli
-window, and the even-index sums); q2 and the u-sums are built per prime.
-A PrimeRange holds each sweep's values keyed by p, and a PrimeContext
-the values at one prime, reading the swept ones from its range.  Both
-build a field on its first read and keep it, so every check at a prime
-shares one value.  What a context holds is also what `oracle` compares:
-the fields the selected checks populated, each with its naive route.
+naive route and the least p it applies to.  A PrimeRange holds each
+field for a chunk of primes, keyed by p.  Most come from one sweep over
+the chunk, since they are prefix products or prefix sums of sequences
+free of p (the central binomial, Staver's sum behind the binomial
+moments, B_(p-3), the half-range sums with the Bernoulli window, and the
+even-index sums); q2 and the u-sums of the range's (eps, a, b) triples
+are computed one prime at a time.  A PrimeContext holds the values at
+one prime, read from its range.  Both build a field on its first read
+and keep it, so every check at a prime shares one value.  What a context
+holds is also what `oracle` compares: the fields the selected checks
+populated, each with its naive route.
 IDENTITIES declares each identity once: its tag, where it applies,
 whether `verify` runs it by default, and its check function.
 """
@@ -34,33 +35,19 @@ DEFAULT_CD_TRIPLES = ((0, 2, 0), (0, 1, 1), (1, 1, 1), (1, 2, 1), (0, 3, 0))
 CHUNK = 128
 
 
-class _OnRead(dict):
-    """A dict that builds the value of a missing key on its first read."""
-
-    def __init__(self, build: Callable):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        self[key] = value = self.build(key)
-        return value
-
-
 @dataclass(frozen=True)
 class Field:
     """One quantity the checks read, declared once.
 
-    Its producer is either `sweep`, which takes a PrimeRange and the
-    range's primes >= p_min and returns the values keyed by p, or `build`,
-    which takes a PrimeContext and returns its value.  `naive(p, value)`
-    is the oracle's independent route: the name of the first quantity
-    that disagrees, or None.  Below p_min the field is None.
+    `by_prime` takes a PrimeRange and the range's primes >= p_min and
+    returns the values keyed by p.  `naive(p, value)` is the oracle's
+    independent route: the name of the first quantity that disagrees, or
+    None.  Below p_min the field is None.
     """
 
     naive: Callable
+    by_prime: Callable
     p_min: int = 3
-    sweep: "Callable | None" = None
-    build: "Callable | None" = None
 
 
 # the producers look up their kernels in their modules at call time, so a
@@ -71,12 +58,12 @@ def _moments(r: "PrimeRange", primes) -> dict[int, tuple[int, int, int]]:
 
     cg.theorem_row's expansion S_a = 1 + a M1 + C(a,2) M2 + C(a,3) M3
     holds for every integer a, so three closed sums fix the moments:
-    S_1 = 2^(p-1), S_2 = central4 and Staver's
+    S_1 = 2^(p-1) = 1 + p q2, S_2 = central4 and Staver's
     S_(-1) = 1 - M1 + M2 - M3 = 1 + p 2^(-p) W (cg.staver_sweep)."""
     out = {}
     for p, w in cg.staver_sweep(primes).items():
         m = p**4
-        m1 = pow(2, p - 1, m) - 1
+        m1 = p * r.q2[p]
         m2 = r.central4[p] - 1 - 2 * m1
         s_neg = 1 + p * pow(2, -p, m) * w
         out[p] = (m1, m2 % m, (1 - m1 + m2 - s_neg) % m)
@@ -89,6 +76,13 @@ def _inverse_powers(r: "PrimeRange", primes, name: str) -> dict:
     pairs = hm.inverse_power_sweep(primes)
     vars(r).update(half_sums={p: h for p, (h, _) in pairs.items()}, window={p: w for p, (_, w) in pairs.items()})
     return vars(r)[name]
+
+
+def _u_sums(r: "PrimeRange", primes) -> dict[int, dict[tuple[int, int, int], int]]:
+    """The u-sum of each of the range's (eps, a, b) triples, once per
+    distinct triple, keyed by p."""
+    triples = dict.fromkeys(r.cd_triples)
+    return {p: {t: cg.chamberland_dilcher_u(p, *t) for t in triples} for p in primes}
 
 
 def _naive_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
@@ -177,62 +171,61 @@ def _naive_cd(p: int, cd: dict[tuple[int, int, int], int]) -> "str | None":
 # new one needs its entry here and a test against its naive route
 FIELDS: dict[str, Field] = {
     # (M1, M2, M3) mod p^4; cg.theorem_row reads any a-th power sum from them
-    "moments": Field(_naive_moments, sweep=_moments),
+    "moments": Field(_naive_moments, _moments),
     # (-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4
-    "central4": Field(_naive_central4, sweep=lambda r, primes: rs.signed_central_binomials(primes)),
+    "central4": Field(_naive_central4, lambda r, primes: rs.signed_central_binomials(primes)),
     # B_(p-3) mod p (at p = 3 the checks use B_0 = 1)
-    "bpm3": Field(lambda p, v: _naive_bernoulli(p, {3: v}, "bernoulli_pm3(p={p})"), 5,
-                  sweep=lambda r, primes: bn.bernoulli_pm3_mod_primes(primes)),
+    "bpm3": Field(lambda p, v: _naive_bernoulli(p, {3: v}, "bernoulli_pm3(p={p})"),
+                  lambda r, primes: bn.bernoulli_pm3_mod_primes(primes), 5),
     # B_(p-j) mod p keyed by lemma 2.1's odd offsets 5 <= j <= min(N_CAP + 1, p - 2)
-    "window": Field(_naive_window, 5, sweep=lambda r, primes: _inverse_powers(r, primes, "window")),
+    "window": Field(_naive_window, lambda r, primes: _inverse_powers(r, primes, "window"), 5),
     # the Fermat quotient (2^(p-1) - 1)/p mod p^3
-    "q2": Field(_naive_q2, build=lambda c: bn.fermat_quotient_2(c.p)),
-    "half_sums": Field(_naive_half_sums, 5, sweep=lambda r, primes: _inverse_powers(r, primes, "half_sums")),
-    "even_sums": Field(_naive_even_sums, 5, sweep=lambda r, primes: hm.even_index_sweep(primes)),
-    # the u-sum mod p^3 keyed by its (eps, a, b) triple, each built on its
-    # first read; it keeps p, not the context, which it would hold in a cycle
-    "cd": Field(_naive_cd, build=lambda c: _OnRead(lambda t, p=c.p: cg.chamberland_dilcher_u(p, *t))),
+    "q2": Field(_naive_q2, lambda r, primes: {p: bn.fermat_quotient_2(p) for p in primes}),
+    "half_sums": Field(_naive_half_sums, lambda r, primes: _inverse_powers(r, primes, "half_sums"), 5),
+    "even_sums": Field(_naive_even_sums, lambda r, primes: hm.even_index_sweep(primes), 5),
+    # the u-sum mod p^3 keyed by its (eps, a, b) triple
+    "cd": Field(_naive_cd, _u_sums, 5),
 }
 
 
 class PrimeRange:
-    """The swept fields of a chunk of odd primes: each a dict keyed by p
-    from one sweep over the chunk, built on its first read."""
+    """The fields of a chunk of odd primes: each a dict keyed by p, built
+    for the whole chunk on its first read.  `cd_triples` are the
+    (eps, a, b) triples the u-sum check runs over, in order."""
 
-    def __init__(self, primes):
+    def __init__(self, primes, cd_triples=DEFAULT_CD_TRIPLES):
         self.primes = tuple(sorted({rs.OddPrime(p) for p in primes}))
+        self.cd_triples = tuple(cd_triples)
 
     def __getattr__(self, name: str):
         # reached only for a name the instance does not hold yet; an
         # unknown one fails before the instance is read, so copy and
         # pickle, which probe a bare instance, see a plain AttributeError
         field = FIELDS.get(name)
-        if field is None or field.sweep is None:
+        if field is None:
             raise AttributeError(f"{type(self).__name__} has no field {name!r}")
-        value = vars(self)[name] = field.sweep(self, [p for p in self.primes if p >= field.p_min])
+        value = vars(self)[name] = field.by_prime(self, [p for p in self.primes if p >= field.p_min])
         return value
 
-    def contexts(self, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES):
+    def contexts(self, a_values=DEFAULT_A):
         """One PrimeContext per prime, in order, each reading this range."""
-        return (PrimeContext(p, a_values, cd_triples, self) for p in self.primes)
+        return (PrimeContext(p, a_values, prime_range=self) for p in self.primes)
 
 
 class PrimeContext:
     """The quantities at one odd prime p, each computed at most once.
 
-    `a_values` and `cd_triples` are the powers and u-sum triples the
-    checks run over.  Each FIELDS entry is an attribute, built on its
-    first read: a swept one is read from `prime_range`, a PrimeRange
-    holding p (by default one of p alone).  `row` keeps each
-    cg.theorem_row the checks read.
+    `a_values` are the powers the checks run over.  Each FIELDS entry is
+    an attribute, read from `prime_range` on its first read: a
+    PrimeRange holding p, by default one of p alone with `cd_triples`.
+    `row` keeps each cg.theorem_row the checks read.
     """
 
     def __init__(self, p: int, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES,
                  prime_range: "PrimeRange | None" = None):
         self.p = rs.OddPrime(p)
         self.a_values = tuple(a_values)
-        self.cd_triples = tuple(cd_triples)
-        self.prime_range = prime_range or PrimeRange((self.p,))
+        self.prime_range = prime_range or PrimeRange((self.p,), cd_triples)
         self.rows = {}
 
     def __getattr__(self, name: str):
@@ -240,12 +233,7 @@ class PrimeContext:
         field = FIELDS.get(name)
         if field is None:
             raise AttributeError(f"{type(self).__name__} has no field {name!r}")
-        if self.p < field.p_min:
-            value = None
-        elif field.build:
-            value = field.build(self)
-        else:
-            value = getattr(self.prime_range, name)[self.p]
+        value = None if self.p < field.p_min else getattr(self.prime_range, name)[self.p]
         vars(self)[name] = value
         return value
 
@@ -300,7 +288,8 @@ IDENTITIES: dict[str, Identity] = {
         Identity("morley", lambda c: [cg.verify_morley(c)], p_min=5, default=True),
         Identity("carlitz", lambda c: [cg.verify_carlitz(c)], default=True),
         Identity("cai_granville", lambda c: cg.verify_cai_granville(c, c.a_values), p_min=5),
-        Identity("chamberland_dilcher", lambda c: [cg.verify_chamberland_dilcher(c, *t) for t in c.cd_triples], p_min=5),
+        Identity("chamberland_dilcher", lambda c: [cg.verify_chamberland_dilcher(c, *t) for t in c.prime_range.cd_triples],
+                 p_min=5),
         Identity("lemma_2_1", _lemma_2_1, p_min=5, default=True),
         Identity("lemma_2_1_i", _lemma_2_1, p_min=5, part_of="lemma_2_1"),
         Identity("lemma_2_1_ii", _lemma_2_1, p_min=5, part_of="lemma_2_1"),

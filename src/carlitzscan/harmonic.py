@@ -7,7 +7,7 @@ window, and even_index_sweep.  The single sums over even k are the
 half-range sums scaled by 2^-n, so neither sweep sums them again.  The
 naive loops (builtin modular inversion) are the oracle's routes, and
 even_index_sums, a per-prime sweep over an inverse table, is the tests'
-reference where the naive sums are too slow.  The verify_* functions
+second reference for the even-index sums.  The verify_* functions
 read those sums from a context.PrimeContext and compare them with their
 closed forms, which involve the Fermat quotient q2 = (2^(p-1)-1)/p and
 Bernoulli residues mod p (also read from the context).
@@ -197,9 +197,9 @@ def even_index_sums(p: int) -> EvenSums:
     ((sum 1/i)^2 - sum 1/i^2) / 2.  The accumulators are reduced once,
     at the end.
 
-    The tests' reference for even_index_sweep at every prime up to 3000:
-    the naive triple sum is quadratic per prime, too slow there.  The
-    oracle compares the sweep with the naive sums, p <= 1000.
+    The tests' second reference for even_index_sweep: its squared-prefix
+    identity shares no step with the sweep or the naive sums, which the
+    oracle compares with the sweep, p <= 1000.
     """
     p = _validate(OddPrime(p))
     m2 = p * p
@@ -239,17 +239,17 @@ def naive_even_double(p: int, s: int, t: int, e: int) -> int:
 
 
 def naive_even_triple(p: int) -> int:
-    """Oracle: sum_{i<j<k, k even} 1/(ijk) mod p in O(p^2), with a running
-    prefix P(j) = sum_{i<j} 1/i, so that the sum is over j < k of
-    P(j)/(jk) (independent of the fast path's squared-prefix identity)."""
-    inv = [0] + [pow(k, -1, p) for k in range(1, p)]
-    acc = 0
-    for k in range(2, p, 2):
-        prefix = inner = 0
-        for j in range(1, k):
-            inner += prefix * inv[j]
-            prefix += inv[j]
-        acc += inner % p * inv[k]
+    """Oracle: sum_{i<j<k, k even} 1/(ijk) mod p from running sums
+    P(k) = sum_{i<k} 1/i and D(k) = sum_{i<j<k} 1/(ij), so that the sum
+    is over even k of D(k)/k (independent of the fast path's
+    squared-prefix identity)."""
+    single = double = acc = 0
+    for k in range(1, p):
+        x = pow(k, -1, p)
+        if k % 2 == 0:
+            acc += double * x
+        double = (double + single * x) % p
+        single += x
     return acc % p
 
 

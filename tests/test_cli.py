@@ -12,7 +12,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from math import ceil
 from types import SimpleNamespace
 
@@ -34,7 +34,7 @@ from carlitzscan.cli import (
     sieve_odd_primes,
 )
 from carlitzscan.congruences import CongruenceCheck
-from carlitzscan.context import CHUNK, FIELDS, PrimeContext, PrimeRange
+from carlitzscan.context import CHUNK, FIELDS, Field, PrimeContext, PrimeRange
 from carlitzscan.residues import is_odd_prime
 
 
@@ -431,11 +431,11 @@ def test_oracle_reads_the_half_sums_behind_the_verdicts(monkeypatch, damage, fai
 
 
 def test_every_context_field_has_one_oracle(monkeypatch):
-    # each FIELDS entry has exactly one producer (a range sweep or a
-    # per-prime build) and a naive route
+    # each FIELDS entry has one producer, the range's values keyed by p,
+    # and a naive route
+    assert [f.name for f in fields(Field)] == ["naive", "by_prime", "p_min"]
     for name, field in FIELDS.items():
-        assert (field.sweep is None) != (field.build is None), name
-        assert callable(field.naive), name
+        assert callable(field.by_prime) and callable(field.naive), name
     # and the default oracle run (every identity) compares each of them
     seen = Counter()
     for name, field in list(FIELDS.items()):
@@ -457,16 +457,27 @@ def test_unknown_names_fail_before_the_lookup_reads_the_instance():
         assert getattr(obj, "x", None) is None
         with pytest.raises(AttributeError, match="'x'"):
             obj.x
-    # a range holds the swept fields only; q2 and the u-sums are per prime
-    for name in ("q2", "cd"):
-        with pytest.raises(AttributeError):
-            getattr(r, name)
+    # a range holds every field keyed by p, q2 and the u-sums as well
+    assert r.q2 == {p: bn.fermat_quotient_2(p) for p in (5, 7)}
+    assert r.cd == {p: {t: cg.chamberland_dilcher_u(p, *t) for t in r.cd_triples} for p in (5, 7)}
     twin = copy.copy(ctx)
     assert twin.q2 == ctx.q2 == bn.fermat_quotient_2(7) and twin.prime_range is ctx.prime_range
     assert "q2" in vars(twin) and "q2" in vars(ctx)
     back = pickle.loads(pickle.dumps(PrimeContext(11)))
     assert (back.p, back.bpm3, back.window) == (11, bn.bernoulli_mod_p(11, 8), PrimeContext(11).window)
     assert pickle.loads(pickle.dumps(r)).central4 == r.central4
+
+
+def test_a_context_with_every_field_read_copies_and_pickles():
+    # every field is plain data, the u-sums included, so a context whose
+    # fields have all been read survives copy and pickle with its range
+    ctx = PrimeContext(13, cd_triples=((1, 1, 2), (0, 1, 1)))
+    values = {name: getattr(ctx, name) for name in FIELDS}
+    assert set(vars(ctx)) >= set(FIELDS) and values["cd"]
+    for twin in (copy.deepcopy(ctx), pickle.loads(pickle.dumps(ctx))):
+        assert {name: vars(twin)[name] for name in FIELDS} == values
+        assert twin.prime_range.cd_triples == ctx.prime_range.cd_triples
+    assert copy.copy(ctx).cd is ctx.cd
 
 
 def test_row_is_built_once_per_list_of_a_values(monkeypatch):
@@ -490,7 +501,7 @@ def test_row_is_built_once_per_list_of_a_values(monkeypatch):
 def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     # the context is the only producer: no check computes a quantity
     # itself, each PrimeRange sweep yields one value per prime and field,
-    # each u-sum is built once, on its first read, and the naive routes
+    # each u-sum is built once per prime and triple, and the naive routes
     # run only under the oracle, once per prime and argument: one
     # power-sum extraction of each prime and Bernoulli offset
     calls = Counter()
@@ -532,9 +543,9 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     per_prime = tuple(tag for tag, e in cli.IDENTITIES.items() if e.over == "p")
     no_lemma_2_1 = tuple(t for t in per_prime if not t.startswith("lemma_2_1"))
     primes = set(sieve_odd_primes(3, 200))
-    # the moments (from W and the central binomial) and the central binomial
-    # are read at p = 3 too, the rest from p = 5
-    from_3 = {"staver_sweep", "signed_central_binomials", "lhs_power_sums_batch"}
+    # the moments (from W, q2 and the central binomial), q2 and the central
+    # binomial are read at p = 3 too, the rest from p = 5
+    from_3 = {"staver_sweep", "signed_central_binomials", "lhs_power_sums_batch", "fermat_quotient_2"}
     always = {"staver_sweep", "signed_central_binomials", "bernoulli_pm3_mod_primes",
               "even_index_sweep", "fermat_quotient_2"}
     # without lemma_2_1 no inverse-power sweep runs; the oracle under

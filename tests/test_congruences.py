@@ -293,9 +293,11 @@ def test_u_sum_matches_exact_enumeration():
 
 
 def test_verify_u_sum_guaranteed_triples():
+    triples = [(0, 1, 1), (0, 2, 0), (0, 3, 0), (1, 1, 1), (1, 2, 1), (1, 1, 2)]
     for p in (5, 7, 11, 13, 31):
-        for eps, a, b in [(0, 1, 1), (0, 2, 0), (0, 3, 0), (1, 1, 1), (1, 2, 1), (1, 1, 2)]:
-            c = verify_chamberland_dilcher(PrimeContext(p), eps, a, b)
+        ctx = PrimeContext(p, cd_triples=triples)
+        for eps, a, b in triples:
+            c = verify_chamberland_dilcher(ctx, eps, a, b)
             assert c.verdict, (p, eps, a, b, c.lhs, c.rhs)
             assert c.rhs == (1 + (-1) ** eps * 2**b) % p**3
 
@@ -304,13 +306,13 @@ def test_verify_u_sum_excluded_triples_raise():
     assert CD_EXCLUDED == ((0, 0, 1), (0, 1, 0))
     for eps, a, b in CD_EXCLUDED:
         with pytest.raises(ExcludedTriple):
-            verify_chamberland_dilcher(PrimeContext(7), eps, a, b)
+            verify_chamberland_dilcher(PrimeContext(7, cd_triples=CD_EXCLUDED), eps, a, b)
 
 
 def test_verify_u_sum_a_zero_is_judged_not_guaranteed():
     # a = 0 drops the first binomial factor; the sum is still computed
     # and judged, but the closed form no longer has to hold
-    c = verify_chamberland_dilcher(PrimeContext(7), 0, 0, 2)
+    c = verify_chamberland_dilcher(PrimeContext(7, cd_triples=((0, 0, 2),)), 0, 0, 2)
     assert isinstance(c, CongruenceCheck)
     assert c.verdict == (c.lhs == c.rhs)
 

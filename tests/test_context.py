@@ -10,22 +10,29 @@ from carlitzscan import congruences as cg
 from carlitzscan import harmonic as hm
 from carlitzscan import residues as rs
 from carlitzscan.cli import sieve_odd_primes
-from carlitzscan.context import FIELDS, PrimeContext, PrimeRange
+from carlitzscan.context import DEFAULT_CD_TRIPLES, FIELDS, IDENTITIES, PrimeContext, PrimeRange
 
 PRIMES_TO_3000 = sieve_odd_primes(3, 3000)
 FALLBACK_PRIMES = (13, 41, 61, 73)  # where 3^(j-1) == 1 (mod p) for a window offset j
+# the ranges here hold the u-sums of one triple outside the defaults, with
+# eps = 1 and both binomial rows, compared up to the oracle's cap: the
+# exact binomials cost about p^2 per triple, some 30 ms at p = 3000
+CD_TRIPLES = ((1, 1, 2),)
+CD_P_MAX = 1000
 
 
 def per_prime(p: int, bernoulli_window) -> dict:
     """Each PrimeRange field's value at p by its reference route, the
     Bernoulli residues from the bernoulli_window fixture; the fields
-    stated for p >= 5 are left out at p = 3.  The moments enter as
-    the power sums S_1..S_3 by direct powers: S_a = 1 + a M1 + C(a,2) M2 +
-    C(a,3) M3 is unit-triangular in M1..M3, so the three fix the moments.
-    The even-index sums come from even_index_sums, since the naive triple
-    sum is quadratic per prime."""
+    stated for p >= 5 are left out at p = 3, and the u-sums of
+    CD_TRIPLES above CD_P_MAX.  The moments enter as the power sums
+    S_1..S_3 by direct powers: S_a = 1 + a M1 + C(a,2) M2 + C(a,3) M3 is
+    unit-triangular in M1..M3, so the three fix the moments.  The
+    even-index sums come from even_index_sums, one pass over an inverse
+    table, which the harmonic tests check against the naive sums."""
     mid = (p - 1) // 2
-    values = {"moments": tuple(cg.lhs_power_sums_batch(p, 3)[1:]), "central4": (-1) ** mid * comb(p - 1, mid) % p**4}
+    values = {"moments": tuple(cg.lhs_power_sums_batch(p, 3)[1:]), "central4": (-1) ** mid * comb(p - 1, mid) % p**4,
+              "q2": (pow(2, p - 1) - 1) // p % p**3}
     if p > 3:
         half = hm.HalfSums(
             hm.naive_half_harmonic(p, 1, 3),
@@ -36,17 +43,19 @@ def per_prime(p: int, bernoulli_window) -> dict:
         values["window"] = window
         values["half_sums"] = half
         values["even_sums"] = hm.even_index_sums(p)
+        if p <= CD_P_MAX:
+            values["cd"] = {t: cg.chamberland_dilcher_exact(p, *t) for t in CD_TRIPLES}
     return values
 
 
 def range_values(r: PrimeRange) -> dict:
-    """per_prime's layout, read from the range's swept fields."""
+    """per_prime's layout, read from the range's fields."""
     def read(name, p):
         value = getattr(r, name)[p]
         return tuple(lhs for _, lhs, _ in cg.theorem_row(p, value, (1, 2, 3))) if name == "moments" else value
 
     def names(p):
-        return [name for name, field in FIELDS.items() if field.sweep and p >= field.p_min]
+        return [name for name, field in FIELDS.items() if p >= field.p_min and (name != "cd" or p <= CD_P_MAX)]
 
     return {p: {name: read(name, p) for name in names(p)} for p in r.primes}
 
@@ -60,23 +69,24 @@ def references(bernoulli_window):
 @pytest.mark.parametrize("size", [1, 7, 128])
 def test_range_matches_the_per_prime_kernels(references, size):
     for i in range(0, len(PRIMES_TO_3000), size):
-        r = PrimeRange(PRIMES_TO_3000[i : i + size])
+        r = PrimeRange(PRIMES_TO_3000[i : i + size], CD_TRIPLES)
         assert range_values(r) == {p: references[p] for p in r.primes}
 
 
 def test_range_at_the_degenerate_primes(bernoulli_window):
-    # p = 3 has a central binomial and moments but no B_(p-3) (the checks
-    # use B_0 = 1) and no harmonic sums; q2 == 0 (mod p) at the Wieferich
-    # primes 1093 and 3511, and B_(p-3) == 0 (mod p) at the Wolstenholme
-    # prime 16843
+    # p = 3 has a central binomial, q2 and moments but no B_(p-3) (the
+    # checks use B_0 = 1), no harmonic sums and no u-sums; q2 == 0 (mod p)
+    # at the Wieferich primes 1093 and 3511, and B_(p-3) == 0 (mod p) at
+    # the Wolstenholme prime 16843
     special = (3, 1093, 3511, 16843)
-    r = PrimeRange(special)
+    r = PrimeRange(special, CD_TRIPLES)
     assert range_values(r) == {p: per_prime(p, bernoulli_window) for p in special}
     assert r.bpm3[16843] == 0
     for p in special:
         alone = PrimeContext(p)
         assert alone.central4 == r.central4[p]
         assert alone.moments == r.moments[p]
+        assert alone.q2 == r.q2[p]
         if p > 3:
             assert (alone.bpm3, alone.window, alone.half_sums, alone.even_sums) == (
                 r.bpm3[p], r.window[p], r.half_sums[p], r.even_sums[p])
@@ -84,7 +94,7 @@ def test_range_at_the_degenerate_primes(bernoulli_window):
         with pytest.raises(ValueError):
             sweep([3, 5])
     # a field is None below its least p, and the range sweeps it from there
-    for name in ("bpm3", "window", "half_sums", "even_sums"):
+    for name in ("bpm3", "window", "half_sums", "even_sums", "cd"):
         assert getattr(PrimeContext(3), name) is None
         assert 3 not in getattr(r, name)
     with pytest.raises(ValueError):
@@ -98,7 +108,7 @@ def test_window_at_the_fallback_primes(bernoulli_window):
         offsets = range(5, min(hm.N_CAP + 1, p - 2) + 1, 2)
         assert any(bn.voronoi_fold(p, j)[0] > 3 for j in offsets), p
     for chunk in (FALLBACK_PRIMES, (11, 13, 17), (37, 41, 43, 47), (59, 61, 67, 71, 73, 79)):
-        r = PrimeRange(chunk)
+        r = PrimeRange(chunk, CD_TRIPLES)
         assert range_values(r) == {p: per_prime(p, bernoulli_window) for p in chunk}
 
 
@@ -135,6 +145,25 @@ def test_contexts_read_their_range():
     assert {c.p: c.window for c in contexts} == r.window
     assert {c.p: c.half_sums for c in contexts} == r.half_sums
     assert {c.p: c.even_sums for c in contexts} == r.even_sums
+    assert {c.p: c.q2 for c in contexts} == r.q2
+    assert {c.p: c.cd for c in contexts} == r.cd
+    assert r.cd_triples == DEFAULT_CD_TRIPLES
+
+
+def test_contexts_read_the_triples_of_their_range():
+    # the range holds the (eps, a, b) triples and a context reads its
+    # u-sums from it; a context built without a range builds a range of p
+    # with its own triples; the u-sums are computed once per distinct
+    # triple, in the triples' order, and the check runs over every triple
+    triples = ((1, 1, 2), (0, 1, 1), (1, 1, 2))
+    r = PrimeRange([5, 7], triples)
+    assert r.cd == {p: {t: cg.chamberland_dilcher_exact(p, *t) for t in triples} for p in (5, 7)}
+    assert list(r.cd[5]) == [(1, 1, 2), (0, 1, 1)]
+    check = IDENTITIES["chamberland_dilcher"].check
+    assert [[c.params for c in check(ctx)] for ctx in r.contexts()] == [list(triples)] * 2
+    alone = PrimeContext(7, cd_triples=triples)
+    assert alone.prime_range.cd_triples == triples
+    assert alone.cd == r.cd[7]
 
 
 def test_inverse_power_sweep_runs_once_per_range(monkeypatch):

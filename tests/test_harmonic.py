@@ -85,6 +85,17 @@ def test_naive_even_double_is_linear():
         assert v == naive_even_double(p, s, t, e), (s, t, e)
 
 
+def test_naive_even_triple_is_linear():
+    # the oracle's triple sum keeps running sums of 1/i and of 1/(ij), so
+    # a prime above 10^4 takes milliseconds; it matches the per-prime
+    # sweep there and the literal triple loop at small primes
+    p = 10007
+    assert naive_even_triple(p) == even_index_sums(p).triple
+    for p in (5, 7, 11, 13, 31):
+        literal = sum(pow(i * j * k, -1, p) for k in range(2, p, 2) for j in range(2, k) for i in range(1, j))
+        assert naive_even_triple(p) == literal % p, p
+
+
 def test_even_triple_matches_naive():
     for p in SMALL + [17, 19, 31]:
         assert even_index_sums(p).triple == naive_even_triple(p), p
