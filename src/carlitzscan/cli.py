@@ -45,10 +45,11 @@ __all__ = [
 ]
 
 ORACLE_CAP_LIMIT = 1000
-# one prime peaks near 200 B per unit of p with every identity selected
-# (the u-sums' rows: a chunk builds its u-sums one prime at a time, each
-# row freed before the next; the default set's chunk sweeps hold no list
-# of p, a few KB in all), so p <= 4 * 10^6 keeps it under 1 GB; each
+# one prime peaks near 120 B per unit of p with every identity selected
+# (tracemalloc at p = 100003: the u-sums' two binomial rows and their
+# inverse table; a chunk builds its u-sums one prime at a time, each
+# prime's rows freed before the next; the default set's chunk sweeps hold
+# no list of p, a few KB in all), so p <= 4 * 10^6 keeps it under 1 GB; each
 # --jobs worker runs one chunk at a time and holds its records, as text
 # once each prime is formatted
 P_MAX_LIMIT = 4 * 10**6
@@ -438,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--oracle-cap", type=int, default=0,
                    help="also run naive oracles for primes up to this bound")
     v.add_argument("--cd", action="append", metavar="EPS,A,B",
-                   help="triple for the u-sum identity, repeatable")
+                   help="triple for the u-sum identity, repeatable; a repeated triple is written once")
 
     s = sub.add_parser("sums", help="print harmonic profile and constants at one prime")
     s.add_argument("p", type=int)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from .residues import SWEEP_RUN, OddPrime, binom_pm1, reduce_rational
+from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range, reduce_rational
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -38,7 +38,7 @@ __all__ = [
     "verify_morley",
     "verify_carlitz",
     "verify_cai_granville",
-    "chamberland_dilcher_u",
+    "chamberland_dilcher_sums",
     "chamberland_dilcher_exact",
     "verify_chamberland_dilcher",
     "alternating_square_sum",
@@ -259,76 +259,37 @@ def verify_cai_granville(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
             for a, lhs, power in c.row(a_values)]
 
 
-def _vu_binomial_row(n: int, p: int, m3: int, kmax: int) -> list[tuple[int, int]]:
-    """binomial(n, k) for k = 0..kmax as (p-valuation, unit mod p^3) pairs.
+def chamberland_dilcher_sums(p: int, triples) -> dict[tuple[int, int, int], int]:
+    """u = sum_{k=0}^{2p} (-1)^(eps k) binomial(p, k)^a binomial(2p, k)^b
+    mod p^3 for each (eps, a, b) of `triples`, keyed by the triple.
 
-    The unit is prod (n-i+1) / prod i over i <= k with the p-parts taken
-    out.  The denominators are inverted all at once: the forward pass
-    stores each k's numerator over its running denominator, one pow
-    inverts the last denominator, and the backward pass peels one factor
-    per k off that inverse."""
-    out = [(0, 1)]
-    val, unit, den = 0, 1, 1
-    for k in range(1, kmax + 1):
-        f, g = n - k + 1, k
-        while f % p == 0:
-            val += 1
-            f //= p
-        while g % p == 0:
-            val -= 1
-            g //= p
-        if val < 0:
-            raise AssertionError("binomial coefficient with negative valuation")
-        unit = unit * f % m3
-        den = den * g % m3
-        out.append((val, unit))
-    inv = pow(den, -1, m3)  # the inverse of k's running denominator, from k = kmax down
-    for k in range(kmax, 0, -1):
-        val, unit = out[k]
-        out[k] = (val, unit * inv % m3)
-        g = k
-        while g % p == 0:
-            g //= p
-        inv = inv * g % m3
-    return out
-
-
-def chamberland_dilcher_u(p: int, eps: int, a: int, b: int) -> int:
-    """u = sum_{k=0}^{2p} (-1)^(eps k) binomial(p, k)^a binomial(2p, k)^b mod p^3.
-
-    Binomials are tracked as (p-valuation, unit) pairs so the sum stays
-    in Z/p^3 Z; any term with total valuation >= 3 is dropped.  With
-    a >= 1 the sum truncates at k = p since binomial(p, k) = 0 beyond.
+    The two binomial rows are built once, mod p^3, and every triple sums
+    over them.  Every denominator below p is a unit, binomial(p, p) = 1,
+    binomial(2p, p) = 2 prod_{i<p} (p+i)/i and binomial(2p, k) =
+    binomial(2p, 2p-k), so no row divides by p; reduction mod p^3
+    commutes with the powers, so a term of valuation >= 3 is simply 0.
+    With a >= 1 the sum stops at k = p; a = 0 reads binomial(p, k)^0 = 1
+    up to k = 2p, as the exact route does.
     """
     p = int(OddPrime(p))
-    if eps not in (0, 1) or a < 0 or b < 0:
-        raise ValueError("need eps in (0, 1) and a, b >= 0")
     m3 = p**3
-    top = p if a > 0 else 2 * p
-    row1 = _vu_binomial_row(p, p, m3, min(top, p)) if a > 0 else None
-    row2 = _vu_binomial_row(2 * p, p, m3, top) if b > 0 else None
-    total = 0
-    for k in range(top + 1):
-        val = 0
-        unit = 1
-        if a > 0:
-            v1, u1 = row1[k]
-            val += a * v1
-            unit = pow(u1, a, m3)
-        if b > 0:
-            v2, u2 = row2[k]
-            val += b * v2
-            if val >= 3:
-                continue
-            unit = unit * pow(u2, b, m3) % m3
-        if val >= 3:
-            continue
-        term = unit * p**val % m3
-        if eps and (k & 1):
-            total -= term
-        else:
-            total += term
-    return total % m3
+    inv = inverse_range(p - 1, m3)
+    row1, half, central = [1], [1], 2
+    for k in range(1, p):
+        row1.append(row1[-1] * (p - k + 1) % m3 * inv[k] % m3)
+        half.append(half[-1] * (2 * p - k + 1) % m3 * inv[k] % m3)
+        central = central * (p + k) % m3 * inv[k] % m3
+    del inv
+    row1 += [1] + [0] * p  # binomial(p, k) = 0 past k = p
+    row2 = half + [central] + half[::-1]
+    out = {}
+    for eps, a, b in triples:
+        if eps not in (0, 1) or a < 0 or b < 0:
+            raise ValueError("need eps in (0, 1) and a, b >= 0")
+        n = p + 1 if a else 2 * p + 1
+        even, odd = (sum(pow(x, a, m3) * pow(y, b, m3) for x, y in zip(row1[i:n:2], row2[i:n:2])) for i in (0, 1))
+        out[eps, a, b] = (even - odd if eps else even + odd) % m3
+    return out
 
 
 def chamberland_dilcher_exact(p: int, eps: int, a: int, b: int) -> int:

@@ -78,13 +78,6 @@ def _inverse_powers(r: "PrimeRange", primes, name: str) -> dict:
     return vars(r)[name]
 
 
-def _u_sums(r: "PrimeRange", primes) -> dict[int, dict[tuple[int, int, int], int]]:
-    """The u-sum of each of the range's (eps, a, b) triples, once per
-    distinct triple, keyed by p."""
-    triples = dict.fromkeys(r.cd_triples)
-    return {p: {t: cg.chamberland_dilcher_u(p, *t) for t in triples} for p in primes}
-
-
 def _naive_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
     """The power sums the verdicts read (theorem_row over the range's
     moments) against direct powers for a <= 10.  S_a = 1 + a M1 +
@@ -183,19 +176,20 @@ FIELDS: dict[str, Field] = {
     "q2": Field(_naive_q2, lambda r, primes: {p: bn.fermat_quotient_2(p) for p in primes}),
     "half_sums": Field(_naive_half_sums, lambda r, primes: _inverse_powers(r, primes, "half_sums"), 5),
     "even_sums": Field(_naive_even_sums, lambda r, primes: hm.even_index_sweep(primes), 5),
-    # the u-sum mod p^3 keyed by its (eps, a, b) triple
-    "cd": Field(_naive_cd, _u_sums, 5),
+    # the u-sum mod p^3 keyed by its (eps, a, b) triple, for each of the range's triples
+    "cd": Field(_naive_cd, lambda r, primes: {p: cg.chamberland_dilcher_sums(p, r.cd_triples) for p in primes}, 5),
 }
 
 
 class PrimeRange:
     """The fields of a chunk of odd primes: each a dict keyed by p, built
     for the whole chunk on its first read.  `cd_triples` are the
-    (eps, a, b) triples the u-sum check runs over, in order."""
+    distinct (eps, a, b) triples the u-sum check runs over, in first-seen
+    order."""
 
     def __init__(self, primes, cd_triples=DEFAULT_CD_TRIPLES):
         self.primes = tuple(sorted({rs.OddPrime(p) for p in primes}))
-        self.cd_triples = tuple(cd_triples)
+        self.cd_triples = tuple(dict.fromkeys(cd_triples))
 
     def __getattr__(self, name: str):
         # reached only for a name the instance does not hold yet; an

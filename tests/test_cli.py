@@ -34,7 +34,7 @@ from carlitzscan.cli import (
     sieve_odd_primes,
 )
 from carlitzscan.congruences import CongruenceCheck
-from carlitzscan.context import CHUNK, FIELDS, Field, PrimeContext, PrimeRange
+from carlitzscan.context import CHUNK, DEFAULT_CD_TRIPLES, FIELDS, Field, PrimeContext, PrimeRange
 from carlitzscan.residues import is_odd_prime
 
 
@@ -360,13 +360,15 @@ def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
 def test_oracle_reads_the_u_sums_behind_the_verdicts(monkeypatch):
     # shift one u-sum by p^2 at p = 13 where the context computes it:
     # the chamberland_dilcher verdict and the oracle must both see it
-    fast = cg.chamberland_dilcher_u
+    fast = cg.chamberland_dilcher_sums
 
-    def corrupted(p, eps, a, b):
-        u = fast(p, eps, a, b)
-        return (u + p * p) % p**3 if (p, eps, a, b) == (13, 1, 1, 1) else u
+    def corrupted(p, triples):
+        sums = fast(p, triples)
+        if p == 13:
+            sums[1, 1, 1] = (sums[1, 1, 1] + p * p) % p**3
+        return sums
 
-    monkeypatch.setattr(cg, "chamberland_dilcher_u", corrupted)
+    monkeypatch.setattr(cg, "chamberland_dilcher_sums", corrupted)
     cfg = ScanConfig(p_min=5, p_max=31, identities=("chamberland_dilcher",))
     records, code = verify_records(cfg)
     assert code == 1
@@ -459,7 +461,7 @@ def test_unknown_names_fail_before_the_lookup_reads_the_instance():
             obj.x
     # a range holds every field keyed by p, q2 and the u-sums as well
     assert r.q2 == {p: bn.fermat_quotient_2(p) for p in (5, 7)}
-    assert r.cd == {p: {t: cg.chamberland_dilcher_u(p, *t) for t in r.cd_triples} for p in (5, 7)}
+    assert r.cd == {p: cg.chamberland_dilcher_sums(p, r.cd_triples) for p in (5, 7)}
     twin = copy.copy(ctx)
     assert twin.q2 == ctx.q2 == bn.fermat_quotient_2(7) and twin.prime_range is ctx.prime_range
     assert "q2" in vars(twin) and "q2" in vars(ctx)
@@ -501,7 +503,8 @@ def test_row_is_built_once_per_list_of_a_values(monkeypatch):
 def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     # the context is the only producer: no check computes a quantity
     # itself, each PrimeRange sweep yields one value per prime and field,
-    # each u-sum is built once per prime and triple, and the naive routes
+    # the u-sums of all the range's triples are built in one call per
+    # prime, and the naive routes
     # run only under the oracle, once per prime and argument: one
     # power-sum extraction of each prime and Bernoulli offset
     calls = Counter()
@@ -531,7 +534,7 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
              (hm, "naive_even_triple"))
     for mod, name in sweeps:
         count_sweep(mod, name)
-    for mod, name in naive + ((bn, "fermat_quotient_2"), (cg, "chamberland_dilcher_u")):
+    for mod, name in naive + ((bn, "fermat_quotient_2"), (cg, "chamberland_dilcher_sums")):
         count(mod, name)
     extraction = bn.bernoulli_mod_p
 
@@ -554,7 +557,7 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
     # offsets 5..13 (the window)
     for tags, keys, offsets, cap in (
         (DEFAULT_IDENTITIES, {"inverse_power_sweep"}, set(), 0),
-        (no_lemma_2_1, {"chamberland_dilcher_u"}, set(), 0),
+        (no_lemma_2_1, {"chamberland_dilcher_sums"}, set(), 0),
         (DEFAULT_IDENTITIES, {"inverse_power_sweep", "bernoulli_mod_p"} | {name for _, name in naive},
          set(range(3, 14, 2)), 200),
     ):
@@ -713,6 +716,43 @@ def test_each_check_runs_once_per_prime(monkeypatch):
     assert records == sorted(alone, key=cli._ORDER)
 
 
+def test_u_sum_rows_are_built_once_per_prime(monkeypatch):
+    # the rows C(p, k) and C(2p, k) mod p^3 come from one inverse table
+    # mod p^3, and every triple of the range sums over those rows: one
+    # table per prime, for the five default triples as for one
+    calls = Counter()
+    fast = cg.inverse_range
+
+    def counted(n, m):
+        calls[n + 1, m] += 1
+        return fast(n, m)
+
+    monkeypatch.setattr(cg, "inverse_range", counted)
+    primes = sieve_odd_primes(5, 300)
+    for triples in (DEFAULT_CD_TRIPLES, ((1, 3, 2),)):
+        calls.clear()
+        cfg = ScanConfig(p_max=300, identities=("chamberland_dilcher",), cd_triples=triples)
+        records, code = verify_records(cfg)
+        assert code == 0 and len(records) == len(primes) * len(triples)
+        assert calls == Counter({(p, p**3): 1 for p in primes})
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_repeated_cd_triple_is_written_once(tmp_path, fmt):
+    # the range keeps the distinct triples in first-seen order, so a
+    # repeated --cd triple adds no record to the report
+    def report(name, *triples):
+        out = tmp_path / name
+        cds = [arg for t in triples for arg in ("--cd", t)]
+        args = ["verify", "--identity", "chamberland_dilcher", *cds, "--p-max", "13", "--format", fmt]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    once = report("once", "0,1,1", "1,2,1")
+    assert once.count(b"chamberland_dilcher") == 2 * 4
+    assert report("twice", "0,1,1", "1,2,1", "0,1,1") == once
+
+
 def test_verify_never_builds_the_oracle_routes(monkeypatch):
     # the binomial row, the direct powers, power-sum extraction and the
     # per-prime sweep over an inverse table belong to the oracle and the
@@ -756,7 +796,7 @@ def test_huge_cd_exponent_runs_in_bounded_memory():
         tracemalloc.stop()
     assert code == 0
     assert [(r.p, r.params) for r in records] == [(5, (1, 1, 10**8)), (7, (1, 1, 10**8))]
-    assert exact == cg.chamberland_dilcher_u(7, 1, 1, 10**6)
+    assert exact == cg.chamberland_dilcher_sums(7, [(1, 1, 10**6)])[1, 1, 10**6]
     assert peak < 4 * 2**20, peak
 
 

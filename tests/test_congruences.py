@@ -15,7 +15,7 @@ from carlitzscan.congruences import (
     ExcludedTriple,
     alternating_square_sum,
     chamberland_dilcher_exact,
-    chamberland_dilcher_u,
+    chamberland_dilcher_sums,
     exact_identity_1_3,
     exact_identity_1_4,
     lhs_power_sums_batch,
@@ -273,23 +273,21 @@ def test_verify_cai_granville():
 
 
 def test_u_sum_frozen_values():
-    assert chamberland_dilcher_u(5, 1, 1, 1) == 124
-    assert chamberland_dilcher_u(5, 0, 2, 0) == 2
-    assert chamberland_dilcher_u(5, 0, 1, 1) == 3
-    assert chamberland_dilcher_u(7, 0, 1, 1) == 3
-    assert chamberland_dilcher_u(5, 1, 2, 1) == 124
-    assert chamberland_dilcher_u(5, 0, 3, 0) == 2
-    assert chamberland_dilcher_u(7, 1, 1, 2) == 340
+    assert chamberland_dilcher_sums(5, [(1, 1, 1), (0, 2, 0), (0, 1, 1), (1, 2, 1), (0, 3, 0)]) == {
+        (1, 1, 1): 124, (0, 2, 0): 2, (0, 1, 1): 3, (1, 2, 1): 124, (0, 3, 0): 2}
+    assert chamberland_dilcher_sums(7, [(0, 1, 1), (1, 1, 2)]) == {(0, 1, 1): 3, (1, 1, 2): 340}
 
 
 def test_u_sum_matches_exact_enumeration():
-    for p in (5, 7, 11, 13):
-        for eps in (0, 1):
-            for a in (0, 1, 2, 3):
-                for b in (0, 1, 2):
-                    got = chamberland_dilcher_u(p, eps, a, b)
-                    want = chamberland_dilcher_exact(p, eps, a, b)
-                    assert got == want, (p, eps, a, b)
+    # a = 0 sums to k = 2p, over the mirrored half of the C(2p, k) row;
+    # b = 0 makes every C(2p, k) factor 1; no oracle compares u-sums at
+    # 1009, which is above ORACLE_CAP_LIMIT
+    triples = [(eps, a, b) for eps in (0, 1) for a in (0, 1, 2, 3) for b in (0, 1, 2, 3)]
+    for p in (5, 7, 11, 13, 1009):
+        got = chamberland_dilcher_sums(p, triples)
+        assert list(got) == triples
+        for t in triples:
+            assert got[t] == chamberland_dilcher_exact(p, *t), (p, t)
 
 
 def test_verify_u_sum_guaranteed_triples():

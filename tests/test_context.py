@@ -151,18 +151,20 @@ def test_contexts_read_their_range():
 
 
 def test_contexts_read_the_triples_of_their_range():
-    # the range holds the (eps, a, b) triples and a context reads its
-    # u-sums from it; a context built without a range builds a range of p
-    # with its own triples; the u-sums are computed once per distinct
-    # triple, in the triples' order, and the check runs over every triple
+    # the range holds the distinct (eps, a, b) triples, in first-seen
+    # order, and a context reads its u-sums from it; a context built
+    # without a range builds a range of p with its own triples; the u-sums
+    # and the check run over each distinct triple once
     triples = ((1, 1, 2), (0, 1, 1), (1, 1, 2))
+    distinct = ((1, 1, 2), (0, 1, 1))
     r = PrimeRange([5, 7], triples)
+    assert r.cd_triples == distinct
     assert r.cd == {p: {t: cg.chamberland_dilcher_exact(p, *t) for t in triples} for p in (5, 7)}
-    assert list(r.cd[5]) == [(1, 1, 2), (0, 1, 1)]
+    assert list(r.cd[5]) == list(distinct)
     check = IDENTITIES["chamberland_dilcher"].check
-    assert [[c.params for c in check(ctx)] for ctx in r.contexts()] == [list(triples)] * 2
+    assert [[c.params for c in check(ctx)] for ctx in r.contexts()] == [list(distinct)] * 2
     alone = PrimeContext(7, cd_triples=triples)
-    assert alone.prime_range.cd_triples == triples
+    assert alone.prime_range.cd_triples == distinct
     assert alone.cd == r.cd[7]
 
 
