@@ -22,7 +22,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from math import ceil
 from multiprocessing import SimpleQueue
@@ -156,12 +156,12 @@ def _entries(cfg: ScanConfig) -> list:
     return [e for tag, e in IDENTITIES.items() if tag in chosen and e.part_of not in chosen]
 
 
-def _prime_checks(primes: list[int], cfg: ScanConfig, cap: int):
+def _prime_checks(primes: list[int], cfg: ScanConfig):
     """Yield (p, checks, disagreement) for each of `primes`, in order: the
     selected per-prime checks, all reading one PrimeContext of the primes'
-    PrimeRange, and for p <= cap the first field those checks populated
-    that disagrees with its naive route, in FIELDS order (None if all
-    agree)."""
+    PrimeRange, and for p <= cfg.oracle_cap the first field those checks
+    populated that disagrees with its naive route, in FIELDS order (None if
+    all agree)."""
     # one call per check: the selected parts of one whole share its call
     calls = {}
     for e in _entries(cfg):
@@ -171,7 +171,7 @@ def _prime_checks(primes: list[int], cfg: ScanConfig, cap: int):
         p = ctx.p
         checks = [c for e, tags in calls.values() if p >= e.p_min
                   for c in e.check(ctx) if not e.part_of or c.identity in tags]
-        built = vars(ctx) if p <= cap else {}
+        built = vars(ctx) if p <= cfg.oracle_cap else {}
         oracles = (f.naive(p, built[name]) for name, f in FIELDS.items() if name in built and p >= f.p_min)
         yield p, checks, next(filter(None, oracles), None)
 
@@ -192,21 +192,23 @@ def _scan_chunk(task: tuple) -> tuple[list[str], int, bool, "str | None"]:
     """One task of a verify scan: the report text of every record with
     lo < p <= hi, sorted by (p, identity, params), one piece per prime
     with the exact records up to it; the number of records; whether every
-    verdict holds; and the first oracle disagreement up to cfg.oracle_cap."""
+    verdict holds; and the first oracle disagreement up to cfg.oracle_cap,
+    whose prime's records end the text."""
     primes, lo, hi, cfg = task
     # largest p last, so each prime pops the exact records up to it
     exact = sorted(_exact_checks(cfg, lo, hi), key=_ORDER, reverse=True)
-    pieces, count, ok, bad = [], 0, True, None
+    pieces, count, ok = [], 0, True
     # a last group at p = hi takes the exact records past the last prime
-    for p, group, disagreement in chain(_prime_checks(primes, cfg, cfg.oracle_cap), [(hi, [], None)]):
+    for p, group, disagreement in chain(_prime_checks(primes, cfg), [(hi, [], None)]):
         while exact and exact[-1].p <= p:
             group.append(exact.pop())
         group.sort(key=_ORDER)
         pieces.append(_report_text(group, cfg.fmt))
         count += len(group)
         ok = ok and all(r.verdict for r in group)
-        bad = bad or disagreement
-    return pieces, count, ok, bad
+        if disagreement:
+            break
+    return pieces, count, ok, disagreement
 
 
 def _allowed_cpus() -> list[int]:
@@ -237,12 +239,12 @@ def _take_cpu(cpus) -> None:
         pass
 
 
-def _chunks(cfg: ScanConfig, hi: int) -> list[list[int]]:
-    """The primes in [cfg.p_min, hi] (none if no per-prime identity is
+def _chunks(cfg: ScanConfig) -> list[list[int]]:
+    """The primes in [cfg.p_min, cfg.p_max] (none if no per-prime identity is
     selected) cut into consecutive chunks, one task each: an even share per
     worker, at most CHUNK, since each chunk restarts every range sweep at
     k = 1."""
-    primes = sieve_odd_primes(cfg.p_min, hi) if any(e.over == "p" for e in _entries(cfg)) else []
+    primes = sieve_odd_primes(cfg.p_min, cfg.p_max) if any(e.over == "p" for e in _entries(cfg)) else []
     size = max(1, min(CHUNK, ceil(len(primes) / _pool_size(cfg.jobs))))
     return [primes[i : i + size] for i in range(0, len(primes), size)]
 
@@ -269,12 +271,15 @@ def _run(fn, tasks: list, jobs: int):
 class Report:
     """A verify scan's report: iterating it runs the scan one task at a time
     and yields the report text in p order, one piece per prime (after the
-    CSV header).  Once it is read to the end, len() is the number of
-    records and `code` the exit code: 0 if every check matches, else 1."""
+    CSV header).  The scan stops after the first prime whose fields disagree
+    with the oracle, which `disagreement` then names.  Once it is read to
+    the end, len() is the number of records and `code` the exit code: 0 if
+    every check matches and the oracle agrees, else 1."""
 
     def __init__(self, cfg: ScanConfig):
         self.records = 0
         self.code = 0
+        self.disagreement = None
         self._text = self._scan(cfg)
 
     def __iter__(self):
@@ -292,21 +297,21 @@ class Report:
         # primes and the exact records between the previous chunk and its
         # own last prime; the last task's interval reaches the largest p
         # any record carries
-        chunks = _chunks(cfg, cfg.p_max) or [[]]
+        chunks = _chunks(cfg) or [[]]
         bounds = [0] + [c[-1] for c in chunks[:-1]] + [max(cfg.p_max, cfg.n_max)]
         tasks = [(c, lo, hi, cfg) for c, lo, hi in zip(chunks, bounds, bounds[1:])]
         if cfg.fmt == "csv":
             yield _csv_text([CSV_HEADER])
-        bad = None
-        for pieces, count, ok, disagreement in _run(_scan_chunk, tasks, cfg.jobs):
-            self.records += count
-            if not ok:
-                self.code = 1
-            bad = bad or disagreement
-            yield from pieces
-        if bad:
-            print(f"oracle disagreement: {bad}", file=sys.stderr)
-            self.code = 1
+        with closing(_run(_scan_chunk, tasks, cfg.jobs)) as results:
+            for pieces, count, ok, disagreement in results:
+                self.records += count
+                if not ok:
+                    self.code = 1
+                yield from pieces
+                if disagreement:
+                    print(f"oracle disagreement: {disagreement}", file=sys.stderr)
+                    self.disagreement, self.code = disagreement, 1
+                    return
 
 
 def run_verify(cfg: ScanConfig) -> Report:
@@ -324,32 +329,24 @@ def write_records(records: Report, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# oracle mode: each PrimeContext field the checks read vs its naive route
-
-def _oracle_chunk(task: tuple) -> "str | None":
-    """The first disagreement _prime_checks finds in a chunk of primes, which
-    stops there."""
-    primes, cfg, cap = task
-    return next(filter(None, (bad for _, _, bad in _prime_checks(primes, cfg, cap))), None)
-
+# oracle mode: a verify scan whose report is read but not written
 
 def run_oracle_quantities(cfg: ScanConfig) -> "str | None":
-    """Scan the primes up to the oracle cap and compare the context fields
-    the selected checks populated against naive enumeration; returns the
-    first mismatch name, stopping the scan there."""
+    """Scan the primes up to the oracle cap as verify does, comparing the
+    context fields the selected checks populated against naive
+    enumeration; returns the first mismatch name, where the scan stops."""
     hi = min(cfg.p_max, cfg.oracle_cap or ORACLE_CAP_LIMIT)
-    tasks = [(c, cfg, hi) for c in _chunks(cfg, hi)]
-    with closing(_run(_oracle_chunk, tasks, cfg.jobs)) as scan:
-        return next(filter(None, scan), None)
+    report = Report(replace(cfg, p_max=hi, oracle_cap=hi))
+    for _ in report:
+        pass
+    return report.disagreement
 
 
 def run_oracle(cfg: ScanConfig) -> int:
     cfg.validate()
     if cfg.p_max > ORACLE_CAP_LIMIT:
         raise UsageError(f"oracle scans are capped at p <= {ORACLE_CAP_LIMIT}, got p_max={cfg.p_max}")
-    bad = run_oracle_quantities(cfg)
-    if bad:
-        print(f"oracle disagreement: {bad}", file=sys.stderr)
+    if run_oracle_quantities(cfg):
         return 1
     n = len(sieve_odd_primes(cfg.p_min, cfg.p_max))
     print(f"oracle agreement over {n} primes in [{cfg.p_min}, {cfg.p_max}]")

@@ -15,7 +15,7 @@ of False, never an exception.  The per-prime checks read a PrimeContext.
 """
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range, reduce_rational
@@ -170,44 +170,36 @@ def lhs_power_sums_batch(p: int, a_max: int) -> list[int]:
     return sums
 
 
+def _correction(p: int, bpm3: "int | None") -> int:
+    """p^3 B / 48 mod p^4, which times a(a-1)(3a-4) is Theorem 1.1's
+    correction: B is `bpm3`, B_(p-3) mod p (the p^3 in front makes that
+    enough), for p >= 5, and B_0 = 1 at p = 3, where the 3 in 48 cancels
+    against p^3 before the rest of 48 is inverted mod p^4."""
+    g, m = gcd(48, p), p**4
+    return (1 if p == 3 else bpm3) * (p**3 // g) * pow(48 // g, -1, m) % m
+
+
 def rhs_theorem(p: int, a: int, bpm3: "int | None") -> int:
     """2^(a(p-1)) + (a(a-1)(3a-4)/48) p^3 B_(p-3) mod p^4, the right side of
-    Theorem 1.1 built for one a: carlitz reads it at a = 2, theorem_1_1 at
-    p = 3, and the tests compare theorem_row's records with it.
-
-    For p >= 5 the Bernoulli factor enters as `bpm3`, B_(p-3) mod p (the
-    p^3 in front makes that enough), and 48 is a unit, so the correction
-    is a(a-1)(3a-4) B_(p-3) / 48 mod p, times p^3.  For p = 3 the
-    correction is formed as one exact rational with B_0 = 1 so the 3 in
-    the denominator 48 cancels against 27 before reduction mod 81;
-    `bpm3` is not read.
-    """
+    Theorem 1.1 built for one a: carlitz reads it at a = 2, and the tests
+    compare theorem_row's records with it.  `bpm3` is B_(p-3) mod p, not
+    read at p = 3 (see _correction)."""
     p = int(OddPrime(p))
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
     m = p**4
-    if p == 3:
-        corr = reduce_rational(theorem_coefficient(a) * 27, p, 4)
-    else:
-        corr = a * (a - 1) * (3 * a - 4) * bpm3 * pow(48, -1, p) % p * p**3
-    return (pow(2, a * (p - 1), m) + corr) % m
+    return (pow(2, a * (p - 1), m) + a * (a - 1) * (3 * a - 4) * _correction(p, bpm3)) % m
 
 
 def verify_theorem_1_1(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
     """Check the headline congruence at c.p for each a of `a_values`, both
-    sides mod p^4, from the context's theorem_row of `a_values`.
-
-    For p >= 5 the correction is a(a-1)(3a-4) B_(p-3)/48 mod p, times p^3,
-    with B_(p-3)/48 taken once for the row; at p = 3 the right side is
-    rhs_theorem's exact rational.
-    """
+    sides mod p^4, from the context's theorem_row of `a_values`, with
+    p^3 B / 48 taken once for the row."""
     p = int(c.p)
-    m = p**4
-    if p > 3:
-        p3, f = p**3, c.bpm3 * pow(48, -1, p) % p
+    m, corr = p**4, _correction(p, c.bpm3)
     out = []
     for a, lhs, power in c.row(a_values):
-        rhs = (power + a * (a - 1) * (3 * a - 4) * f % p * p3) % m if p > 3 else rhs_theorem(p, a, None)
+        rhs = (power + a * (a - 1) * (3 * a - 4) * corr) % m
         out.append(CongruenceCheck("theorem_1_1", p, (a,), m, lhs, rhs, lhs == rhs))
     return out
 

@@ -219,6 +219,70 @@ def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
     assert keys == sorted(keys)
 
 
+def _lines_through(text: str, fmt: str, p_last: int) -> list[str]:
+    """The lines of a report (the CSV header included) up to its last record
+    with p <= p_last."""
+    lines = text.splitlines(keepends=True)
+    start = 1 if fmt == "csv" else 0
+    p_of = (lambda line: int(line.split(",", 2)[1])) if fmt == "csv" else (lambda line: json.loads(line)["p"])
+    return lines[: start + sum(1 for line in lines[start:] if p_of(line) <= p_last)]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_oracle_disagreement_ends_the_report_after_its_prime(monkeypatch, capsys, jobs, fmt):
+    # the scan stops at the first prime whose fields disagree: the report is
+    # the clean report's prefix through that prime's records at every --jobs,
+    # and verify and oracle each print one line for it
+    if jobs > 1 and multiprocessing.get_start_method() != "fork":
+        pytest.skip("pool workers see the patched oracle table only when forked")
+    argv = ["--p-max", "3000", "--oracle-cap", "1000", "--jobs", str(jobs), "--format", fmt]
+    assert cli.main(["verify", *argv]) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    prefix = _lines_through(clean.out, fmt, 101)
+    assert 0 < len(prefix) < len(clean.out.splitlines())
+    monkeypatch.setitem(FIELDS, "q2", replace(FIELDS["q2"], naive=lambda p, q2: "injected(p=101)" if p == 101 else None))
+    built = []
+
+    class RecordedRange(PrimeRange):
+        def __init__(self, primes, *args):
+            built.append(list(primes))
+            super().__init__(primes, *args)
+
+    monkeypatch.setattr(cli, "PrimeRange", RecordedRange)
+    assert cli.main(["verify", *argv]) == 1
+    cut = capsys.readouterr()
+    assert cut.out == "".join(prefix)
+    assert cut.err == "oracle disagreement: injected(p=101)\n"
+    report = run_verify(ScanConfig(p_max=3000, oracle_cap=1000, jobs=jobs, fmt=fmt))
+    assert "".join(report) == cut.out
+    assert len(report) == len(prefix) - (fmt == "csv")
+    assert report.code == 1 and report.disagreement == "injected(p=101)"
+    assert capsys.readouterr().err == cut.err
+    assert cli.main(["oracle", "--p-max", "1000", "--jobs", str(jobs)]) == 1
+    assert capsys.readouterr() == ("", "oracle disagreement: injected(p=101)\n")
+    if jobs == 1:
+        # each of the three scans built the range of the chunk holding 101, and none past it
+        assert len(built) == 3 and all(chunk[0] == 3 and 101 in chunk for chunk in built)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_scan_split_at_a_prime_concatenates_to_the_whole(capsys, jobs):
+    # verify --p-max X, then --p-min X+1 --p-max Y, writes the bytes of
+    # verify --p-max Y for the per-prime identities; the whole scan's first
+    # chunk ends past X at both --jobs.  The exact identities ignore
+    # --p-min and are written again by every part
+    def report(*argv):
+        assert cli.main(["verify", "--jobs", str(jobs), *argv]) == 0
+        return capsys.readouterr().out
+
+    whole = report("--p-max", "1000")
+    assert report("--p-max", "400") + report("--p-min", "401", "--p-max", "1000") == whole
+    exact = ["--identity", "exact_1_3", "--n-max", "5"]
+    assert report(*exact, "--p-max", "400") == report(*exact, "--p-min", "401", "--p-max", "1000") != ""
+
+
 # sha256 of the JSONL report of each identity over 3 <= p <= 200 with
 # a = 1..8, n_max = 50 and the default --cd triples, as written by the
 # code before the per-prime context existed (commit 9a4e1d2, run with
