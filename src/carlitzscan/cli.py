@@ -36,7 +36,6 @@ from .residues import sieve_odd_primes
 __all__ = [
     "UsageError",
     "ScanConfig",
-    "sieve_odd_primes",
     "Report",
     "run_verify",
     "write_records",
@@ -272,9 +271,9 @@ class Report:
     """A verify scan's report: iterating it runs the scan one task at a time
     and yields the report text in p order, one piece per prime (after the
     CSV header).  The scan stops after the first prime whose fields disagree
-    with the oracle, which `disagreement` then names.  Once it is read to
-    the end, len() is the number of records and `code` the exit code: 0 if
-    every check matches and the oracle agrees, else 1."""
+    with the oracle, which `disagreement` then names (the scan prints none).
+    Once it is read to the end, len() is the number of records and `code`
+    the exit code: 0 if every check matches and the oracle agrees, else 1."""
 
     def __init__(self, cfg: ScanConfig):
         self.records = 0
@@ -309,7 +308,6 @@ class Report:
                     self.code = 1
                 yield from pieces
                 if disagreement:
-                    print(f"oracle disagreement: {disagreement}", file=sys.stderr)
                     self.disagreement, self.code = disagreement, 1
                     return
 
@@ -346,7 +344,8 @@ def run_oracle(cfg: ScanConfig) -> int:
     cfg.validate()
     if cfg.p_max > ORACLE_CAP_LIMIT:
         raise UsageError(f"oracle scans are capped at p <= {ORACLE_CAP_LIMIT}, got p_max={cfg.p_max}")
-    if run_oracle_quantities(cfg):
+    if disagreement := run_oracle_quantities(cfg):
+        print(f"oracle disagreement: {disagreement}", file=sys.stderr)
         return 1
     n = len(sieve_odd_primes(cfg.p_min, cfg.p_max))
     print(f"oracle agreement over {n} primes in [{cfg.p_min}, {cfg.p_max}]")
@@ -492,6 +491,8 @@ def main(argv: "list[str] | None" = None) -> int:
         finally:
             if ns.out:
                 out.close()
+        if report.disagreement:
+            print(f"oracle disagreement: {report.disagreement}", file=sys.stderr)
         return report.code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,13 +2,13 @@
 
 Everything here is exact integer arithmetic on plain ints (canonical
 residues in [0, p^e)); single inverses come from the builtin
-pow(x, -1, m).  The program's sieve of odd primes lives here too: the
-central binomial sweep factors its start by it, and the CLI scans the
-primes it lists.
+pow(x, -1, m).  The odd-prime sieve lives here too, one flag byte per odd
+number: the CLI scans the primes `sieve_odd_primes` reads out of the
+flags, and the central binomial's start multiplies primes straight off them.
 """
 
-from bisect import bisect_right
 from fractions import Fraction
+from itertools import chain, compress, islice
 from math import isqrt, prod
 
 __all__ = [
@@ -55,28 +55,24 @@ def is_odd_prime(n: int) -> bool:
     return True
 
 
-_SEGMENT = 1 << 20
+_SEGMENT = 1 << 20  # odd numbers a segment flags, one byte each
+
+
+def _odd_flags(lo: int, hi: int):
+    """Yield (start, flags) over the odd numbers of [lo, hi], one segment at
+    a time: start is odd, and flags[i] is 1 exactly when start + 2 i is prime."""
+    small = sieve_odd_primes(3, isqrt(hi)) if hi > 8 else []  # 9 is the first odd composite
+    for start in range(max(lo, 3) | 1, hi + 1, 2 * _SEGMENT):
+        flags = bytearray([1]) * min(_SEGMENT, (hi - start) // 2 + 1)
+        for q in small:  # from q^2 on, each q strikes its odd multiples
+            i = (max(q, -(-start // q) | 1) * q - start) // 2
+            flags[i::q] = bytearray(len(range(i, len(flags), q)))
+        yield start, flags
 
 
 def sieve_odd_primes(lo: int, hi: int) -> list[int]:
-    """Odd primes in [lo, hi], by a sieve segmented into windows of 2^20."""
-    if hi < 3:
-        return []
-    lo = max(lo, 3)
-    small = [2] + sieve_odd_primes(3, isqrt(hi))
-    out = []
-    start = lo
-    while start <= hi:
-        end = min(start + _SEGMENT - 1, hi)
-        flags = bytearray([1]) * (end - start + 1)
-        for q in small:
-            if q * q > end:
-                break
-            first = max(q * q, (start + q - 1) // q * q)
-            flags[first - start :: q] = bytearray(len(range(first, end + 1, q)))
-        out.extend(n for n in range(start | 1, end + 1, 2) if flags[n - start])
-        start = end + 1
-    return out
+    """Odd primes in [lo, hi], read out of _odd_flags' segments."""
+    return list(chain.from_iterable(compress(range(s, s + 2 * len(f), 2), f) for s, f in _odd_flags(lo, hi)))
 
 
 class OddPrime(int):
@@ -152,10 +148,11 @@ _FACTOR_RUN = 16  # factors multiplied as small ints before each reduction mod t
 SWEEP_RUN = 8
 
 
-def _runs_mod(factors, m: int, acc: int = 1) -> int:
-    """acc times the product of `factors` mod m, multiplied in runs of _FACTOR_RUN."""
-    for lo in range(0, len(factors), _FACTOR_RUN):
-        acc = acc * prod(factors[lo : lo + _FACTOR_RUN]) % m
+def _runs_mod(factors, count: int, m: int, acc: int = 1) -> int:
+    """acc times the product of the first `count` of `factors` mod m, in runs of _FACTOR_RUN."""
+    factors = iter(factors)
+    for _ in range(0, count, _FACTOR_RUN):
+        acc = acc * prod(islice(factors, _FACTOR_RUN)) % m
     return acc
 
 
@@ -164,22 +161,24 @@ def _central_binomial_mod(mid: int, m: int) -> int:
 
     Each prime q <= n = 2 mid enters to the power
     sum_i (floor(n/q^i) - 2 floor(mid/q^i)).  For q > sqrt(n) only i = 1
-    counts, and the power is 1 exactly when floor(n/q) is odd, that is
-    for q in (n/(2j), n/(2j-1)]: those primes enter as plain products.
+    counts, and the power is 1 exactly when v = n // q is odd: those primes
+    stream out of the odd flags of (sqrt(n), n], the span (n // (v+1), n // v]
+    of each odd v in turn, and none is held in a list.
     """
-    n, root = 2 * mid, isqrt(2 * mid)
-    primes = [2] + sieve_odd_primes(3, n)
-    factors = []
-    for q in primes[: bisect_right(primes, root)]:
+    n, root, acc = 2 * mid, max(isqrt(2 * mid), 2), 1
+    for q in [2] + sieve_odd_primes(3, root):
         e, qi = 0, q
         while qi <= n:
             e += n // qi - 2 * (mid // qi)
             qi *= q
-        factors.append(q**e)
-    for j in range(1, n // (2 * root) + 2):
-        lo, hi = max(n // (2 * j), root), n // (2 * j - 1)
-        factors += primes[bisect_right(primes, lo) : bisect_right(primes, hi)]
-    return _runs_mod(factors, m)
+        acc *= q**e  # each q^e <= n, so acc < n^pi(sqrt(n)) until the first run reduces it
+    for start, flags in _odd_flags(root + 1, n):
+        last, view = start + 2 * len(flags) - 2, memoryview(flags)
+        for v in range(n // last | 1, n // start + 1, 2):  # the segment's odd n // q
+            lo, hi = max(n // (v + 1), start - 1), min(n // v, last)
+            i, k = (lo + 2 - start) // 2, (hi - start) // 2 + 1
+            acc = _runs_mod(compress(range(start + 2 * i, start + 2 * k, 2), view[i:k]), flags.count(1, i, k), m, acc)
+    return acc % m
 
 
 def signed_central_binomials(primes) -> dict[int, int]:
@@ -203,8 +202,8 @@ def signed_central_binomials(primes) -> dict[int, int]:
     num, den, out = _central_binomial_mod(k, m), 1, {}
     for p in primes:
         mid, m4 = (p - 1) // 2, p**4
-        num = _runs_mod(range(4 * k + 2, 4 * mid, 4), m, num)  # 2(2i+1) for k <= i < mid
-        den = _runs_mod(range(k + 1, mid + 1), m, den)
+        num = _runs_mod(range(4 * k + 2, 4 * mid, 4), mid - k, m, num)  # 2(2i+1) for k <= i < mid
+        den = _runs_mod(range(k + 1, mid + 1), mid - k, m, den)
         k = mid
         c = num * pow(den, -1, m4) % m4
         out[p] = c if mid % 2 == 0 else -c % m4

@@ -13,7 +13,7 @@ from math import comb
 import pytest
 
 from carlitzscan.bernoulli import bernoulli_exact, bernoulli_pm3_mod_primes
-from carlitzscan.cli import ScanConfig, run_oracle_quantities, sieve_odd_primes
+from carlitzscan.cli import ScanConfig, run_oracle_quantities
 from carlitzscan.congruences import (
     COROLLARY_COEFFICIENTS,
     binom_pm1,
@@ -28,6 +28,7 @@ from carlitzscan.congruences import (
 )
 from carlitzscan.context import CHUNK, IDENTITIES, PrimeContext, PrimeRange
 from carlitzscan.harmonic import verify_derived_sums, verify_lemma_2_1, verify_lemma_2_2
+from carlitzscan.residues import sieve_odd_primes
 from helpers import alternating_square_sum_printed_limit, symmetric_inverse_sums
 
 THEOREM_P_MAX = 10**4

@@ -31,11 +31,10 @@ from carlitzscan.cli import (
     _parse_a_values,
     run_oracle_quantities,
     run_verify,
-    sieve_odd_primes,
 )
 from carlitzscan.congruences import CongruenceCheck
 from carlitzscan.context import CHUNK, DEFAULT_CD_TRIPLES, FIELDS, Field, PrimeContext, PrimeRange
-from carlitzscan.residues import is_odd_prime
+from carlitzscan.residues import is_odd_prime, sieve_odd_primes
 
 
 def run_cli(*args):
@@ -70,6 +69,10 @@ def test_sieve_odd_primes_small():
     assert sieve_odd_primes(97, 97) == [97]
     brute = [n for n in range(3, 1000) if is_odd_prime(n)]
     assert sieve_odd_primes(1, 999) == brute
+    # a bound may be even, below 3, or past the other (an empty window)
+    for lo, hi in ((14, 31), (15, 30), (-7, 2), (-7, 40), (0, 3), (1, 1), (2, 2), (2, 3), (3, 3), (4, 4),
+                   (30, 14), (98, 97), (98, 98), (10**6, 10**6 + 1000), (10**6 + 1, 10**6 + 999)):
+        assert sieve_odd_primes(lo, hi) == [n for n in range(lo, hi + 1) if is_odd_prime(n)], (lo, hi)
 
 
 def test_sieve_odd_primes_segmented_window():
@@ -77,8 +80,30 @@ def test_sieve_odd_primes_segmented_window():
     got = sieve_odd_primes(lo, hi)
     assert got == [n for n in range(lo, hi + 1) if is_odd_prime(n)]
     assert 10_000_019 in got
-    # crosses the 2^20 segment boundary: pi(2 * 10^6) - 1 odd primes
+    # pi(N) - 1 odd primes: 2 * 10^6 lies in the first segment of 2^20 odd
+    # numbers, 4 * 10^6 in the second
     assert len(sieve_odd_primes(3, 2_000_000)) == 148932
+    assert len(sieve_odd_primes(3, 4 * 10**6)) == 283145
+    # a segment boundary lies 2^21 past the window's first odd number: a
+    # prime p as the last flag of one segment, then as the first of the next
+    p = next(n for n in range(12_000_001, 12_001_000, 2) if is_odd_prime(n))
+    for lo in (p + 2 - 2**21, p - 2**21):
+        got = sieve_odd_primes(lo, p + 300)
+        assert [n for n in got if n >= p - 300] == [n for n in range(p - 300, p + 301) if is_odd_prime(n)]
+
+
+def test_sieve_odd_primes_below_two_to_the_31_in_kilobytes():
+    # a window's flags are no longer than the window, so one at the top of
+    # the range holds them and the odd primes below sqrt(2^31), some 4,800
+    lo, hi = rs.MAX_PRIME - 10_000, rs.MAX_PRIME - 1
+    tracemalloc.start()
+    try:
+        got = sieve_odd_primes(lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [n for n in range(lo, hi + 1) if is_odd_prime(n)]
+    assert peak < 1 << 20
 
 
 def test_parse_a_values():
@@ -259,7 +284,7 @@ def test_oracle_disagreement_ends_the_report_after_its_prime(monkeypatch, capsys
     assert "".join(report) == cut.out
     assert len(report) == len(prefix) - (fmt == "csv")
     assert report.code == 1 and report.disagreement == "injected(p=101)"
-    assert capsys.readouterr().err == cut.err
+    assert capsys.readouterr().err == ""
     assert cli.main(["oracle", "--p-max", "1000", "--jobs", str(jobs)]) == 1
     assert capsys.readouterr() == ("", "oracle disagreement: injected(p=101)\n")
     if jobs == 1:

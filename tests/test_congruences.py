@@ -31,9 +31,8 @@ from carlitzscan.congruences import (
     verify_p3_special,
     verify_theorem_1_1,
 )
-from carlitzscan.cli import sieve_odd_primes
 from carlitzscan.context import PrimeContext, PrimeRange
-from carlitzscan.residues import binom_pm1
+from carlitzscan.residues import binom_pm1, sieve_odd_primes
 from helpers import alternating_square_sum_printed_limit, lhs_power_sum_exact
 
 SMALL = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]

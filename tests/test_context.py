@@ -9,8 +9,8 @@ from carlitzscan import bernoulli as bn
 from carlitzscan import congruences as cg
 from carlitzscan import harmonic as hm
 from carlitzscan import residues as rs
-from carlitzscan.cli import sieve_odd_primes
 from carlitzscan.context import DEFAULT_CD_TRIPLES, FIELDS, IDENTITIES, PrimeContext, PrimeRange
+from carlitzscan.residues import sieve_odd_primes
 
 PRIMES_TO_3000 = sieve_odd_primes(3, 3000)
 FALLBACK_PRIMES = (13, 41, 61, 73)  # where 3^(j-1) == 1 (mod p) for a window offset j
@@ -117,8 +117,9 @@ def test_sweeps_hold_no_list_of_p():
     # products, so one prime peaks in kilobytes, where a per-prime sweep
     # over an inverse table (even_index_sums) holds p entries (p = 20011
     # keeps tracemalloc, which slows the sweeps about 40-fold, to seconds);
-    # the central binomial's start holds its sieve's flags, one byte per
-    # integer below p, and its list of the primes below p, under 48 B each
+    # the central binomial's start holds its sieve's flags, one byte per odd
+    # number below p, and streams the primes out of them: a list of the
+    # primes below p alone would take some 80 KB
     def peak(fn, arg) -> int:
         tracemalloc.start()
         try:
@@ -130,7 +131,7 @@ def test_sweeps_hold_no_list_of_p():
     p = 20011
     for sweep in (cg.staver_sweep, hm.inverse_power_sweep, hm.even_index_sweep):
         assert peak(sweep, [p]) < 16 * 1024, sweep.__name__
-    assert peak(rs.signed_central_binomials, [p]) < p + 48 * len(sieve_odd_primes(3, p))
+    assert peak(rs.signed_central_binomials, [p]) < p
     assert peak(hm.even_index_sums, p) > 256 * 1024
 
 
