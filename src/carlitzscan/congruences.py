@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, gcd, prod
 from typing import TYPE_CHECKING, NamedTuple
 
-from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range, reduce_rational
+from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -371,6 +371,7 @@ def verify_p3_special(a: int) -> CongruenceCheck:
     bookkeeping = (
         combined == Fraction(27, 16) * a * (a - 1) * (a + 4)
         and a * (a - 1) * (a + 4) % 3 == 0
-        and reduce_rational(combined, 3, 4) == 0
+        and combined.denominator % 3 != 0
+        and combined.numerator % 81 == 0
     )
     return _check("p3_special", 3, (a,), 81, lhs, rhs, bookkeeping)

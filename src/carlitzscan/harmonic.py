@@ -5,12 +5,11 @@ largest index (EvenSums) come from two sweeps over a chunk of primes at
 once: inverse_power_sweep, which also yields lemma 2.1's Bernoulli
 window, and even_index_sweep.  The single sums over even k are the
 half-range sums scaled by 2^-n, so neither sweep sums them again.  The
-naive loops (builtin modular inversion) are the oracle's routes, and
-even_index_sums, a per-prime sweep over an inverse table, is the tests'
-second reference for the even-index sums.  The verify_* functions
-read those sums from a context.PrimeContext and compare them with their
-closed forms, which involve the Fermat quotient q2 = (2^(p-1)-1)/p and
-Bernoulli residues mod p (also read from the context).
+naive loops (builtin modular inversion) are the oracle's routes.  The
+verify_* functions read those sums from a context.PrimeContext and
+compare them with their closed forms, which involve the Fermat quotient
+q2 = (2^(p-1)-1)/p and Bernoulli residues mod p (also read from the
+context).
 """
 
 from collections import defaultdict
@@ -20,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .bernoulli import voronoi_bernoulli, voronoi_fold
 from .congruences import CongruenceCheck, _check
-from .residues import SWEEP_RUN, OddPrime, inverse_range
+from .residues import SWEEP_RUN, OddPrime
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -30,7 +29,6 @@ __all__ = [
     "EvenSums",
     "inverse_power_sweep",
     "even_index_sweep",
-    "even_index_sums",
     "naive_half_harmonic",
     "naive_even_double",
     "naive_even_triple",
@@ -137,8 +135,8 @@ def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
 
 
 def even_index_sweep(primes) -> dict[int, EvenSums]:
-    """even_index_sums(p) for each prime p >= 5 of `primes`, from one sweep
-    over k = 1..p-1.
+    """The even-largest-index sums (EvenSums) for each prime p >= 5 of
+    `primes`, from one sweep over k = 1..p-1.
 
     With f = k! and the numerators c1 = f H1(k), c2 = f e2(k) and
     q = f^2 H2(k) of the prefix sums H1 = sum 1/j, H2 = sum 1/j^2 and
@@ -186,43 +184,6 @@ def even_index_sweep(primes) -> dict[int, EvenSums]:
         m1 //= p
         m2 //= p2
     return out
-
-
-def even_index_sums(p: int) -> EvenSums:
-    """The even-largest-index sums in one sweep over an inverse table of 1..p-1.
-
-    Each step takes an odd index (prefixes only) and the even index
-    after it.  Running prefixes of 1/j mod p^2 and 1/j^2 mod p feed the
-    terms at each even k; the triple sum uses sum_{i<j<=x} 1/(ij) =
-    ((sum 1/i)^2 - sum 1/i^2) / 2.  The accumulators are reduced once,
-    at the end.
-
-    The tests' second reference for even_index_sweep: its squared-prefix
-    identity shares no step with the sweep or the naive sums, which the
-    oracle compares with the sweep, p <= 1000.
-    """
-    p = _validate(OddPrime(p))
-    m2 = p * p
-    inv2 = inverse_range(p - 1, m2)
-    pf1_2 = pf2 = 0  # prefixes of 1/j mod p^2 and of 1/j^2 mod p
-    d112 = d121 = d211 = triple = 0
-    for k in range(2, p, 2):
-        y2 = inv2[k - 1]
-        y = y2 % p
-        pf1_2 = (pf1_2 + y2) % m2
-        pf1 = pf1_2 % p
-        pf2 = (pf2 + y * y) % p
-        x2 = inv2[k]
-        x = x2 % p
-        xx = x * x % p
-        d112 += pf1_2 * x2
-        d121 += pf1 * xx
-        d211 += pf2 * x
-        triple += (pf1 * pf1 - pf2) * x
-        pf1_2 += x2
-        pf2 += xx
-    double = {(1, 1, 2): d112 % m2, (1, 2, 1): d121 % p, (2, 1, 1): d211 % p}
-    return EvenSums(double, triple * pow(2, -1, p) % p)
 
 
 def naive_half_harmonic(p: int, n: int, e: int) -> int:

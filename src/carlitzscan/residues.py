@@ -7,26 +7,19 @@ number: the CLI scans the primes `sieve_odd_primes` reads out of the
 flags, and the central binomial's start multiplies primes straight off them.
 """
 
-from fractions import Fraction
 from itertools import chain, compress, islice
 from math import isqrt, prod
 
 __all__ = [
-    "NegativeValuation",
     "OddPrime",
     "is_odd_prime",
     "sieve_odd_primes",
     "inverse_range",
-    "reduce_rational",
     "binom_pm1",
     "signed_central_binomials",
 ]
 
 MAX_PRIME = 2**31  # supported range; keeps p^4 comfortably in a few machine words
-
-
-class NegativeValuation(ArithmeticError):
-    """Raised when a rational has p in its denominator after cancellation."""
 
 
 _MR_BASES = (2, 3, 5, 7)  # deterministic for n < 3_215_031_751 > 2^31
@@ -68,6 +61,7 @@ def _odd_flags(lo: int, hi: int):
             i = (max(q, -(-start // q) | 1) * q - start) // 2
             flags[i::q] = bytearray(len(range(i, len(flags), q)))
         yield start, flags
+        del flags  # so the next segment is built once the caller drops this one
 
 
 def sieve_odd_primes(lo: int, hi: int) -> list[int]:
@@ -97,27 +91,6 @@ def inverse_range(n: int, m: int) -> list[int]:
     for k in range(2, n + 1):
         inv.append((m - m // k) * inv[m % k] % m)
     return inv[: n + 1]
-
-
-def reduce_rational(q: "Fraction | int", p: int, e: int) -> int:
-    """Image of an exact rational in Z/p^e Z.
-
-    The p-part of the denominator must cancel against the numerator;
-    otherwise the rational has no image and NegativeValuation is raised.
-    Postcondition: den * result == num (mod p^e).
-    """
-    m = p**e
-    if isinstance(q, int):
-        return q % m
-    num, den = q.numerator, q.denominator
-    if num == 0:
-        return 0
-    while den % p == 0:
-        if num % p != 0:
-            raise NegativeValuation(f"{q} has negative {p}-adic valuation")
-        num //= p
-        den //= p
-    return num * pow(den, -1, m) % m
 
 
 def binom_pm1(p: int, e: int) -> list[int]:
@@ -178,6 +151,8 @@ def _central_binomial_mod(mid: int, m: int) -> int:
             lo, hi = max(n // (v + 1), start - 1), min(n // v, last)
             i, k = (lo + 2 - start) // 2, (hi - start) // 2 + 1
             acc = _runs_mod(compress(range(start + 2 * i, start + 2 * k, 2), view[i:k]), flags.count(1, i, k), m, acc)
+        view.release()
+        del flags, view  # one segment at a time: the next is built after this one is freed
     return acc % m
 
 

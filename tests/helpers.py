@@ -1,9 +1,10 @@
-"""Routes only the tests read: slow references and the product expansion
+"""Routes only the tests read: per-prime references and the product expansion
 behind acceptance criterion 11.  Nothing in the package calls them."""
 
 from math import comb
 
-from carlitzscan.residues import inverse_range
+from carlitzscan.harmonic import EvenSums
+from carlitzscan.residues import OddPrime, inverse_range
 
 
 def lhs_power_sum_exact(p: int, a: int) -> int:
@@ -73,3 +74,42 @@ def naive_even_single(p: int, n: int, e: int) -> int:
     """sum_{k even, k<p} 1/k^n mod p^e, term by term."""
     m = int(p) ** e
     return sum(pow(k, -n, m) for k in range(2, p, 2)) % m
+
+
+def even_index_sums(p: int) -> EvenSums:
+    """The even-largest-index sums in one sweep over an inverse table of 1..p-1.
+
+    Each step takes an odd index (prefixes only) and the even index
+    after it.  Running prefixes of 1/j mod p^2 and 1/j^2 mod p feed the
+    terms at each even k; the triple sum uses sum_{i<j<=x} 1/(ij) =
+    ((sum 1/i)^2 - sum 1/i^2) / 2.  The accumulators are reduced once,
+    at the end.
+
+    The second reference for even_index_sweep: its squared-prefix
+    identity shares no step with the sweep or the naive sums, which the
+    oracle compares with the sweep, p <= 1000.
+    """
+    p = int(OddPrime(p))
+    if p < 5:
+        raise ValueError("harmonic sums here need p >= 5")
+    m2 = p * p
+    inv2 = inverse_range(p - 1, m2)
+    pf1_2 = pf2 = 0  # prefixes of 1/j mod p^2 and of 1/j^2 mod p
+    d112 = d121 = d211 = triple = 0
+    for k in range(2, p, 2):
+        y2 = inv2[k - 1]
+        y = y2 % p
+        pf1_2 = (pf1_2 + y2) % m2
+        pf1 = pf1_2 % p
+        pf2 = (pf2 + y * y) % p
+        x2 = inv2[k]
+        x = x2 % p
+        xx = x * x % p
+        d112 += pf1_2 * x2
+        d121 += pf1 * xx
+        d211 += pf2 * x
+        triple += (pf1 * pf1 - pf2) * x
+        pf1_2 += x2
+        pf2 += xx
+    double = {(1, 1, 2): d112 % m2, (1, 2, 1): d121 % p, (2, 1, 1): d211 % p}
+    return EvenSums(double, triple * pow(2, -1, p) % p)

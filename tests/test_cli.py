@@ -843,14 +843,14 @@ def test_a_repeated_cd_triple_is_written_once(tmp_path, fmt):
 
 
 def test_verify_never_builds_the_oracle_routes(monkeypatch):
-    # the binomial row, the direct powers, power-sum extraction and the
-    # per-prime sweep over an inverse table belong to the oracle and the
-    # tests only: every B_(p-j) and every harmonic sum comes from the range
+    # the binomial row, the direct powers and power-sum extraction belong
+    # to the oracle and the tests only: every B_(p-j) and every harmonic
+    # sum comes from the range
     def forbidden(*args, **kwargs):
         raise AssertionError("oracle route reached from verify")
 
     for mod, name in ((rs, "binom_pm1"), (cg, "binom_pm1"), (cg, "lhs_power_sums_batch"),
-                      (hm, "even_index_sums"), (bn, "bernoulli_mod_p"), (bn, "power_sum_mod")):
+                      (bn, "bernoulli_mod_p"), (bn, "power_sum_mod")):
         monkeypatch.setattr(mod, name, forbidden)
     records, code = verify_records(ScanConfig(p_max=60, identities=tuple(cli.IDENTITIES), n_max=5))
     assert code == 0 and records

@@ -11,6 +11,7 @@ from carlitzscan import harmonic as hm
 from carlitzscan import residues as rs
 from carlitzscan.context import DEFAULT_CD_TRIPLES, FIELDS, IDENTITIES, PrimeContext, PrimeRange
 from carlitzscan.residues import sieve_odd_primes
+from helpers import even_index_sums
 
 PRIMES_TO_3000 = sieve_odd_primes(3, 3000)
 FALLBACK_PRIMES = (13, 41, 61, 73)  # where 3^(j-1) == 1 (mod p) for a window offset j
@@ -42,7 +43,7 @@ def per_prime(p: int, bernoulli_window) -> dict:
         values["bpm3"] = window.pop(3)
         values["window"] = window
         values["half_sums"] = half
-        values["even_sums"] = hm.even_index_sums(p)
+        values["even_sums"] = even_index_sums(p)
         if p <= CD_P_MAX:
             values["cd"] = {t: cg.chamberland_dilcher_exact(p, *t) for t in CD_TRIPLES}
     return values
@@ -132,7 +133,7 @@ def test_sweeps_hold_no_list_of_p():
     for sweep in (cg.staver_sweep, hm.inverse_power_sweep, hm.even_index_sweep):
         assert peak(sweep, [p]) < 16 * 1024, sweep.__name__
     assert peak(rs.signed_central_binomials, [p]) < p
-    assert peak(hm.even_index_sums, p) > 256 * 1024
+    assert peak(even_index_sums, p) > 256 * 1024
 
 
 def test_contexts_read_their_range():

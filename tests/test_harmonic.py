@@ -7,7 +7,6 @@ import pytest
 
 from carlitzscan.context import PrimeContext
 from carlitzscan.harmonic import (
-    even_index_sums,
     inverse_power_sweep,
     naive_even_double,
     naive_even_triple,
@@ -16,7 +15,7 @@ from carlitzscan.harmonic import (
     verify_lemma_2_1,
     verify_lemma_2_2,
 )
-from helpers import naive_even_single
+from helpers import even_index_sums, naive_even_single
 
 SMALL = [5, 7, 11, 13]
 MEDIUM = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,

@@ -1,20 +1,18 @@
 """Unit tests for the fixed-modulus residue arithmetic layer."""
 
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from carlitzscan import residues as rs
 from carlitzscan.residues import (
     MAX_PRIME,
-    NegativeValuation,
     OddPrime,
     binom_pm1,
     inverse_range,
     is_odd_prime,
-    reduce_rational,
     sieve_odd_primes,
     signed_central_binomials,
 )
@@ -59,42 +57,6 @@ def test_inverse_range_matches_builtin():
         assert len(table) == p
         for k in range(1, p):
             assert table[k] == pow(k, -1, m)
-
-
-def test_reduce_rational_known_values():
-    assert reduce_rational(Fraction(9, 4), 3, 4) == 63
-    assert reduce_rational(Fraction(1), 3, 4) == 1
-    assert reduce_rational(Fraction(0), 3, 4) == 0
-    assert reduce_rational(7, 5, 2) == 7
-    with pytest.raises(NegativeValuation):
-        reduce_rational(Fraction(1, 3), 3, 4)
-
-
-def test_reduce_rational_cancels_p_power_in_denominator():
-    # 27/12 has denominator valuation -1 but total valuation +2, so the
-    # 3-part cancels and the value agrees with 9/4
-    assert reduce_rational(Fraction(27, 12), 3, 4) == reduce_rational(Fraction(9, 4), 3, 4)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    num=st.integers(min_value=-(10**9), max_value=10**9),
-    den=st.integers(min_value=1, max_value=10**9),
-    p=st.sampled_from(SMALL_PRIMES),
-    e=st.integers(min_value=1, max_value=4),
-)
-def test_reduce_rational_residue_property(num, den, p, e):
-    """den * r == num mod p^e whenever the rational reduces at all."""
-    q = Fraction(num, den)
-    m = p**e
-    try:
-        r = reduce_rational(q, p, e)
-    except NegativeValuation:
-        # p divides the reduced denominator, hence not the numerator
-        assert q.denominator % p == 0 and q.numerator % p != 0
-        return
-    assert 0 <= r < m
-    assert q.denominator * r % m == q.numerator % m
 
 
 def test_binom_pm1_known_rows():
@@ -146,6 +108,23 @@ def test_signed_central_binomial_matches_comb():
             assert c == (-1) ** mid * comb(p - 1, mid) % p**4, p
 
 
+def test_central_binomial_start_holds_one_segment(monkeypatch):
+    # the Kummer start streams the odd flags of (sqrt(n), n] segment by
+    # segment; with segments of 4096 odd numbers, the start at p = 200003
+    # crosses 25 of them, and each is freed before the next is sieved
+    monkeypatch.setattr(rs, "_SEGMENT", 4096)
+    p = 200003
+    mid = (p - 1) // 2
+    tracemalloc.start()
+    try:
+        got = rs._central_binomial_mod(mid, p**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == comb(p - 1, mid) % p**4
+    assert peak < 2.5 * rs._SEGMENT, peak
+
+
 def test_symmetric_inverse_sums_known():
     assert symmetric_inverse_sums(7, 3, 1) == (3, 1, 6)
     assert symmetric_inverse_sums(7, 0, 4) == (0, 0, 0)
@@ -175,7 +154,7 @@ def test_symmetric_sums_match_exact_fractions():
                 for j in range(2, k)
                 for i in range(1, j)
             )
-            want = tuple(reduce_rational(x, p, 4) for x in (e1, e2, e3))
+            want = tuple(x.numerator * pow(x.denominator, -1, p**4) % p**4 for x in (e1, e2, e3))
             assert symmetric_inverse_sums(p, r, 4) == want, (p, r)
 
 
