@@ -75,6 +75,9 @@ class ScanConfig:
     oracle_cap: int = 0
     cd_triples: tuple[tuple[int, int, int], ...] = DEFAULT_CD_TRIPLES
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         if not 3 <= self.p_min <= self.p_max <= P_MAX_LIMIT:
             raise UsageError(
@@ -150,9 +153,8 @@ _ORDER = attrgetter("p", "identity", "params")
 
 
 def _entries(cfg: ScanConfig) -> list:
-    """The selected identities, less each part whose whole is selected too."""
-    chosen = set(cfg.identities)
-    return [e for tag, e in IDENTITIES.items() if tag in chosen and e.part_of not in chosen]
+    """The selected identities, each once."""
+    return [e for tag, e in IDENTITIES.items() if tag in cfg.identities]
 
 
 def _prime_checks(primes: list[int], cfg: ScanConfig):
@@ -160,16 +162,16 @@ def _prime_checks(primes: list[int], cfg: ScanConfig):
     selected per-prime checks, all reading one PrimeContext of the primes'
     PrimeRange, and for p <= cfg.oracle_cap the first field those checks
     populated that disagrees with its naive route, in FIELDS order (None if
-    all agree)."""
-    # one call per check: the selected parts of one whole share its call
-    calls = {}
-    for e in _entries(cfg):
-        if e.over == "p":
-            calls.setdefault(e.check, (e, set()))[1].add(e.tag)
+    all agree).  A selected tag keeps the records whose identity is the tag
+    or begins with the tag and `_`."""
+    # one call per check, however many selected tags name it
+    calls = {e.check: e.p_min for e in _entries(cfg) if e.over == "p"}
+    tags = set(cfg.identities)
+    prefixes = tuple(f"{tag}_" for tag in tags)
     for ctx in PrimeRange(primes, cfg.cd_triples).contexts(cfg.a_values):
         p = ctx.p
-        checks = [c for e, tags in calls.values() if p >= e.p_min
-                  for c in e.check(ctx) if not e.part_of or c.identity in tags]
+        checks = [c for check, p_min in calls.items() if p >= p_min
+                  for c in check(ctx) if c.identity in tags or c.identity.startswith(prefixes)]
         built = vars(ctx) if p <= cfg.oracle_cap else {}
         oracles = (f.naive(p, built[name]) for name, f in FIELDS.items() if name in built and p >= f.p_min)
         yield p, checks, next(filter(None, oracles), None)
@@ -315,7 +317,6 @@ class Report:
 def run_verify(cfg: ScanConfig) -> Report:
     """A verify scan's report, which runs the scan as it is read.  The
     oracle compares the contexts of the primes up to cfg.oracle_cap."""
-    cfg.validate()
     return Report(cfg)
 
 
@@ -341,13 +342,12 @@ def run_oracle_quantities(cfg: ScanConfig) -> "str | None":
 
 
 def run_oracle(cfg: ScanConfig) -> int:
-    cfg.validate()
     if cfg.p_max > ORACLE_CAP_LIMIT:
         raise UsageError(f"oracle scans are capped at p <= {ORACLE_CAP_LIMIT}, got p_max={cfg.p_max}")
     if disagreement := run_oracle_quantities(cfg):
         print(f"oracle disagreement: {disagreement}", file=sys.stderr)
         return 1
-    n = len(sieve_odd_primes(cfg.p_min, cfg.p_max))
+    n = sum(map(len, _chunks(cfg)))
     print(f"oracle agreement over {n} primes in [{cfg.p_min}, {cfg.p_max}]")
     return 0
 
@@ -474,7 +474,6 @@ def main(argv: "list[str] | None" = None) -> int:
             oracle_cap=ns.oracle_cap,
             cd_triples=_parse_cd(ns.cd),
         )
-        cfg.validate()
         # open the report before the scan, so an unwritable --out fails at once
         out = open(ns.out, "w", newline="") if ns.out else sys.stdout
         try:

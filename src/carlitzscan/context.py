@@ -248,11 +248,9 @@ class Identity:
     `over` names what the check runs over: "p" (a PrimeContext, for each
     prime >= p_min in the range, returning a list of checks), "n" (each
     n = 1..n_max, at most n_cap, returning one check) or "a" (each
-    requested power, once per run).  A part (`part_of` set) shares its
-    whole's check, whose records carry the tags of all its parts: a scan
-    calls it once per prime for every selected part of that whole and keeps
-    the records of those parts.  A part adds nothing when its whole identity
-    is also selected.
+    requested power, once per run).  A check's records carry its tag, or
+    the tag plus `_` and a suffix; tags that name one check (lemma_2_1 and
+    its two halves, eq_2_7..eq_2_10) share its p_min.
     """
 
     tag: str
@@ -261,7 +259,6 @@ class Identity:
     default: bool = False
     over: str = "p"
     n_cap: "int | None" = None
-    part_of: "str | None" = None
 
 
 # checks are looked up in their modules at call time, so a wrapper rebound there (a tracer) sees each call
@@ -285,11 +282,10 @@ IDENTITIES: dict[str, Identity] = {
         Identity("chamberland_dilcher", lambda c: [cg.verify_chamberland_dilcher(c, *t) for t in c.prime_range.cd_triples],
                  p_min=5),
         Identity("lemma_2_1", _lemma_2_1, p_min=5, default=True),
-        Identity("lemma_2_1_i", _lemma_2_1, p_min=5, part_of="lemma_2_1"),
-        Identity("lemma_2_1_ii", _lemma_2_1, p_min=5, part_of="lemma_2_1"),
+        Identity("lemma_2_1_i", _lemma_2_1, p_min=5),
+        Identity("lemma_2_1_ii", _lemma_2_1, p_min=5),
         Identity("lemma_2_2", lambda c: hm.verify_lemma_2_2(c), p_min=5, default=True),
-        # parts of a whole that is no identity of its own
-        *(Identity(tag, _derived_sums, p_min=5, default=tag in ("eq_2_9", "eq_2_10"), part_of="derived_sums")
+        *(Identity(tag, _derived_sums, p_min=5, default=tag in ("eq_2_9", "eq_2_10"))
           for tag in ("eq_2_7", "eq_2_8", "eq_2_9", "eq_2_10")),
         Identity("exact_1_3", cg.exact_identity_1_3, over="n", n_cap=300),
         Identity("exact_1_4", cg.exact_identity_1_4, over="n", n_cap=200),

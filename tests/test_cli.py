@@ -387,6 +387,19 @@ def test_oracle_starts_at_p_min(capsys):
     assert capsys.readouterr().out == "oracle agreement over 10 primes in [3, 31]\n"
 
 
+def test_a_scan_config_is_checked_when_built():
+    # Report and run_oracle_quantities take a ScanConfig as it is: one out
+    # of range must never reach them
+    with pytest.raises(UsageError):
+        ScanConfig(p_max=cli.P_MAX_LIMIT + 1)
+
+
+def test_oracle_counts_the_primes_its_scan_visited(capsys):
+    # the exact identities run over n, so the scan visits no prime
+    assert cli.main(["oracle", "--identity", "exact_1_3", "--p-max", "50"]) == 0
+    assert capsys.readouterr().out == "oracle agreement over 0 primes in [3, 50]\n"
+
+
 def test_oracle_reads_the_field_behind_the_verdicts(monkeypatch):
     # corrupt one even-index sum at p = 13 where the range computes it:
     # the lemma_2_2 verdict and the oracle must both see the damage
@@ -803,6 +816,28 @@ def test_each_check_runs_once_per_prime(monkeypatch):
         assert calls == once
     alone = [r for tag in parts for r in verify_records(ScanConfig(p_max=100, identities=(tag,)))[0]]
     assert records == sorted(alone, key=cli._ORDER)
+
+
+def test_each_record_is_kept_by_the_tags_of_its_own_check():
+    # a selected tag keeps the records whose identity is the tag or begins
+    # with the tag and "_"; a scan calls each check once per prime, from
+    # the one p_min its tags share
+    def keeps(tag, r):
+        return r.identity == tag or r.identity.startswith(f"{tag}_")
+
+    ctx = PrimeContext(13)
+    by_check = {}
+    for e in cli.IDENTITIES.values():
+        if e.over == "p":
+            by_check.setdefault(e.check, []).append(e)
+    for check, entries in by_check.items():
+        assert len({e.p_min for e in entries}) == 1
+        own = {e.tag for e in entries}
+        records = check(ctx)
+        assert records
+        for r in records:
+            assert any(keeps(tag, r) for tag in own), r.identity
+            assert not any(keeps(tag, r) for tag in cli.IDENTITIES if tag not in own), r.identity
 
 
 def test_u_sum_rows_are_built_once_per_prime(monkeypatch):
