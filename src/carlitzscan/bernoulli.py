@@ -119,33 +119,74 @@ def bernoulli_mod_p(p: int, index: int) -> int:
     return (s // p) % p
 
 
+# the x^(-3) sum behind B_(p-3) takes every x up to PM3_FULL and only the
+# odd x beyond; below 166 = 997 // 6, so primes under the oracle's cap of
+# 1000 read the odd walk too (787..997 at 128)
+PM3_FULL = 128
+
+
+def _cube_walk(step: int, reads, sums: dict) -> None:
+    """Add 8^(-a) times the sum of x^(-3) over x = 1, 1 + step, ... <= pos to
+    sums[p] = [num, den] mod p, for each read (pos, p, a) of `reads`.
+
+    One running fraction modulo the product of the read primes serves
+    every read (its denominator, a product of x^3 with x < p, is a unit
+    mod each p); it is reduced every SWEEP_RUN steps, and a p leaves the
+    product after its last read.
+    """
+    reads = sorted(reads)
+    last = {p: pos for pos, p, _ in reads}
+    m = prod(last)
+    num, den, x = 0, 1, 1 - step
+    for pos, p, a in reads:
+        for x in range(x + step, pos + 1, step):
+            c = x * x * x
+            num = num * c + den
+            den *= c
+            if x // step % SWEEP_RUN == 0:
+                num, den = num % m, den % m
+        n, d = num % p, (den % p << 3 * a) % p
+        s = sums[p]
+        s[0], s[1] = (s[0] * d + n * s[1]) % p, s[1] * d % p
+        if pos == last[p]:
+            m //= p
+
+
 def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
-    """B_(p-3) mod p for each prime p >= 5 of `primes`, from one sweep.
+    """B_(p-3) mod p for each prime p >= 5 of `primes`, from two walks.
 
     With S(n) = sum_{x<=n} x^(-3), Voronoi's congruence at c = 2, 3 and
     6, folded by x -> p - x, gives S((p-1)/2) == -2B, S(p // 3) == -4B and
     2 S(p // 6) + 2 S(p // 3) + S((p-1)/2) == -70B (mod p), B = B_(p-3);
-    hence B_(p-3) == -T/30 with T = S(p // 6), for p >= 7.  (At p = 5 the
-    factor 30 vanishes mod p, and B_2 = 1/6 == 1 is taken exactly.)  T is
-    a prefix sum of a sequence free of p: one running fraction num/den
-    modulo the product of the primes, read at x = p // 6, serves every p
-    (den = (x!)^3 is a unit mod each p not yet read).  The state is
-    reduced every SWEEP_RUN steps, as in the other sweeps.
+    hence B_(p-3) == -S(p // 6)/30, for p >= 7.  (At p = 5 the factor 30
+    vanishes mod p, and B_2 = 1/6 == 1 is taken exactly.)  x^(-3) is
+    completely multiplicative and each x is 2^a y with y odd, so
+
+        S(n) = sum_{a>=0} 8^(-a) O(n >> a),   O(n) = sum_{odd y<=n} y^(-3),
+
+    and the tail from any level a on is 8^(-a) S(n >> a).  So a prime
+    reads the odd walk at (p // 6) >> a while that exceeds PM3_FULL, then
+    the full walk once, at the first (p // 6) >> a <= PM3_FULL: about
+    p/12 steps in all, half of one walk over every x to p // 6.  Both
+    walks are prefix sums free of p, shared by the whole chunk; each prime
+    keeps its sum as a fraction mod p and takes one inverse.
     """
     primes = {int(OddPrime(p)) for p in primes}
     if 3 in primes:
         raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
     out = {5: 1} if 5 in primes else {}
     primes.discard(5)
-    m = prod(primes)
-    num, den, x = 0, 1, 0
-    for pos, p in sorted((p // 6, p) for p in primes):
-        for x in range(x + 1, pos + 1):
-            c = x * x * x
-            num = num * c + den
-            den *= c
-            if x % SWEEP_RUN == 0:
-                num, den = num % m, den % m
+    odd, full = [], []
+    for p in primes:
+        n, a = p // 6, 0
+        while n > PM3_FULL:
+            odd.append((n, p, a))
+            n, a = n >> 1, a + 1
+        full.append((n, p, a))
+    sums = {p: [0, 1] for p in primes}
+    _cube_walk(2, odd, sums)
+    _cube_walk(1, full, sums)
+    for p, (num, den) in sums.items():
         out[p] = -num * pow(30 * den, -1, p) % p
     return out
 

@@ -7,11 +7,16 @@ the chunk, since they are prefix products or prefix sums of sequences
 free of p (the central binomial, Staver's sum behind the binomial
 moments, B_(p-3), the half-range sums with the Bernoulli window, and the
 even-index sums); q2 and the u-sums of the range's (eps, a, b) triples
-are computed one prime at a time.  A PrimeContext holds the values at
-one prime, read from its range.  Both build a field on its first read
-and keep it, so every check at a prime shares one value.  What a context
-holds is also what `oracle` compares: the fields the selected checks
-populated, each with its naive route.
+are computed one prime at a time.  B_(p-3) takes two walks: its sum
+S(n) of x^(-3) to n = p // 6 splits by the power of 2 in x as
+S(n) = sum_a 8^(-a) O(n >> a), O summing odd x only, so one walk over
+the odd x serves every level above bn.PM3_FULL = 128, and a walk over
+every x to PM3_FULL takes the rest (128 < 997 // 6, so primes under
+the oracle's cap of 1000 read the odd walk too).  A PrimeContext holds
+the values at one prime, read from its range.  Both build a field on
+its first read and keep it, so every check at a prime shares one value.
+What a context holds is also what `oracle` compares: the fields the
+selected checks populated, each with its naive route.
 IDENTITIES declares each identity once: its tag, where it applies,
 whether `verify` runs it by default, and its check function.
 """

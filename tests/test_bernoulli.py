@@ -6,6 +6,7 @@ import pytest
 
 from carlitzscan.bernoulli import (
     BERNOULLI_CAP,
+    PM3_FULL,
     bernoulli_exact,
     bernoulli_mod_p,
     bernoulli_pm3_mod_primes,
@@ -182,14 +183,40 @@ def test_voronoi_fallback_primes():
         assert windows[p][j] == b.numerator * pow(b.denominator, -1, p) % p
 
 
+def test_bpm3_walks_match_extraction_in_every_chunking(bernoulli_window):
+    # a chunk's primes read the odd walk at other levels, and leave its
+    # product at other points, as the chunk bounds move; 787..3000 read
+    # one to two odd levels, the primes below only the full walk
+    primes = _odd_primes_to(3000)
+    for size in (128, 16, 1):
+        for i in range(0, len(primes), size):
+            chunk = primes[i : i + size]
+            assert bernoulli_pm3_mod_primes(chunk) == {p: bernoulli_window(p)[3] for p in chunk}, chunk
+
+
+def test_bpm3_walks_match_the_direct_sum_near_1e5():
+    # the central-1e5 window: each p // 6 > 16000 reads eight odd levels
+    primes = [p for p in range(99551, 99710, 2) if is_odd_prime(p)]
+    assert len(primes) == 16
+    direct = {p: -sum(pow(x, -3, p) for x in range(1, p // 6 + 1)) * pow(30, -1, p) % p for p in primes}
+    assert bernoulli_pm3_mod_primes(primes) == direct
+
+
 def test_wolstenholme_prime_16843_both_routes():
     assert bernoulli_pm3_mod_primes([16843]) == {16843: 0}
     assert bernoulli_mod_p(16843, 16840) == 0
+    # in a chunk that starts with primes reading the full walk only
+    # (p // 6 <= PM3_FULL)
+    low = [p for p in range(601, 6 * PM3_FULL, 2) if is_odd_prime(p)]
+    assert bernoulli_pm3_mod_primes([*low, 16843])[16843] == 0
 
 
 def test_wolstenholme_prime_2124679_voronoi():
     # McIntosh and Roettger, Math. Comp. 76 (2007)
     assert bernoulli_pm3_mod_primes([2124679]) == {2124679: 0}
+    # as the last of 16 primes, the one that leaves the odd walk's product last
+    top = [p for p in range(2124679, 2124000, -2) if is_odd_prime(p)][:16]
+    assert bernoulli_pm3_mod_primes(top)[2124679] == 0
 
 
 def test_wieferich_primes_q2_vanishes():

@@ -498,6 +498,23 @@ def test_oracle_reads_the_bernoulli_residue_behind_the_verdicts(monkeypatch):
     assert run_oracle_quantities(cfg) == "bernoulli_pm3(p=13)"
 
 
+def test_the_oracle_checks_primes_that_read_the_odd_walk(monkeypatch):
+    # CI's oracle step from 401 to the cap compares B_(p-3) at primes whose
+    # p // 6 exceeds PM3_FULL, so the odd walk is under the oracle too
+    walk, odd = bn._cube_walk, set()
+
+    def spy(step, reads, sums):
+        if step == 2:
+            odd.update(p for _, p, _ in reads)
+        walk(step, reads, sums)
+
+    monkeypatch.setattr(bn, "_cube_walk", spy)
+    cfg = ScanConfig(p_min=401, p_max=1000, identities=("carlitz", "morley"))
+    assert run_oracle_quantities(cfg) is None
+    assert odd == {p for p in sieve_odd_primes(401, 1000) if p // 6 > bn.PM3_FULL}
+    assert min(odd) == 787 and max(odd) == 997
+
+
 @pytest.mark.parametrize("damage, failing, name", [
     ("hn_value", [(4,)], "half_hn(p=13, n=4)"),
     ("window_value", [(4,), (5,)], "bern(p=13, j=5)"),
