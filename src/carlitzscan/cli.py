@@ -15,17 +15,12 @@ of primes, and the parent writes the tasks' text in order.
 """
 
 import argparse
-import csv
-import io
-import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
 from itertools import chain
 from math import ceil
-from multiprocessing import SimpleQueue
 from operator import attrgetter
 
 from . import congruences as cg
@@ -131,11 +126,19 @@ def jsonl_line(c: cg.CongruenceCheck) -> str:
     )
 
 
+# the CSV helpers import csv, io and json when called, so a JSONL run never
+# loads them
+
 def csv_row(c: cg.CongruenceCheck) -> list[str]:
+    import json
+
     return [v if isinstance(v, str) else json.dumps(v) for v in _values(c)]
 
 
 def _csv_text(rows) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
@@ -240,12 +243,13 @@ def _take_cpu(cpus) -> None:
         pass
 
 
-def _chunks(cfg: ScanConfig) -> list[list[int]]:
+def _chunks(cfg: ScanConfig) -> list[list[rs.OddPrime]]:
     """The primes in [cfg.p_min, cfg.p_max] (none if no per-prime identity is
     selected) cut into consecutive chunks, one task each: an even share per
     worker, at most CHUNK, since each chunk restarts every range sweep at
-    k = 1."""
-    primes = sieve_odd_primes(cfg.p_min, cfg.p_max) if any(e.over == "p" for e in _entries(cfg)) else []
+    k = 1.  The sieve has proved each prime, so none is tested again."""
+    selected = any(e.over == "p" for e in _entries(cfg))
+    primes = list(map(rs.OddPrime.proven, sieve_odd_primes(cfg.p_min, cfg.p_max))) if selected else []
     size = max(1, min(CHUNK, ceil(len(primes) / _pool_size(cfg.jobs))))
     return [primes[i : i + size] for i in range(0, len(primes), size)]
 
@@ -259,6 +263,11 @@ def _run(fn, tasks: list, jobs: int):
     if workers == 1 or len(tasks) < 2:
         yield from map(fn, tasks)
         return
+    # the pool's modules (logging, queue and multiprocessing among them) load
+    # only on runs that fork workers
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import SimpleQueue
+
     with closing(SimpleQueue()) as cpus:
         for cpu in _allowed_cpus()[:workers]:
             cpus.put(cpu)

@@ -4,7 +4,8 @@ Everything here is exact integer arithmetic on plain ints (canonical
 residues in [0, p^e)); single inverses come from the builtin
 pow(x, -1, m).  The odd-prime sieve lives here too, one flag byte per odd
 number: the CLI scans the primes `sieve_odd_primes` reads out of the
-flags, and the central binomial's start multiplies primes straight off them.
+flags, as OddPrimes built without a second test, and the central
+binomial's start multiplies primes straight off them.
 """
 
 from itertools import chain, compress, islice
@@ -70,7 +71,8 @@ def sieve_odd_primes(lo: int, hi: int) -> list[int]:
 
 
 class OddPrime(int):
-    """An int validated to be an odd prime below 2^31 (once: an OddPrime passes through)."""
+    """An int validated to be an odd prime below 2^31 (once: an OddPrime
+    passes through, and its copies and pickles are rebuilt untested)."""
 
     def __new__(cls, value: int) -> "OddPrime":
         if isinstance(value, OddPrime):
@@ -78,6 +80,15 @@ class OddPrime(int):
         if not is_odd_prime(int(value)):
             raise ValueError(f"not an odd prime below 2^31: {value!r}")
         return super().__new__(cls, value)
+
+    @classmethod
+    def proven(cls, value: int) -> "OddPrime":
+        """An OddPrime built without the test, for a `value` already proved
+        an odd prime below 2^31: one of sieve_odd_primes' primes, say."""
+        return int.__new__(cls, value)
+
+    def __reduce__(self):
+        return OddPrime.proven, (int(self),)
 
 
 def inverse_range(n: int, m: int) -> list[int]:

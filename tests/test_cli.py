@@ -691,6 +691,22 @@ def test_each_quantity_is_computed_once_per_prime(monkeypatch):
         assert max(calls.values()) == 1
 
 
+def test_a_scan_tests_no_prime_the_sieve_proved(monkeypatch):
+    # the chunks hold the sieve's primes as OddPrimes built untested, which
+    # PrimeRange, PrimeContext and every kernel pass through: theorem_1_1
+    # for a = 1..10 over the 360 odd primes from 3, and the default set,
+    # test none of them again
+    tested = []
+    monkeypatch.setattr(rs, "is_odd_prime", lambda n: tested.append(n) or is_odd_prime(n))
+    records, code = verify_records(ScanConfig(p_max=2437, a_values=tuple(range(1, 11)), identities=("theorem_1_1",)))
+    assert code == 0 and len(records) == 3600 and tested == []
+    records, code = verify_records(ScanConfig(p_max=1500))
+    assert code == 0 and records and tested == []
+    # a range of plain ints is still tested
+    PrimeRange([103, 101])
+    assert sorted(tested) == [101, 103]
+
+
 def test_lemma_2_1_reads_any_offset_after_bpm3():
     # B_(p-3) read first no longer fixes which offsets the context holds
     ctx = PrimeContext(31)
@@ -725,7 +741,8 @@ def inline_pool(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    # _run imports the pool class when it makes a pool, so it reads this one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     return seen
 
 
@@ -804,6 +821,31 @@ def test_pool_workers_run_on_distinct_cpus(tmp_path):
     assert cpus[0] | cpus[1] <= allowed
     # pinning moves the workers, not the parent
     assert os.sched_getaffinity(0) == allowed
+
+
+# a fresh interpreter runs the CLI, then prints its exit code and which of
+# the pool's and the CSV writer's modules the run loaded
+_LOADED_PROBE = """
+import sys
+from carlitzscan import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in ("concurrent.futures", "multiprocessing", "csv") if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("args, loaded", [
+    (("verify", "--p-max", "200", "--jobs", "1"), []),
+    (("sums", "1009"), []),
+    # one task runs without a pool
+    (("verify", "--p-min", "97", "--p-max", "100", "--jobs", "2"), []),
+    (("verify", "--p-max", "200", "--format", "csv"), ["csv"]),
+    pytest.param(("verify", "--p-max", "200", "--jobs", "2"), ["concurrent.futures", "multiprocessing"],
+                 marks=pytest.mark.skipif(len(cli._allowed_cpus()) < 2, reason="needs at least 2 CPUs to run on")),
+], ids=["jsonl-jobs-1", "sums", "one-task-jobs-2", "csv", "two-tasks-jobs-2"])
+def test_a_run_loads_the_pool_and_the_csv_writer_only_to_use_them(args, loaded):
+    proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *args], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1].split() == ["0", *loaded]
 
 
 def test_each_check_runs_once_per_prime(monkeypatch):

@@ -1,5 +1,7 @@
 """Unit tests for the fixed-modulus residue arithmetic layer."""
 
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction
 from math import comb
@@ -48,6 +50,19 @@ def test_odd_prime_constructor():
     for bad in (2, 9, 1, 0, -3, 15):
         with pytest.raises(ValueError):
             OddPrime(bad)
+
+
+def test_an_odd_prime_is_tested_once(monkeypatch):
+    # copies and pickles (a pool task's primes) and the primes a sieve proved
+    # are built untested; a plain int is still tested
+    p = OddPrime(97)
+    tested = []
+    monkeypatch.setattr(rs, "is_odd_prime", lambda n: tested.append(n) or is_odd_prime(n))
+    twins = [copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p)), OddPrime.proven(97), OddPrime(p)]
+    assert all(type(t) is OddPrime and t == 97 for t in twins) and tested == []
+    with pytest.raises(ValueError):
+        OddPrime(99)
+    assert OddPrime(101) == 101 and tested == [99, 101]
 
 
 def test_inverse_range_matches_builtin():
