@@ -20,7 +20,7 @@ BERNOULLI_CAP = 400
 
 # Exact Bernoulli numbers B_0..B_n, extended on demand.  The list is
 # replaced wholesale (never mutated in place), so concurrent readers in
-# one process always see a consistent prefix; workers in a process pool
+# one process always see a consistent prefix; a scan's forked workers
 # each grow their own copy.
 _bcache: list[Fraction] = [Fraction(1)]
 

@@ -225,28 +225,47 @@ def _allowed_cpus() -> list[int]:
 
 
 def _pool_size(jobs: int) -> int:
-    """Workers for a pool of `jobs`: no more than the CPUs this process may
-    use, since each is a process the executor forks at its first submit."""
+    """Processes for a scan at `jobs`, the parent included: no more than the
+    CPUs this process may use, since each runs on one of its own."""
     return min(jobs, len(_allowed_cpus()))
 
 
-def _take_cpu(cpus) -> None:
-    """Pool initializer: pin this worker to the next CPU in the queue `cpus`,
-    which holds one per worker.  A forked worker starts on its parent's CPU,
-    and where the kernel does not balance the load (a cpuset with
-    sched_load_balance off) it stays there, sharing that CPU with the other
-    workers.  Where the platform cannot pin, the worker runs where it is."""
-    cpu = cpus.get()
+def _pin(cpus) -> None:
+    """Restrict this process to `cpus`.  A forked process starts on its
+    parent's CPU, and where the kernel does not balance the load (a cpuset
+    with sched_load_balance off) it stays there, sharing that CPU with the
+    parent.  Where the platform cannot pin, the process runs where it is."""
     try:
-        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
     except (AttributeError, OSError):
         pass
+
+
+def _serve(fn, tasks, cpu: int, conn, readers) -> None:
+    """A forked worker: on `cpu`, send (True, fn(task)) for each task in
+    order over `conn`, or (False, (the exception, its traceback's text)) for
+    the first that raises; a traceback does not pickle.  It first closes
+    the parent's `readers`, which the fork copied, so that a send to a
+    parent that died fails instead of waiting for a reader."""
+    for reader in readers:
+        reader.close()
+    _pin([cpu])
+    for task in tasks:
+        try:
+            result = True, fn(task)
+        except Exception as exc:
+            import traceback
+
+            result = False, (exc, traceback.format_exc())
+        conn.send(result)
+        if not result[0]:
+            return
 
 
 def _chunks(cfg: ScanConfig) -> list[list[rs.OddPrime]]:
     """The primes in [cfg.p_min, cfg.p_max] (none if no per-prime identity is
     selected) cut into consecutive chunks, one task each: an even share per
-    worker, at most CHUNK, since each chunk restarts every range sweep at
+    process, at most CHUNK, since each chunk restarts every range sweep at
     k = 1.  The sieve has proved each prime, so none is tested again."""
     selected = any(e.over == "p" for e in _entries(cfg))
     primes = list(map(rs.OddPrime.proven, sieve_odd_primes(cfg.p_min, cfg.p_max))) if selected else []
@@ -255,27 +274,64 @@ def _chunks(cfg: ScanConfig) -> list[list[rs.OddPrime]]:
 
 
 def _run(fn, tasks: list, jobs: int):
-    """Yield fn(task) for each task, in order: in this process for one
-    worker or a single task, which a pool would only run later, else from a
-    pool whose workers each run on a CPU of their own.  Closing the
-    generator cancels the pool's pending work."""
-    workers = _pool_size(jobs)
-    if workers == 1 or len(tasks) < 2:
+    """Yield fn(task) for each task, in order.  With w > 1 processes the
+    parent forks w - 1 workers, each with a pipe back, and the tasks go
+    round-robin: the parent runs tasks 0, w, 2w, ..., worker i the tasks
+    i, i + w, ...; each process runs on a CPU of its own.  One process (a
+    single task, one CPU, or no fork on the platform) runs them here.  A
+    task that raises in a worker raises here; closing the generator before
+    the end kills the workers."""
+    workers = min(_pool_size(jobs), len(tasks))
+    if workers > 1:
+        # multiprocessing loads only on runs that fork workers
+        import multiprocessing
+
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:
+            workers = 1
+    if workers < 2:
         yield from map(fn, tasks)
         return
-    # the pool's modules (logging, queue and multiprocessing among them) load
-    # only on runs that fork workers
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import SimpleQueue
-
-    with closing(SimpleQueue()) as cpus:
-        for cpu in _allowed_cpus()[:workers]:
-            cpus.put(cpu)
-        with ProcessPoolExecutor(max_workers=workers, initializer=_take_cpu, initargs=(cpus,)) as pool:
+    cpus = _allowed_cpus()
+    # each pipe is made just before its worker forks, and the parent closes
+    # the write end once it has, so a worker's pipe reads EOF when it dies
+    children, readers = [], []
+    try:
+        for i in range(1, workers):
+            reader, send = ctx.Pipe(duplex=False)
+            readers.append(reader)
+            child = ctx.Process(target=_serve, args=(fn, tasks[i::workers], cpus[i], send, readers))
+            child.start()
+            children.append(child)
+            send.close()
+        _pin(cpus[:1])
+        for i, task in enumerate(tasks):
+            k = i % workers
+            if k == 0:
+                yield fn(task)
+                continue
+            child = children[k - 1]
             try:
-                yield from pool.map(fn, tasks)
-            finally:
-                pool.shutdown(cancel_futures=True)
+                ok, value = readers[k - 1].recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"scan worker {child.pid} exited with code {child.exitcode} before its result") from None
+            if not ok:
+                exc, trace = value
+                raise exc from RuntimeError(f"in scan worker {child.pid}:\n{trace}")
+            yield value
+        # a worker that sent its last result may still run its exit handlers
+        for child in children:
+            child.join()
+    finally:
+        _pin(cpus)
+        for child in children:
+            child.kill()
+            child.join()
+            child.close()
+        for reader in readers:
+            reader.close()
 
 
 class Report:
@@ -299,7 +355,7 @@ class Report:
         return self.records
 
     def close(self) -> None:
-        """Stop the scan, cancelling a pool's pending tasks."""
+        """Stop the scan, killing its workers."""
         self._text.close()
 
     def _scan(self, cfg: ScanConfig):
@@ -310,13 +366,17 @@ class Report:
         chunks = _chunks(cfg) or [[]]
         bounds = [0] + [c[-1] for c in chunks[:-1]] + [max(cfg.p_max, cfg.n_max)]
         tasks = [(c, lo, hi, cfg) for c, lo, hi in zip(chunks, bounds, bounds[1:])]
-        if cfg.fmt == "csv":
-            yield _csv_text([CSV_HEADER])
+        # the CSV header goes out with the first task's text, once the
+        # workers have forked: a fork flushes stdout, and a flush to a
+        # reader that has left would end the scan there, with no verdict
+        header = [_csv_text([CSV_HEADER])] if cfg.fmt == "csv" else []
         with closing(_run(_scan_chunk, tasks, cfg.jobs)) as results:
             for pieces, count, ok, disagreement in results:
                 self.records += count
                 if not ok:
                     self.code = 1
+                yield from header
+                header = []
                 yield from pieces
                 if disagreement:
                     self.disagreement, self.code = disagreement, 1

@@ -5,13 +5,15 @@ import csv
 import hashlib
 import json
 import multiprocessing
+import multiprocessing.util
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
 import tracemalloc
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import fields, replace
 from math import ceil
 from types import SimpleNamespace
@@ -56,6 +58,13 @@ def verify_records(cfg: ScanConfig) -> tuple[list[CongruenceCheck], int]:
     ]
     assert len(report) == len(records)
     return records, report.code
+
+
+def assert_no_children():
+    """No child process of this one is left, running or unreaped."""
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +241,6 @@ def test_oracle_quantity_filter_runs_clean():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
-    if jobs > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers see the patched oracle table only when forked")
     monkeypatch.setitem(FIELDS, "q2", replace(FIELDS["q2"], naive=lambda p, q2: f"injected(p={p})"))
     cfg = ScanConfig(p_min=3, p_max=60, oracle_cap=31, jobs=jobs)
     assert run_oracle_quantities(cfg) == "injected(p=5)"
@@ -259,8 +266,6 @@ def test_oracle_disagreement_ends_the_report_after_its_prime(monkeypatch, capsys
     # the scan stops at the first prime whose fields disagree: the report is
     # the clean report's prefix through that prime's records at every --jobs,
     # and verify and oracle each print one line for it
-    if jobs > 1 and multiprocessing.get_start_method() != "fork":
-        pytest.skip("pool workers see the patched oracle table only when forked")
     argv = ["--p-max", "3000", "--oracle-cap", "1000", "--jobs", str(jobs), "--format", fmt]
     assert cli.main(["verify", *argv]) == 0
     clean = capsys.readouterr()
@@ -290,6 +295,8 @@ def test_oracle_disagreement_ends_the_report_after_its_prime(monkeypatch, capsys
     if jobs == 1:
         # each of the three scans built the range of the chunk holding 101, and none past it
         assert len(built) == 3 and all(chunk[0] == 3 and 101 in chunk for chunk in built)
+    # the stopped scans killed their workers
+    assert_no_children()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -715,42 +722,71 @@ def test_lemma_2_1_reads_any_offset_after_bpm3():
 
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace the process pool by a stand-in that starts no process: it
-    runs the initializer once per worker, then every task, in this process.
-    The namespace it returns records each pool's size and its tasks' chunks
+def inline_fork(monkeypatch):
+    """Replace the fork context by a stand-in that starts no process: a
+    worker runs all its tasks in this process when it is started, and its
+    results wait in its stand-in pipe until the parent reads them.  The
+    namespace it returns records, for each scan that forks, the number of
+    processes (the parent included), and for every scan its tasks' chunks
     of primes."""
     seen = SimpleNamespace(sizes=[], chunks=[])
 
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            seen.sizes.append(max_workers)
-            for _ in range(max_workers):
-                initializer(*initargs)
+    class InlinePipe:
+        def __init__(self):
+            self.results = deque()
 
-        def __enter__(self):
-            return self
+        def send(self, result):
+            self.results.append(result)
 
-        def __exit__(self, *exc):
-            return False
+        def recv(self):
+            return self.results.popleft()
 
-        def map(self, fn, tasks):
-            seen.chunks.append([task[0] for task in tasks])
-            return map(fn, tasks)
-
-        def shutdown(self, cancel_futures=False):
+        def close(self):
             pass
 
-    # _run imports the pool class when it makes a pool, so it reads this one
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+    class InlineProcess:
+        def __init__(self, target, args):
+            self.target, self.args = target, args
+            seen.sizes[-1] += 1
+
+        def start(self):
+            self.target(*self.args)
+
+        def join(self):
+            pass
+
+        kill = close = join
+
+    class InlineContext:
+        Process = InlineProcess
+
+        def Pipe(self, duplex):
+            assert not duplex
+            end = InlinePipe()
+            return end, end
+
+    def get_context(method):
+        assert method == "fork"
+        seen.sizes.append(1)
+        return InlineContext()
+
+    run = cli._run
+
+    def recorded_run(fn, tasks, jobs):
+        seen.chunks.append([task[0] for task in tasks])
+        return run(fn, tasks, jobs)
+
+    # _run imports multiprocessing when it forks, so it reads this context
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(cli, "_run", recorded_run)
     return seen
 
 
-def test_pool_is_bounded_by_the_cpus(monkeypatch, inline_pool):
-    # each worker is a process forked at the first submit, so --jobs far
-    # above the CPUs this process may use is cut to them; the stand-in pool
-    # starts nothing and pins nothing.  Each task is a chunk of consecutive
-    # primes: an even share per worker, at most CHUNK primes each
+def test_pool_is_bounded_by_the_cpus(monkeypatch, inline_fork):
+    # each process runs on a CPU of its own, so --jobs far above the CPUs
+    # this process may use is cut to them; the stand-in starts nothing and
+    # pins nothing.  Each task is a chunk of consecutive primes: an even
+    # share per process, at most CHUNK primes each
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(cli.os, "sched_setaffinity", lambda pid, cpus: None)
     records, code = verify_records(ScanConfig(p_max=400, jobs=100_000))
@@ -758,34 +794,36 @@ def test_pool_is_bounded_by_the_cpus(monkeypatch, inline_pool):
     assert run_oracle_quantities(ScanConfig(p_max=31, jobs=100_000)) is None
     records, code = verify_records(ScanConfig(p_max=20_000, jobs=2, identities=("carlitz",)))
     assert code == 0 and len(records) == len(sieve_odd_primes(3, 20_000))
-    # a single task (here the exact identities alone) runs without a pool
+    # a single task (here the exact identities alone) runs without a fork
     records, code = verify_records(ScanConfig(p_max=20_000, jobs=2, identities=("exact_1_4",), n_max=5))
     assert code == 0 and len(records) == 5
-    assert inline_pool.sizes == [2, 2, 2]
-    for chunked, p_max in zip(inline_pool.chunks, (400, 31, 20_000)):
+    assert inline_fork.sizes == [2, 2, 2]
+    for chunked, p_max in zip(inline_fork.chunks, (400, 31, 20_000)):
         primes = sieve_odd_primes(3, p_max)
         size = max(1, min(CHUNK, ceil(len(primes) / 2)))
         assert [p for chunk in chunked for p in chunk] == primes
         assert {len(chunk) for chunk in chunked[:-1]} <= {size} and 0 < len(chunked[-1]) <= size
-    assert len(inline_pool.chunks[2][0]) == CHUNK
-    # a mask of one CPU leaves one worker, which runs in this process
+    assert len(inline_fork.chunks[2][0]) == CHUNK
+    assert inline_fork.chunks[3] == [[]]
+    # a mask of one CPU leaves one process, the parent
     monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {1})
     records, code = verify_records(ScanConfig(p_max=400, jobs=2))
-    assert code == 0 and records and inline_pool.sizes == [2, 2, 2]
+    assert code == 0 and records and inline_fork.sizes == [2, 2, 2]
 
 
 @pytest.mark.parametrize("placement", ["pinned", "refused", "unsupported"])
-def test_each_pool_worker_takes_a_cpu_of_its_own(monkeypatch, inline_pool, placement):
-    # the parent queues the first CPUs of its mask, one per worker, and each
-    # worker's initializer pins it to the next one; where the kernel refuses
-    # or the platform has no affinity calls, the workers run where they are
-    # and the report is the same
+def test_each_pool_worker_takes_a_cpu_of_its_own(monkeypatch, inline_fork, placement):
+    # the first CPUs of the mask go one per process: each worker pins itself
+    # to its own as it starts, the parent to the first for the scan, and the
+    # parent's whole mask comes back at the end; where the kernel refuses or
+    # the platform has no affinity calls, each process runs where it is and
+    # the report is the same
     cfg = ScanConfig(p_max=400, jobs=3)
     want = verify_records(replace(cfg, jobs=1))
     pinned = []
 
     def pin(pid, cpus):
-        pinned.append((pid, cpus))
+        pinned.append((pid, set(cpus)))
         if placement == "refused":
             raise OSError(22, "Invalid argument")
 
@@ -797,13 +835,26 @@ def test_each_pool_worker_takes_a_cpu_of_its_own(monkeypatch, inline_pool, place
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {11, 7, 2, 5})
         monkeypatch.setattr(cli.os, "sched_setaffinity", pin)
     assert verify_records(cfg) == want
-    assert inline_pool.sizes == [3]
-    assert pinned == ([] if placement == "unsupported" else [(0, {2}), (0, {5}), (0, {7})])
+    assert inline_fork.sizes == [3]
+    assert pinned == ([] if placement == "unsupported" else [(0, {5}), (0, {7}), (0, {2}), (0, {2, 5, 7, 11})])
+
+
+def test_a_platform_without_fork_runs_the_scan_in_process(monkeypatch):
+    # get_context("fork") raises ValueError where there is no fork
+    cfg = ScanConfig(p_max=400, jobs=2)
+    want = verify_records(replace(cfg, jobs=1))
+
+    def no_fork(method):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert verify_records(cfg) == want
 
 
 def _cpus_of_this_worker(rendezvous: str) -> set[int]:
-    """A pool task: the CPUs its worker may use, read once each of the two
-    workers holds a task, so that no worker runs both."""
+    """A task: the CPUs the process running it may use, read once each of
+    the two processes, the parent and its worker, holds a task."""
     open(os.path.join(rendezvous, str(os.getpid())), "w").close()
     deadline = time.monotonic() + 60
     while len(os.listdir(rendezvous)) < 2 and time.monotonic() < deadline:
@@ -819,12 +870,152 @@ def test_pool_workers_run_on_distinct_cpus(tmp_path):
     assert len(os.listdir(tmp_path)) == 2
     assert all(len(c) == 1 for c in cpus) and cpus[0] != cpus[1]
     assert cpus[0] | cpus[1] <= allowed
-    # pinning moves the workers, not the parent
+    # the parent ran the first task pinned, and its mask is back
     assert os.sched_getaffinity(0) == allowed
+    assert_no_children()
+
+
+needs_two_cpus_and_fork = pytest.mark.skipif(
+    len(cli._allowed_cpus()) < 2 or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs at least 2 CPUs to run on and fork",
+)
+
+
+def _pid(task) -> int:
+    return os.getpid()
+
+
+@needs_two_cpus_and_fork
+def test_the_parent_runs_every_w_th_task_and_a_worker_the_rest():
+    pids = list(cli._run(_pid, range(4), 2))
+    assert pids[0] == pids[2] == os.getpid()
+    assert pids[1] == pids[3] != os.getpid()
+    assert_no_children()
+
+
+def _fail_odd(task: int) -> int:
+    if task % 2:
+        raise KeyError(task)
+    return task
+
+
+@needs_two_cpus_and_fork
+def test_a_task_that_raises_in_a_worker_raises_in_the_parent(monkeypatch):
+    # the worker runs the odd tasks, so the parent yields task 0 and then
+    # meets the worker's KeyError at task 1
+    results = cli._run(_fail_odd, range(4), 2)
+    assert next(results) == 0
+    with pytest.raises(KeyError):
+        next(results)
+    assert_no_children()
+    # in a scan, the worker's chunk raises and verify does not exit: the
+    # report is cut, so there is no verdict to give
+    parent = os.getpid()
+    scan_chunk = cli._scan_chunk
+
+    def failing_in_a_worker(task):
+        if os.getpid() != parent:
+            raise LookupError("injected")
+        return scan_chunk(task)
+
+    monkeypatch.setattr(cli, "_scan_chunk", failing_in_a_worker)
+    with pytest.raises(LookupError, match="injected"):
+        cli.main(["verify", "--p-max", "3000", "--jobs", "2", "--out", os.devnull])
+    assert_no_children()
+
+
+@needs_two_cpus_and_fork
+def test_a_worker_that_dies_without_its_result_fails_the_scan(monkeypatch):
+    parent = os.getpid()
+    scan_chunk = cli._scan_chunk
+
+    def dying_in_a_worker(task):
+        if os.getpid() != parent:
+            os._exit(1)
+        return scan_chunk(task)
+
+    monkeypatch.setattr(cli, "_scan_chunk", dying_in_a_worker)
+    with pytest.raises(RuntimeError, match="exited with code 1"):
+        cli.main(["verify", "--p-max", "3000", "--jobs", "2", "--out", os.devnull])
+    assert_no_children()
+
+
+def _write_at_exit(path: str) -> None:
+    time.sleep(0.2)
+    open(os.path.join(path, str(os.getpid())), "w").close()
+
+
+def _exit_late(task: tuple) -> int:
+    """A task whose worker, like one traced by bench/child.py, has an exit
+    handler that still writes once the last result is sent."""
+    path, parent = task
+    if os.getpid() != parent:
+        multiprocessing.util.Finalize(None, _write_at_exit, args=(path,), exitpriority=10)
+    return os.getpid()
+
+
+@needs_two_cpus_and_fork
+def test_a_scan_that_ends_lets_its_workers_exit(tmp_path):
+    pids = list(cli._run(_exit_late, [(str(tmp_path), os.getpid())] * 2, 2))
+    assert os.listdir(tmp_path) == [str(pids[1])]
+    assert_no_children()
+
+
+_PARENT_DIES = """
+import multiprocessing, os, sys
+from carlitzscan import cli
+
+def big(task):
+    return "x" * 10**6  # far above a pipe's buffer, so the worker waits in send
+
+results = cli._run(big, range(4), 2)
+next(results)
+print(multiprocessing.active_children()[0].pid, flush=True)
+os._exit(0)
+"""
+
+
+@needs_two_cpus_and_fork
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_a_worker_whose_parent_died_exits():
+    # the worker holds no read end of its own pipe, so its send fails; the
+    # worker's stdout is the probe's, so only the probe's line is read
+    proc = subprocess.Popen([sys.executable, "-c", _PARENT_DIES], stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    with proc.stdout:
+        pid = int(proc.stdout.readline())
+    assert proc.wait(timeout=600) == 0
+
+    def gone() -> bool:
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                return f.read().rsplit(")", 1)[1].split()[0] in "ZX"
+        except FileNotFoundError:
+            return True
+
+    deadline = time.monotonic() + 30
+    while not gone() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if not gone():
+        os.kill(pid, signal.SIGKILL)  # a failing run leaves no stray worker
+        pytest.fail(f"worker {pid} outlived its parent")
+
+
+@needs_two_cpus_and_fork
+def test_a_scan_leaves_no_process_behind(capsys):
+    # a whole scan joins its worker, and a report closed after its first
+    # piece kills it
+    assert cli.main(["verify", "--p-max", "3000", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out
+    assert_no_children()
+    report = run_verify(ScanConfig(p_max=3000, jobs=2))
+    assert '"p": 3' in next(iter(report))
+    report.close()
+    assert_no_children()
+    assert os.sched_getaffinity(0) == set(cli._allowed_cpus())
 
 
 # a fresh interpreter runs the CLI, then prints its exit code and which of
-# the pool's and the CSV writer's modules the run loaded
+# the modules of a forking scan and of the CSV writer the run loaded
 _LOADED_PROBE = """
 import sys
 from carlitzscan import cli
@@ -836,10 +1027,10 @@ print(code, *sorted(m for m in ("concurrent.futures", "multiprocessing", "csv") 
 @pytest.mark.parametrize("args, loaded", [
     (("verify", "--p-max", "200", "--jobs", "1"), []),
     (("sums", "1009"), []),
-    # one task runs without a pool
+    # one task runs without a fork
     (("verify", "--p-min", "97", "--p-max", "100", "--jobs", "2"), []),
     (("verify", "--p-max", "200", "--format", "csv"), ["csv"]),
-    pytest.param(("verify", "--p-max", "200", "--jobs", "2"), ["concurrent.futures", "multiprocessing"],
+    pytest.param(("verify", "--p-max", "200", "--jobs", "2"), ["multiprocessing"],
                  marks=pytest.mark.skipif(len(cli._allowed_cpus()) < 2, reason="needs at least 2 CPUs to run on")),
 ], ids=["jsonl-jobs-1", "sums", "one-task-jobs-2", "csv", "two-tasks-jobs-2"])
 def test_a_run_loads_the_pool_and_the_csv_writer_only_to_use_them(args, loaded):
@@ -1112,6 +1303,25 @@ def test_cli_verify_into_a_closed_pipe_exits_with_the_verdict(args, code):
     assert proc.wait(timeout=600) == code, err
     assert "Traceback" not in err
     assert head == run_cli("verify", *args).stdout[:100]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_into_a_pipe_closed_from_the_start_exits_with_the_verdict(fmt, jobs):
+    # with stdout block-buffered, nothing reaches the pipe before the scan
+    # has forked its workers (a fork flushes stdout), so the first write
+    # meets the closed pipe in write_records and the scan runs on
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    args = ["--identity", "chamberland_dilcher", "--cd", "1,0,1", "--p-max", "3000", "--jobs", jobs, "--format", fmt]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "carlitzscan", "verify", *args],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=600)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_csv_format(tmp_path):
