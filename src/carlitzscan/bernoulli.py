@@ -1,9 +1,9 @@
 """Bernoulli numbers and Fermat quotients, exact and modulo prime powers."""
 
 from fractions import Fraction
-from math import comb, prod
+from math import comb
 
-from .residues import SWEEP_RUN, OddPrime
+from .residues import SWEEP_RUN, OddPrime, walk_reads
 
 __all__ = [
     "bernoulli_exact",
@@ -132,14 +132,11 @@ def _cube_walk(step: int, reads, sums: dict) -> None:
     One running fraction modulo the product of the read primes serves
     every read (its denominator, a product of x^3 with x < p, is a unit
     mod each p); it is reduced every SWEEP_RUN steps, and a p leaves the
-    product after its last read.
+    product after its last read (residues.walk_reads).
     """
-    reads = sorted(reads)
-    last = {p: pos for pos, p, _ in reads}
-    m = prod(last)
-    num, den, x = 0, 1, 1 - step
-    for pos, p, a in reads:
-        for x in range(x + step, pos + 1, step):
+    num, den = 0, 1
+    for p, a, pos0, pos, (m,) in walk_reads(reads, (1,)):
+        for x in range((pos0 + 1) | (step - 1), pos + 1, step):  # the walk's x in (pos0, pos]
             c = x * x * x
             num = num * c + den
             den *= c
@@ -148,8 +145,6 @@ def _cube_walk(step: int, reads, sums: dict) -> None:
         n, d = num % p, (den % p << 3 * a) % p
         s = sums[p]
         s[0], s[1] = (s[0] * d + n * s[1]) % p, s[1] * d % p
-        if pos == last[p]:
-            m //= p
 
 
 def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
@@ -171,7 +166,8 @@ def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
     walks are prefix sums free of p, shared by the whole chunk; each prime
     keeps its sum as a fraction mod p and takes one inverse.
     """
-    primes = {int(OddPrime(p)) for p in primes}
+    # a plain int is tested here, once: both walks pass the OddPrimes untested
+    primes = {OddPrime(p) for p in primes}
     if 3 in primes:
         raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
     out = {5: 1} if 5 in primes else {}
@@ -183,7 +179,7 @@ def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
             odd.append((n, p, a))
             n, a = n >> 1, a + 1
         full.append((n, p, a))
-    sums = {p: [0, 1] for p in primes}
+    sums = {int(p): [0, 1] for p in primes}
     _cube_walk(2, odd, sums)
     _cube_walk(1, full, sums)
     for p, (num, den) in sums.items():

@@ -47,10 +47,11 @@ ORACLE_CAP_LIMIT = 1000
 # --jobs worker runs one chunk at a time and holds its records, as text
 # once each prime is formatted
 P_MAX_LIMIT = 4 * 10**6
-# each a adds one record per prime, and a task holds the report text of its
-# chunk until it is written: at this limit up to CHUNK * 10^4 lines of about
-# 150 B, some 200 MB, per worker
+# each a adds one record per prime to the report
 A_VALUES_LIMIT = 10**4
+# _chunks cuts a task to about this many records, whose report text (some
+# 150 B a record, so a few MB) the task holds until the parent writes it
+RECORD_BUDGET = 2**14
 DEFAULT_IDENTITIES = tuple(tag for tag, e in IDENTITIES.items() if e.default)
 
 
@@ -266,10 +267,11 @@ def _chunks(cfg: ScanConfig) -> list[list[rs.OddPrime]]:
     """The primes in [cfg.p_min, cfg.p_max] (none if no per-prime identity is
     selected) cut into consecutive chunks, one task each: an even share per
     process, at most CHUNK, since each chunk restarts every range sweep at
-    k = 1.  The sieve has proved each prime, so none is tested again."""
-    selected = any(e.over == "p" for e in _entries(cfg))
-    primes = list(map(rs.OddPrime.proven, sieve_odd_primes(cfg.p_min, cfg.p_max))) if selected else []
-    size = max(1, min(CHUNK, ceil(len(primes) / _pool_size(cfg.jobs))))
+    k = 1, and about RECORD_BUDGET records.  The sieve proved the primes."""
+    entries = [e for e in _entries(cfg) if e.over == "p"]
+    primes = list(map(rs.OddPrime.proven, sieve_odd_primes(cfg.p_min, cfg.p_max))) if entries else []
+    width = sum(len(getattr(cfg, e.per)) if e.per else 1 for e in entries)
+    size = max(1, min(CHUNK, ceil(len(primes) / _pool_size(cfg.jobs)), RECORD_BUDGET // (width or 1)))
     return [primes[i : i + size] for i in range(0, len(primes), size)]
 
 

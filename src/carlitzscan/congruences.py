@@ -15,10 +15,10 @@ of False, never an exception.  The per-prime checks read a PrimeContext.
 """
 
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range
+from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range, walk_reads
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -96,22 +96,17 @@ def staver_sweep(primes) -> dict[int, int]:
     p: with g = 2^(k+1) k!, the numerator num = k! sum_{j<=k} 2^j/j steps
     as num = k num + g, so every step multiplies by k or 2k only, and at
     k = p-1 the denominator k! = g / 2^p gives W = 2^p num / g.  The state
-    is kept modulo the product of the p^3, and a p leaves the product once
-    read at k = p-1.
+    is kept modulo the product of the p^3 still to be read (walk_reads).
     """
-    primes = sorted({int(OddPrime(p)) for p in primes})
-    m = prod(p**3 for p in primes)
-    num, g, k = 0, 2, 0
-    out = {}
-    for p in primes:
-        for k in range(k + 1, p):
+    num, g, out = 0, 2, {}
+    for p, _, k0, k1, (m,) in walk_reads(((p - 1, p, None) for p in primes), (3,)):
+        for k in range(k0 + 1, k1 + 1):
             num = k * num + g
             g *= 2 * k
             if k % SWEEP_RUN == 0:
                 num, g = num % m, g % m
         p3 = p**3
         out[p] = pow(2, p, p3) * num * pow(g, -1, p3) % p3
-        m //= p3
     return out
 
 
@@ -222,7 +217,7 @@ def verify_corollary(c: "PrimeContext", a_values=(3, 4, 5)) -> list[CongruenceCh
 
 def verify_morley(c: "PrimeContext") -> CongruenceCheck:
     """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) == 4^(p-1) mod p^3, p >= 5."""
-    p = c.p
+    p = int(c.p)
     if p < 5:
         raise ValueError("Morley's congruence needs p >= 5")
     m = p**3
@@ -237,7 +232,8 @@ def verify_carlitz(c: "PrimeContext") -> CongruenceCheck:
 
     The right side is rhs_theorem's at a = 2, where a(a-1)(3a-4)/48 = 1/12.
     """
-    return _check("carlitz", c.p, (), c.p**4, c.central4, rhs_theorem(c.p, 2, c.bpm3))
+    p = int(c.p)
+    return _check("carlitz", p, (), p**4, c.central4, rhs_theorem(c.p, 2, c.bpm3))
 
 
 def verify_cai_granville(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
@@ -305,7 +301,7 @@ def verify_chamberland_dilcher(c: "PrimeContext", eps: int, a: int, b: int) -> C
     the sum no longer truncates at k = p and the congruence can fail);
     a = 0 requests are still computed and judged as-is.
     """
-    p = c.p
+    p = int(c.p)
     if p < 5:
         raise ValueError("the u-sum congruence needs p >= 5")
     if (eps, a, b) in CD_EXCLUDED:

@@ -5,18 +5,19 @@ naive route and the least p it applies to.  A PrimeRange holds each
 field for a chunk of primes, keyed by p.  Most come from one sweep over
 the chunk, since they are prefix products or prefix sums of sequences
 free of p (the central binomial, Staver's sum behind the binomial
-moments, B_(p-3), the half-range sums with the Bernoulli window, and the
-even-index sums); q2 and the u-sums of the range's (eps, a, b) triples
-are computed one prime at a time.  B_(p-3) takes two walks: its sum
-S(n) of x^(-3) to n = p // 6 splits by the power of 2 in x as
-S(n) = sum_a 8^(-a) O(n >> a), O summing odd x only, so one walk over
-the odd x serves every level above bn.PM3_FULL = 128, and a walk over
-every x to PM3_FULL takes the rest (128 < 997 // 6, so primes under
-the oracle's cap of 1000 read the odd walk too).  A PrimeContext holds
-the values at one prime, read from its range.  Both build a field on
-its first read and keep it, so every check at a prime shares one value.
-What a context holds is also what `oracle` compares: the fields the
-selected checks populated, each with its naive route.
+moments, B_(p-3), the half-range sums with the Bernoulli window, and
+the even-index sums), all read through rs.walk_reads; q2 and the u-sums
+of the range's (eps, a, b) triples are computed one prime at a time.
+B_(p-3) takes two walks: its sum S(n) of x^(-3) to n = p // 6 splits by
+the power of 2 in x as S(n) = sum_a 8^(-a) O(n >> a), O summing odd x
+only, so one walk over the odd x serves every level above
+bn.PM3_FULL = 128, and a walk over every x to PM3_FULL takes the rest
+(128 < 997 // 6, so primes under the oracle's cap of 1000 read the odd
+walk too).  A PrimeContext holds the values at one prime, read from its
+range.  Both build a field on its first read and keep it, so every
+check at a prime shares one value.  What a context holds is also what
+`oracle` compares: the fields the selected checks populated, each with
+its naive route.
 IDENTITIES declares each identity once: its tag, where it applies,
 whether `verify` runs it by default, and its check function.
 """
@@ -264,6 +265,7 @@ class Identity:
     default: bool = False
     over: str = "p"
     n_cap: "int | None" = None
+    per: str = ""  # the ScanConfig field whose entries each add a record at every prime
 
 
 # checks are looked up in their modules at call time, so a wrapper rebound there (a tracer) sees each call
@@ -278,14 +280,14 @@ def _derived_sums(c: PrimeContext) -> list[cg.CongruenceCheck]:
 IDENTITIES: dict[str, Identity] = {
     e.tag: e
     for e in (
-        Identity("theorem_1_1", lambda c: cg.verify_theorem_1_1(c, c.a_values), default=True),
+        Identity("theorem_1_1", lambda c: cg.verify_theorem_1_1(c, c.a_values), default=True, per="a_values"),
         # a = 3, 4, 5 whatever a_values holds
         Identity("corollary", lambda c: cg.verify_corollary(c)),
         Identity("morley", lambda c: [cg.verify_morley(c)], p_min=5, default=True),
         Identity("carlitz", lambda c: [cg.verify_carlitz(c)], default=True),
-        Identity("cai_granville", lambda c: cg.verify_cai_granville(c, c.a_values), p_min=5),
+        Identity("cai_granville", lambda c: cg.verify_cai_granville(c, c.a_values), p_min=5, per="a_values"),
         Identity("chamberland_dilcher", lambda c: [cg.verify_chamberland_dilcher(c, *t) for t in c.prime_range.cd_triples],
-                 p_min=5),
+                 p_min=5, per="cd_triples"),
         Identity("lemma_2_1", _lemma_2_1, p_min=5, default=True),
         Identity("lemma_2_1_i", _lemma_2_1, p_min=5),
         Identity("lemma_2_1_ii", _lemma_2_1, p_min=5),

@@ -14,12 +14,11 @@ context).
 
 from collections import defaultdict
 from itertools import accumulate
-from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bernoulli import voronoi_bernoulli, voronoi_fold
 from .congruences import CongruenceCheck, _check
-from .residues import SWEEP_RUN, OddPrime
+from .residues import SWEEP_RUN, walk_reads
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -96,29 +95,27 @@ def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
     p = 13, 41, 61, 73) for the window.  All of c_0..c_13 are kept modulo
     the product of the p^3 (h1 is read mod p^3): c_(j-1) is added into c_j
     at each step, so a narrower modulus for the higher c_j would divide
-    c_1's wide carries by it at every reduction.  A p leaves the product
-    once read.
+    c_1's wide carries by it at every reduction.
     """
-    primes = sorted({_validate(OddPrime(p)) for p in primes})
-    top = N_CAP + 1
-    reads = defaultdict(list)  # (x, p) -> the offsets j whose S_j(x) is read; [0] at the middle
-    folds = {}  # (p, j) -> voronoi_fold(p, j)
-    for p in primes:
-        for j in _window_offsets(p):
-            folds[p, j] = voronoi_fold(p, j)
-            for x in folds[p, j][1]:
-                reads[x, p].append(j)
-        reads[(p - 1) // 2, p].append(0)
-    m = prod(primes) ** 3
-    c = [1] + [0] * top
-    totals, out, x = defaultdict(int), {}, 0
-    for (pos, p), offsets in sorted(reads.items()):
-        for x in range(x + 1, pos + 1):
-            c = [x * a + b for a, b in zip(c, [0, *c])]
-            if x % SWEEP_RUN == 0:
+    def reads():  # (x, p, the offsets j read); p's middle first, so walk_reads proves p before voronoi_fold
+        for p in set(primes):
+            q = _validate(p)
+            yield (q - 1) // 2, p, ()
+            cuts = defaultdict(list)
+            for j in _window_offsets(q):
+                folds[q, j], xs = voronoi_fold(q, j)
+                for x in xs:
+                    cuts[x].append(j)
+            yield from ((x, p, offsets) for x, offsets in cuts.items())
+
+    folds, totals, out = {}, defaultdict(int), {}  # folds[p, j] = voronoi_fold(p, j)[0]
+    c = [1] + [0] * (N_CAP + 1)
+    for p, offsets, x0, x, (m,) in walk_reads(reads(), (3,)):
+        for k in range(x0 + 1, x + 1):
+            c = [k * a + b for a, b in zip(c, [0, *c])]
+            if k % SWEEP_RUN == 0:
                 c = [v % m for v in c]
-        x = pos
-        if offsets != [0]:
+        if offsets:
             g = pow(c[0], -1, p)
             ps = _power_sums([1] + [v * g % p for v in c[1 : max(offsets) + 1]], p)
             for j in offsets:
@@ -128,9 +125,8 @@ def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
         g = pow(c[0], -1, p3)
         ps = _power_sums([1] + [v * g % p2 for v in c[1 : n_top + 1]], p2)
         hn = {n: ps[n] if n % 2 == 0 else ps[n] % p for n in range(2, n_top + 1)}
-        window = {j: voronoi_bernoulli(p, j, folds[p, j][0], totals[p, j]) for j in _window_offsets(p)}
+        window = {j: voronoi_bernoulli(p, j, folds[p, j], totals[p, j]) for j in _window_offsets(p)}
         out[p] = HalfSums(c[1] * g % p3, hn), window
-        m //= p3
     return out
 
 
@@ -151,14 +147,11 @@ def even_index_sweep(primes) -> dict[int, EvenSums]:
     modulo the product of the p^2, the rest modulo that of the primes, and
     a p leaves the products once read.
     """
-    primes = sorted({_validate(OddPrime(p)) for p in primes})
-    m1 = prod(primes)
-    m2 = m1 * m1
     f, c1, d112, c2, t = 1, 0, 0, 0, 0  # mod m2; d112, t over f
     f2, c1f, q, d121, d211 = 1, 0, 0, 0, 0  # mod m1; d121, d211 over f^2
-    out, k = {}, 0
-    for p in primes:
-        for k in range(k + 1, p):
+    out = {}
+    for p, _, k0, k1, (m1, m2) in walk_reads(((_validate(p) - 1, p, None) for p in primes), (1, 2)):
+        for k in range(k0 + 1, k1 + 1):
             kk = k * k
             if k & 1:
                 d112, t, d121, d211 = k * d112, k * t, kk * d121, kk * d211
@@ -175,14 +168,11 @@ def even_index_sweep(primes) -> dict[int, EvenSums]:
             if k % SWEEP_RUN == 0:
                 f, c1, d112, c2, t = (v % m2 for v in (f, c1, d112, c2, t))
                 f2, c1f, q, d121, d211 = (v % m1 for v in (f2, c1f, q, d121, d211))
-        k = p - 1
         p2 = p * p
         g = pow(f, -1, p2)  # 1 / (p-1)!
         gg = g * g % p
         double = {(1, 1, 2): d112 * g % p2, (1, 2, 1): d121 * gg % p, (2, 1, 1): d211 * gg % p}
         out[p] = EvenSums(double, t * g % p)
-        m1 //= p
-        m2 //= p2
     return out
 
 

@@ -10,6 +10,7 @@ binomial's start multiplies primes straight off them.
 
 from itertools import chain, compress, islice
 from math import isqrt, prod
+from operator import itemgetter
 
 __all__ = [
     "OddPrime",
@@ -17,6 +18,7 @@ __all__ = [
     "sieve_odd_primes",
     "inverse_range",
     "binom_pm1",
+    "walk_reads",
     "signed_central_binomials",
 ]
 
@@ -116,12 +118,9 @@ def binom_pm1(p: int, e: int) -> list[int]:
         raise ValueError(f"exponent must be in 1..4, got {e}")
     m = p**e
     inv = inverse_range(p - 1, m)
-    table = [0] * p
-    t = 1
-    table[0] = 1
+    table = [1]
     for k in range(1, p):
-        t = t * (p - k) % m * inv[k] % m
-        table[k] = t
+        table.append(table[-1] * (p - k) % m * inv[k] % m)
     return table
 
 
@@ -130,6 +129,26 @@ _FACTOR_RUN = 16  # factors multiplied as small ints before each reduction mod t
 # chunk's products: each step multiplies by small ints only, so the state
 # grows by a few words per run, and most of the divisions are spared
 SWEEP_RUN = 8
+
+
+def walk_reads(reads, exponents):
+    """Yield a sweep's reads (x, p, tag) by x as (p, tag, x0, x, moduli): walk
+    (x0, x], from the previous read's x or 0, then read at p, an int.  moduli[i]
+    is the product of q**exponents[i] over the primes q still to be read, cut
+    in place.  Each p but an OddPrime is proved once, as its first read is drawn."""
+    proved, walk = {}, []
+    for x, p, tag in reads:
+        if p not in proved:  # an OddPrime skips even the call
+            proved[p] = int(p if type(p) is OddPrime else OddPrime(p))
+        walk.append((x, proved[p], tag))
+    walk.sort(key=itemgetter(0))
+    last = {p: i for i, (_, p, _) in enumerate(walk)}
+    moduli = [prod(proved.values()) ** e for e in exponents]
+    for i, (x, p, tag) in enumerate(walk):
+        yield p, tag, walk[i - 1][0] if i else 0, x, moduli
+        if last[p] == i:
+            for j, e in enumerate(exponents):
+                moduli[j] //= p**e
 
 
 def _runs_mod(factors, count: int, m: int, acc: int = 1) -> int:
@@ -171,28 +190,22 @@ def signed_central_binomials(primes) -> dict[int, int]:
     """(-1)^((p-1)/2) binomial(p-1, (p-1)/2) mod p^4 for each odd prime p of
     `primes`, from one sweep.
 
-    With mid = (p-1)/2, the chunk's first C(2 mid, mid) comes from its
-    prime factorisation modulo the product of the p^4
-    (_central_binomial_mod).  The sweep then walks to each later prime's
-    mid by C(2k+2, k+1) = C(2k, k) * 2(2k+1) / (k+1), kept as a running
+    With mid = (p-1)/2, the sweep's first segment takes C(2 mid, mid) from
+    its prime factorisation modulo the product of the p^4
+    (_central_binomial_mod).  Each later one walks to its prime's mid by
+    C(2k+2, k+1) = C(2k, k) * 2(2k+1) / (k+1), kept as a running
     numerator and denominator: every k+1 <= mid < p for each p still in
-    the product, so the denominator stays a unit.  A p's modulus leaves
-    the product once it is read.  The factors go in by runs of
-    _FACTOR_RUN, which spares most reductions of the big product.
+    the product, so the denominator stays a unit.  The factors go in by
+    runs of _FACTOR_RUN, which spares most reductions of the big product.
     """
-    primes = sorted({int(OddPrime(p)) for p in primes})
-    if not primes:
-        return {}
-    m = prod(p**4 for p in primes)
-    k = (primes[0] - 1) // 2
-    num, den, out = _central_binomial_mod(k, m), 1, {}
-    for p in primes:
-        mid, m4 = (p - 1) // 2, p**4
-        num = _runs_mod(range(4 * k + 2, 4 * mid, 4), mid - k, m, num)  # 2(2i+1) for k <= i < mid
-        den = _runs_mod(range(k + 1, mid + 1), mid - k, m, den)
-        k = mid
+    num, den, out = 1, 1, {}
+    for p, _, k, mid, (m,) in walk_reads((((p - 1) // 2, p, None) for p in primes), (4,)):
+        if k:
+            num = _runs_mod(range(4 * k + 2, 4 * mid, 4), mid - k, m, num)  # 2(2i+1) for k <= i < mid
+            den = _runs_mod(range(k + 1, mid + 1), mid - k, m, den)
+        else:
+            num = _central_binomial_mod(mid, m)
+        m4 = p**4
         c = num * pow(den, -1, m4) % m4
         out[p] = c if mid % 2 == 0 else -c % m4
-        m //= m4
-        num, den = num % m, den % m
     return out

@@ -1174,6 +1174,43 @@ def test_huge_cd_exponent_runs_in_bounded_memory():
     assert peak < 4 * 2**20, peak
 
 
+def test_a_task_holds_about_a_record_budget_of_text(monkeypatch):
+    # a task's primes are cut to about RECORD_BUDGET records, one per a value
+    # of theorem_1_1 and of cai_granville, one per triple of the u-sums and
+    # one for each other identity: the default set and a = 1..10 keep CHUNK
+    # primes a task, and a check that reads no a value ignores --a
+    def sizes(**kw):
+        return {len(chunk) for chunk in cli._chunks(ScanConfig(p_max=3000, **kw))[:-1]}
+
+    a10, a4 = tuple(range(1, 11)), tuple(range(1, 10**4 + 1))
+    assert sizes() == sizes(a_values=a10) == sizes(a_values=a10, identities=("theorem_1_1",)) == {CHUNK}
+    assert sizes(a_values=a4, identities=("morley", "lemma_2_1")) == {CHUNK}
+    assert sizes(a_values=a4[:1000], identities=("theorem_1_1",)) == {cli.RECORD_BUDGET // 1000}
+    assert sizes(a_values=a4[:1000], identities=("theorem_1_1", "cai_granville", "morley")) == {cli.RECORD_BUDGET // 2001}
+    assert sizes(identities=("chamberland_dilcher",), cd_triples=tuple((1, 1, b) for b in range(200))) == {
+        cli.RECORD_BUDGET // 200}
+    assert sizes(a_values=a4, identities=("theorem_1_1", "cai_granville")) == {1}
+    # the cut leaves the report as it is
+    cfg = ScanConfig(p_max=400, a_values=a4[:400], identities=("theorem_1_1", "morley", "exact_1_3"))
+    assert len(cli._chunks(cfg)) == 2
+    text = "".join(run_verify(cfg))
+    monkeypatch.setattr(cli, "RECORD_BUDGET", 10**9)
+    assert len(cli._chunks(cfg)) == 1 and "".join(run_verify(cfg)) == text
+    # one task of theorem_1_1 over a = 1..10^4 holds one prime's 10^4 records,
+    # some 1.7 MB of text, where a task of CHUNK primes would hold 200 MB
+    monkeypatch.undo()
+    cfg = ScanConfig(p_min=9000, p_max=9100, a_values=a4, identities=("theorem_1_1",))
+    chunk = cli._chunks(cfg)[0]
+    tracemalloc.start()
+    try:
+        pieces, count, ok, _ = cli._scan_chunk((chunk, 0, chunk[-1], cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok and count == len(chunk) * 10**4 == 10**4
+    assert peak < 10 * 2**20, peak
+
+
 def test_peak_memory_stays_flat_as_the_range_grows():
     # the report is written one chunk of primes at a time, so a range with
     # 3.3 times the primes (and records) peaks at about the same memory,

@@ -4,10 +4,13 @@ import copy
 import pickle
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
+from carlitzscan import bernoulli as bn
+from carlitzscan import congruences as cg
+from carlitzscan import harmonic as hm
 from carlitzscan import residues as rs
 from carlitzscan.residues import (
     MAX_PRIME,
@@ -17,6 +20,7 @@ from carlitzscan.residues import (
     is_odd_prime,
     sieve_odd_primes,
     signed_central_binomials,
+    walk_reads,
 )
 from helpers import binom_pm1_naive, symmetric_inverse_sums, symmetric_inverse_sums_naive
 
@@ -100,6 +104,69 @@ def test_binom_pm1_symmetry():
         row = binom_pm1(p, 4)
         for k in range(p):
             assert row[k] == row[p - 1 - k]
+
+
+def test_walk_reads_orders_the_reads_and_shrinks_the_moduli_after_a_last_read():
+    # reads come out by x, those at one x in the order they came; each
+    # prime's factors leave the moduli only once its last read is out
+    reads = [(9, 7, "a"), (2, 5, "b"), (4, 3, "c"), (9, 5, "d"), (2, 7, "e"), (6, 3, "f")]
+    got = list((p, tag, x0, x, tuple(moduli)) for p, tag, x0, x, moduli in walk_reads(reads, (1, 3)))
+    assert [(p, tag, x0, x) for p, tag, x0, x, _ in got] == [
+        (5, "b", 0, 2), (7, "e", 2, 2), (3, "c", 2, 4), (3, "f", 4, 6), (7, "a", 6, 9), (5, "d", 9, 9)]
+    unread = [{3, 5, 7}, {3, 5, 7}, {3, 5, 7}, {3, 5, 7}, {5, 7}, {5}]
+    assert [moduli for *_, moduli in got] == [(prod(q), prod(q) ** 3) for q in unread]
+    assert list(walk_reads([], (4,))) == []
+
+
+def test_walk_reads_proves_each_prime_once_and_yields_plain_ints(monkeypatch):
+    # a plain int is tested at its first read only, an OddPrime never, and
+    # every p comes out an exact int whichever went in
+    tested = []
+    monkeypatch.setattr(rs, "is_odd_prime", lambda n: tested.append(n) or is_odd_prime(n))
+    reads = [(x, p, None) for x in range(1, 4) for p in (11, OddPrime.proven(13), 17, 11)]
+    ps = [p for p, *_ in walk_reads(reads, (2,))]
+    assert sorted(tested) == [11, 17] and sorted(set(ps)) == [11, 13, 17]
+    assert all(type(p) is int for p in ps)
+    with pytest.raises(ValueError):
+        list(walk_reads([(1, 7, None), (2, 9, None)], (1,)))
+
+
+def test_walk_reads_proves_a_prime_before_its_next_read_is_drawn():
+    # a sweep may build a prime's later reads from it: 15 fails at its
+    # first read, so no read after it is drawn
+    drawn = []
+
+    def reads():
+        for p in (7, 15):
+            yield 1, p, None
+            drawn.append(p)
+
+    with pytest.raises(ValueError):
+        list(walk_reads(reads(), (1,)))
+    assert drawn == [7]
+    # the inverse-power sweep builds a prime's cuts after its middle read, so
+    # 15, for which every c has c^5 == c (mod 15), fails before voronoi_fold
+    # could search for a c forever
+    with pytest.raises(ValueError):
+        hm.inverse_power_sweep([15])
+
+
+SWEEPS = [cg.staver_sweep, hm.inverse_power_sweep, hm.even_index_sweep, signed_central_binomials,
+          bn.bernoulli_pm3_mod_primes]
+
+
+@pytest.mark.parametrize("sweep", SWEEPS, ids=lambda f: f.__name__)
+def test_each_sweep_is_the_same_in_any_chunks(sweep):
+    # every prime 5..3000 in one call and in chunks of 128, 16 and 1: each
+    # chunk restarts the walk, so its reads and moduli begin elsewhere
+    primes = sieve_odd_primes(5, 3000)
+    whole = sweep(primes)
+    assert sorted(whole) == primes and all(type(p) is int for p in whole)
+    for size in (128, 16, 1):
+        chunked = {}
+        for i in range(0, len(primes), size):
+            chunked.update(sweep(primes[i : i + size]))
+        assert chunked == whole, size
 
 
 def test_signed_central_binomial_matches_comb():
