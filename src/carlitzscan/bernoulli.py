@@ -3,7 +3,7 @@
 from fractions import Fraction
 from math import comb
 
-from .residues import SWEEP_RUN, OddPrime, walk_reads
+from .residues import SWEEP_RUN, odd_prime, walk_reads
 
 __all__ = [
     "bernoulli_exact",
@@ -78,7 +78,7 @@ def power_sum_mod(p: int, exp: int, e: int = 2) -> int:
     per prime k plus a single multiplication per composite k: O(p) ring
     operations despite the huge exponent.
     """
-    p = int(OddPrime(p))
+    p = int(odd_prime(p))
     m = p**e
     spf = smallest_prime_factors(p - 1)
     powv = [0] * p
@@ -107,7 +107,7 @@ def bernoulli_mod_p(p: int, index: int) -> int:
     Staudt-Clausen p-part of deeper Bernoulli denominators costs at most
     one factor p against p^3, so everything else dies mod p^2.
     """
-    p = int(OddPrime(p))
+    p = int(odd_prime(p))
     if p < 5:
         raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
     if index % 2 != 0 or not 2 <= index <= p - 3:
@@ -167,7 +167,7 @@ def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
     keeps its sum as a fraction mod p and takes one inverse.
     """
     # a plain int is tested here, once: both walks pass the OddPrimes untested
-    primes = {OddPrime(p) for p in primes}
+    primes = {odd_prime(p) for p in primes}
     if 3 in primes:
         raise ValueError("p must be >= 5 (for p = 3 use B_0 = 1 directly)")
     out = {5: 1} if 5 in primes else {}
@@ -224,6 +224,6 @@ def fermat_quotient_2(p: int) -> int:
     Computed from 2^(p-1) mod p^4 followed by the exact division by p
     that Fermat's little theorem guarantees.
     """
-    p = int(OddPrime(p))
+    p = int(odd_prime(p))
     t = pow(2, p - 1, p**4)
     return ((t - 1) // p) % p**3

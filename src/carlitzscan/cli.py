@@ -107,36 +107,62 @@ class ScanConfig:
 
 
 CSV_HEADER = ["identity", "p", "params", "modulus", "lhs", "rhs", "match", "us"]
+# a verdict as JSON writes it, and a JSONL line's text from the end of rhs:
+# `us` is kept for readers of earlier reports and is always 0
+_JSON_BOOL = ("false", "true")
+_TAIL = tuple(f'", "match": {b}, "us": 0}}\n' for b in _JSON_BOOL)
 
 
-def _values(c: cg.CongruenceCheck) -> list:
-    # one value per CSV_HEADER column, the big residues as decimal strings;
-    # `us` is kept for readers of earlier reports and is always 0
-    return [c.identity, c.p, list(c.params), str(c.modulus), str(c.lhs), str(c.rhs), c.verdict, 0]
+class _ParamsText(dict):
+    """A scan's text of each params tuple inside its JSON brackets, "1, 2"
+    for (1, 2), made on its first lookup."""
+
+    def __missing__(self, params: tuple) -> str:
+        text = self[params] = ", ".join(map(str, params))
+        return text
+
+
+def _report_text(records: list[cg.CongruenceCheck], fmt: str, texts: "_ParamsText | None" = None) -> str:
+    """The report lines of `records` in the format `fmt` (no CSV header),
+    the params texts read from the scan's `texts` (a new one if None).
+
+    A JSONL line is what json.dumps writes for the dict of CSV_HEADER's keys
+    and the record's values, the big residues as strings: the identity tags
+    need no escaping and the ints of params stand bare.  A run of records that
+    share (identity, p, modulus) shares the text before params and the text
+    between params and lhs."""
+    texts = _ParamsText() if texts is None else texts
+    if fmt == "csv":
+        return _csv_text([csv_row(r, texts) for r in records])
+    lines = []
+    key_identity = key_p = key_modulus = None
+    for identity, p, params, modulus, lhs, rhs, verdict in records:
+        # `is not` only spares comparing the tags: an equal tag that is
+        # another object rebuilds the same prefixes
+        if identity is not key_identity or p != key_p or modulus != key_modulus:
+            key_identity, key_p, key_modulus = identity, p, modulus
+            head = f'{{"identity": "{identity}", "p": {p}, "params": ['
+            middle = f'], "modulus": "{modulus}", "lhs": "'
+        lines.append(f'{head}{texts[params]}{middle}{lhs}", "rhs": "{rhs}{_TAIL[verdict]}')
+    return "".join(lines)
 
 
 def jsonl_line(c: cg.CongruenceCheck) -> str:
-    """The JSONL record json.dumps writes for the dict of CSV_HEADER's keys
-    and _values: the identity tags need no escaping, the ints of params
-    stand bare, the big residues are strings and us is 0."""
+    """The JSONL record of `c`, without its newline."""
+    return _report_text([c], "jsonl")[:-1]
+
+
+def csv_row(c: cg.CongruenceCheck, texts: "_ParamsText | None" = None) -> list[str]:
+    """The CSV_HEADER columns of `c` as the strings JSON writes for them,
+    the big residues as decimal strings; csv.writer quotes what needs it."""
+    texts = _ParamsText() if texts is None else texts
     identity, p, params, modulus, lhs, rhs, verdict = c
-    return (
-        f'{{"identity": "{identity}", "p": {p}, "params": [{", ".join(map(str, params))}], '
-        f'"modulus": "{modulus}", "lhs": "{lhs}", "rhs": "{rhs}", '
-        f'"match": {"true" if verdict else "false"}, "us": 0}}'
-    )
-
-
-# the CSV helpers import csv, io and json when called, so a JSONL run never
-# loads them
-
-def csv_row(c: cg.CongruenceCheck) -> list[str]:
-    import json
-
-    return [v if isinstance(v, str) else json.dumps(v) for v in _values(c)]
+    return [identity, str(p), f"[{texts[params]}]", str(modulus), str(lhs), str(rhs),
+            _JSON_BOOL[verdict], "0"]
 
 
 def _csv_text(rows) -> str:
+    # csv and io load only on runs that write CSV
     import csv
     import io
 
@@ -145,15 +171,9 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def _report_text(records: list[cg.CongruenceCheck], fmt: str) -> str:
-    """The report lines of `records` in the format `fmt` (no CSV header)."""
-    if fmt == "csv":
-        return _csv_text(map(csv_row, records))
-    return "".join([f"{jsonl_line(r)}\n" for r in records])
-
-
 # the order of the report's records
 _ORDER = attrgetter("p", "identity", "params")
+_VERDICT = attrgetter("verdict")
 
 
 def _entries(cfg: ScanConfig) -> list:
@@ -194,12 +214,13 @@ def _exact_checks(cfg: ScanConfig, lo: int, hi: int) -> list[cg.CongruenceCheck]
 
 
 def _scan_chunk(task: tuple) -> tuple[list[str], int, bool, "str | None"]:
-    """One task of a verify scan: the report text of every record with
+    """One task of a verify scan, (primes, lo, hi, cfg, texts) with the
+    scan's params texts: the report text of every record with
     lo < p <= hi, sorted by (p, identity, params), one piece per prime
     with the exact records up to it; the number of records; whether every
     verdict holds; and the first oracle disagreement up to cfg.oracle_cap,
     whose prime's records end the text."""
-    primes, lo, hi, cfg = task
+    primes, lo, hi, cfg, texts = task
     # largest p last, so each prime pops the exact records up to it
     exact = sorted(_exact_checks(cfg, lo, hi), key=_ORDER, reverse=True)
     pieces, count, ok = [], 0, True
@@ -208,9 +229,9 @@ def _scan_chunk(task: tuple) -> tuple[list[str], int, bool, "str | None"]:
         while exact and exact[-1].p <= p:
             group.append(exact.pop())
         group.sort(key=_ORDER)
-        pieces.append(_report_text(group, cfg.fmt))
+        pieces.append(_report_text(group, cfg.fmt, texts))
         count += len(group)
-        ok = ok and all(r.verdict for r in group)
+        ok = ok and all(map(_VERDICT, group))
         if disagreement:
             break
     return pieces, count, ok, disagreement
@@ -364,10 +385,12 @@ class Report:
         # each task writes the records with p in (lo, hi]: its chunk of
         # primes and the exact records between the previous chunk and its
         # own last prime; the last task's interval reaches the largest p
-        # any record carries
+        # any record carries; the tasks share one params text memo, which
+        # each worker copies at the fork and fills on its own
         chunks = _chunks(cfg) or [[]]
         bounds = [0] + [c[-1] for c in chunks[:-1]] + [max(cfg.p_max, cfg.n_max)]
-        tasks = [(c, lo, hi, cfg) for c, lo, hi in zip(chunks, bounds, bounds[1:])]
+        texts = _ParamsText()
+        tasks = [(c, lo, hi, cfg, texts) for c, lo, hi in zip(chunks, bounds, bounds[1:])]
         # the CSV header goes out with the first task's text, once the
         # workers have forked: a fork flushes stdout, and a flush to a
         # reader that has left would end the scan there, with no verdict

@@ -15,10 +15,11 @@ of False, never an exception.  The per-prime checks read a PrimeContext.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import comb, gcd
 from typing import TYPE_CHECKING, NamedTuple
 
-from .residues import SWEEP_RUN, OddPrime, binom_pm1, inverse_range, walk_reads
+from .residues import SWEEP_RUN, binom_pm1, inverse_range, odd_prime, walk_reads
 
 if TYPE_CHECKING:
     from .context import PrimeContext
@@ -70,12 +71,16 @@ class ExcludedTriple(ValueError):
 
 CD_EXCLUDED = ((0, 0, 1), (0, 1, 0))
 
+# a record from the tuple of its fields, built at C speed: tuple.__new__
+# skips the NamedTuple's Python-level __new__ (0.22 us against 0.38 us)
+_record = partial(tuple.__new__, CongruenceCheck)
+
 
 def _check(
     identity: str, p: int, params, modulus: int, lhs: int, rhs: int, holds: bool = True
 ) -> CongruenceCheck:
     """A check whose verdict is lhs == rhs, and False where a side fact fails."""
-    return CongruenceCheck(identity, int(p), tuple(params), modulus, lhs, rhs, lhs == rhs and holds)
+    return _record((identity, int(p), tuple(params), modulus, lhs, rhs, lhs == rhs and holds))
 
 
 def theorem_coefficient(a: int) -> Fraction:
@@ -148,7 +153,7 @@ def lhs_power_sums_batch(p: int, a_max: int) -> list[int]:
     terms at k and p-1-k are equal (p-1 is even), so only the half row is
     kept: each k below the middle counts twice and the middle once.
     """
-    p = int(OddPrime(p))
+    p = int(odd_prime(p))
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
     m = p**4
@@ -179,7 +184,7 @@ def rhs_theorem(p: int, a: int, bpm3: "int | None") -> int:
     Theorem 1.1 built for one a: carlitz reads it at a = 2, and the tests
     compare theorem_row's records with it.  `bpm3` is B_(p-3) mod p, not
     read at p = 3 (see _correction)."""
-    p = int(OddPrime(p))
+    p = int(odd_prime(p))
     if a < 1:
         raise ValueError(f"a must be >= 1, got {a}")
     m = p**4
@@ -192,11 +197,9 @@ def verify_theorem_1_1(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
     p^3 B / 48 taken once for the row."""
     p = int(c.p)
     m, corr = p**4, _correction(p, c.bpm3)
-    out = []
-    for a, lhs, power in c.row(a_values):
-        rhs = (power + a * (a - 1) * (3 * a - 4) * corr) % m
-        out.append(CongruenceCheck("theorem_1_1", p, (a,), m, lhs, rhs, lhs == rhs))
-    return out
+    return [_record(("theorem_1_1", p, (a,), m, lhs, rhs, lhs == rhs))
+            for a, lhs, power in c.row(a_values)
+            for rhs in [(power + a * (a - 1) * (3 * a - 4) * corr) % m]]
 
 
 def verify_corollary(c: "PrimeContext", a_values=(3, 4, 5)) -> list[CongruenceCheck]:
@@ -243,8 +246,8 @@ def verify_cai_granville(c: "PrimeContext", a_values) -> list[CongruenceCheck]:
     if p < 5:
         raise ValueError("the mod-p^3 statement needs p >= 5")
     m = p**3
-    return [CongruenceCheck("cai_granville", p, (a,), m, lhs % m, power % m, lhs % m == power % m)
-            for a, lhs, power in c.row(a_values)]
+    return [_record(("cai_granville", p, (a,), m, lhs := s % m, rhs := power % m, lhs == rhs))
+            for a, s, power in c.row(a_values)]
 
 
 def chamberland_dilcher_sums(p: int, triples) -> dict[tuple[int, int, int], int]:
@@ -259,7 +262,7 @@ def chamberland_dilcher_sums(p: int, triples) -> dict[tuple[int, int, int], int]
     With a >= 1 the sum stops at k = p; a = 0 reads binomial(p, k)^0 = 1
     up to k = 2p, as the exact route does.
     """
-    p = int(OddPrime(p))
+    p = int(odd_prime(p))
     m3 = p**3
     inv = inverse_range(p - 1, m3)
     row1, half, central = [1], [1], 2

@@ -194,7 +194,7 @@ class PrimeRange:
     order."""
 
     def __init__(self, primes, cd_triples=DEFAULT_CD_TRIPLES):
-        self.primes = tuple(sorted({rs.OddPrime(p) for p in primes}))
+        self.primes = tuple(sorted({rs.odd_prime(p) for p in primes}))
         self.cd_triples = tuple(dict.fromkeys(cd_triples))
 
     def __getattr__(self, name: str):
@@ -223,7 +223,7 @@ class PrimeContext:
 
     def __init__(self, p: int, a_values=DEFAULT_A, cd_triples=DEFAULT_CD_TRIPLES,
                  prime_range: "PrimeRange | None" = None):
-        self.p = rs.OddPrime(p)
+        self.p = rs.odd_prime(p)
         self.a_values = tuple(a_values)
         self.prime_range = prime_range or PrimeRange((self.p,), cd_triples)
         self.rows = {}

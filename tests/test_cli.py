@@ -3,6 +3,7 @@
 import copy
 import csv
 import hashlib
+import io
 import json
 import multiprocessing
 import multiprocessing.util
@@ -163,6 +164,12 @@ def test_scan_config_validation():
         ScanConfig(cd_triples=((0, 0, 1),)).validate()
 
 
+def dumped_values(c: CongruenceCheck) -> list:
+    """The value json.dumps writes for each CSV_HEADER column of `c`: the big
+    residues as decimal strings, params as a list, and `us` 0."""
+    return [c.identity, c.p, list(c.params), str(c.modulus), str(c.lhs), str(c.rhs), c.verdict, 0]
+
+
 def test_report_record_serialization():
     c = CongruenceCheck("morley", 7, (), 343, 323, 323, True)
     obj = json.loads(cli.jsonl_line(c))
@@ -185,7 +192,59 @@ def test_jsonl_line_matches_json_dumps():
     ]
     assert records[2].lhs < 0
     for c in records:
-        assert cli.jsonl_line(c) == json.dumps(dict(zip(cli.CSV_HEADER, cli._values(c))))
+        assert cli.jsonl_line(c) == json.dumps(dict(zip(cli.CSV_HEADER, dumped_values(c))))
+
+
+# every identity over 3 <= p <= 200 with a = 1..8, n_max = 50 and the default
+# --cd triples plus (1, 0, 1), whose a = 0 u-sum fails at some primes
+EVERY_IDENTITY = ScanConfig(p_max=200, identities=tuple(cli.IDENTITIES), n_max=50,
+                            cd_triples=DEFAULT_CD_TRIPLES + ((1, 0, 1),))
+
+
+def test_report_text_of_whole_groups_matches_json_dumps_and_csv_writer(monkeypatch):
+    # the formatter shares a prefix across a run of records with one
+    # (identity, p, modulus) and each params text across a scan: fed the
+    # groups a task formats, it writes the json.dumps lines and csv.writer's rows
+    groups = []
+    report_text = cli._report_text
+
+    def kept(records, fmt, texts):
+        groups.append(list(records))
+        return report_text(records, fmt, texts)
+
+    monkeypatch.setattr(cli, "_report_text", kept)
+    report = run_verify(EVERY_IDENTITY)
+    text = "".join(report)
+    monkeypatch.undo()
+    records = [r for group in groups for r in group]
+    assert report.code == 1 and len(records) == len(report) and cli._report_text(records, "jsonl") == text
+    # what the groups hold: one prime's records alternate identities, lemma
+    # 2.1(ii) alternates the moduli p^2 and p, params hold 0, 1 or 3 ints,
+    # and there are exact records (modulus 0) with a negative lhs, and false
+    # verdicts; a group may hold exact records at several p
+    assert any(len({r.identity for r in group}) > 5 for group in groups)
+    assert [r.modulus for r in records if r.identity == "lemma_2_1_ii" and r.p == 199][:3] == [199**2, 199, 199**2]
+    assert {len(r.params) for r in records} == {0, 1, 3}
+    assert any(r.modulus == 0 and r.lhs < 0 for r in records)
+    assert any(len({r.p for r in group if r.modulus == 0}) > 1 for group in groups)
+    assert not all(r.verdict for r in records)
+
+    def csv_text(rows):
+        buf = io.StringIO()
+        csv.writer(buf).writerows(rows)
+        return buf.getvalue()
+
+    # each identity's share of a group is what a scan of that identity alone
+    # formats: there, exact_1_3 runs over several p with one modulus, 0
+    shares = [[r for r in group if r.identity == tag] for group in groups for tag in {r.identity for r in group}]
+    assert any(len({r.p for r in share}) > 1 and {r.modulus for r in share} == {0} for share in shares)
+    # one scan's params texts, shared by every group as a scan shares them
+    texts = cli._ParamsText()
+    for group in [*groups, *shares, records]:
+        lines = "".join(f"{json.dumps(dict(zip(CSV_HEADER, dumped_values(c))))}\n" for c in group)
+        rows = csv_text([v if isinstance(v, str) else json.dumps(v) for v in dumped_values(c)] for c in group)
+        assert cli._report_text(group, "jsonl", texts) == lines
+        assert cli._report_text(group, "csv", texts) == rows
 
 
 def test_run_verify_identity_filters():
@@ -340,6 +399,11 @@ GOLDEN_DIGESTS = {
 }
 
 
+# sha256 of the CSV report of EVERY_IDENTITY, as written by the code whose
+# CSV rows took their p, params and match columns from json.dumps (40791764)
+GOLDEN_CSV_DIGEST = "c2e104e4275a879046e57f72325f870d0dc4bde1341b6dad014ef0d4a2f1acdc"
+
+
 def test_reports_match_golden_digests():
     assert set(GOLDEN_DIGESTS) == set(cli.IDENTITIES)
     changed = []
@@ -349,6 +413,13 @@ def test_reports_match_golden_digests():
         if report.code != 0 or hashlib.sha256(text.encode()).hexdigest() != want:
             changed.append(tag)
     assert changed == []
+
+
+def test_the_csv_report_matches_its_golden_digest():
+    report = run_verify(replace(EVERY_IDENTITY, fmt="csv"))
+    text = "".join(report)
+    assert report.code == 1 and text.startswith(",".join(CSV_HEADER) + "\r\n")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CSV_DIGEST
 
 
 # sha256 of `sums` output at each prime, as written by the code that
@@ -714,6 +785,23 @@ def test_a_scan_tests_no_prime_the_sieve_proved(monkeypatch):
     assert sorted(tested) == [101, 103]
 
 
+def test_a_scan_builds_no_odd_prime_twice(monkeypatch):
+    # an OddPrime passes through PrimeRange, PrimeContext and the kernels
+    # untouched: the scan never calls the class's Python-level __new__
+    built = []
+    new = rs.OddPrime.__new__
+
+    def counted(cls, value):
+        built.append(value)
+        return new(cls, value)
+
+    monkeypatch.setattr(rs.OddPrime, "__new__", counted)
+    records, code = verify_records(replace(EVERY_IDENTITY, p_max=300, n_max=5))
+    assert code == 1 and records and built == []
+    # a plain int is still proved, once a call
+    assert int(PrimeContext(101).p) == 101 and built == [101]
+
+
 def test_lemma_2_1_reads_any_offset_after_bpm3():
     # B_(p-3) read first no longer fixes which offsets the context holds
     ctx = PrimeContext(31)
@@ -1015,12 +1103,12 @@ def test_a_scan_leaves_no_process_behind(capsys):
 
 
 # a fresh interpreter runs the CLI, then prints its exit code and which of
-# the modules of a forking scan and of the CSV writer the run loaded
+# the modules of a forking scan, of the CSV writer and of JSON the run loaded
 _LOADED_PROBE = """
 import sys
 from carlitzscan import cli
 code = cli.main(sys.argv[1:])
-print(code, *sorted(m for m in ("concurrent.futures", "multiprocessing", "csv") if m in sys.modules))
+print(code, *sorted(m for m in ("concurrent.futures", "multiprocessing", "csv", "json") if m in sys.modules))
 """
 
 
@@ -1203,7 +1291,7 @@ def test_a_task_holds_about_a_record_budget_of_text(monkeypatch):
     chunk = cli._chunks(cfg)[0]
     tracemalloc.start()
     try:
-        pieces, count, ok, _ = cli._scan_chunk((chunk, 0, chunk[-1], cfg))
+        pieces, count, ok, _ = cli._scan_chunk((chunk, 0, chunk[-1], cfg, cli._ParamsText()))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
