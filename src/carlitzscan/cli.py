@@ -19,6 +19,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import chain
 from math import ceil
 from operator import attrgetter
@@ -107,68 +108,50 @@ class ScanConfig:
 
 
 CSV_HEADER = ["identity", "p", "params", "modulus", "lhs", "rhs", "match", "us"]
-# a verdict as JSON writes it, and a JSONL line's text from the end of rhs:
+# a report line's texts in each format: before identity, after identity,
+# p, params, modulus and lhs, and after rhs for a false and a true verdict;
 # `us` is kept for readers of earlier reports and is always 0
-_JSON_BOOL = ("false", "true")
-_TAIL = tuple(f'", "match": {b}, "us": 0}}\n' for b in _JSON_BOOL)
+_LINE = {
+    "jsonl": ('{"identity": "', '", "p": ', ', "params": ', ', "modulus": "', '", "lhs": "', '", "rhs": "',
+              ('", "match": false, "us": 0}\n', '", "match": true, "us": 0}\n')),
+    "csv": ("", ",", ",", ",", ",", ",", (",false,0\r\n", ",true,0\r\n")),
+}
 
 
-class _ParamsText(dict):
-    """A scan's text of each params tuple inside its JSON brackets, "1, 2"
-    for (1, 2), made on its first lookup."""
+# a scan's params are (), its a values, its u-sum triples and the n of lemma
+# 2.1(ii) and of the exact identities; past the bound the memo drops the
+# least recently used text and makes it again when asked; a forked worker
+# fills its own copy
+@lru_cache(maxsize=A_VALUES_LIMIT)
+def _params_text(params: tuple, fmt: str) -> str:
+    """The params cell of a report line in the format `fmt`, "[1, 2]" for
+    (1, 2), which CSV quotes since it holds a comma."""
+    text = f"[{', '.join(map(str, params))}]"
+    return f'"{text}"' if fmt == "csv" and len(params) > 1 else text
 
-    def __missing__(self, params: tuple) -> str:
-        text = self[params] = ", ".join(map(str, params))
-        return text
 
-
-def _report_text(records: list[cg.CongruenceCheck], fmt: str, texts: "_ParamsText | None" = None) -> str:
-    """The report lines of `records` in the format `fmt` (no CSV header),
-    the params texts read from the scan's `texts` (a new one if None).
+def _report_text(records: list[cg.CongruenceCheck], fmt: str) -> str:
+    """The report lines of `records` in the format `fmt` (no CSV header).
 
     A JSONL line is what json.dumps writes for the dict of CSV_HEADER's keys
-    and the record's values, the big residues as strings: the identity tags
-    need no escaping and the ints of params stand bare.  A run of records that
-    share (identity, p, modulus) shares the text before params and the text
-    between params and lhs."""
-    texts = _ParamsText() if texts is None else texts
-    if fmt == "csv":
-        return _csv_text([csv_row(r, texts) for r in records])
+    and the record's values, the big residues as strings; a CSV row is what
+    csv.writer writes for the same values, each as JSON writes it.  Neither
+    needs escaping: the identity tags are [a-z0-9_], every other value is an
+    int or a verdict, and only a params cell holds a comma.  A run of records
+    that share (identity, p, modulus) shares the text before params and the
+    text between params and lhs."""
+    start, after_identity, after_p, after_params, after_modulus, after_lhs, tails = _LINE[fmt]
     lines = []
     key_identity = key_p = key_modulus = None
     for identity, p, params, modulus, lhs, rhs, verdict in records:
         # `is not` only spares comparing the tags: an equal tag that is
-        # another object rebuilds the same prefixes
+        # another object rebuilds the same texts
         if identity is not key_identity or p != key_p or modulus != key_modulus:
             key_identity, key_p, key_modulus = identity, p, modulus
-            head = f'{{"identity": "{identity}", "p": {p}, "params": ['
-            middle = f'], "modulus": "{modulus}", "lhs": "'
-        lines.append(f'{head}{texts[params]}{middle}{lhs}", "rhs": "{rhs}{_TAIL[verdict]}')
+            head = f"{start}{identity}{after_identity}{p}{after_p}"
+            middle = f"{after_params}{modulus}{after_modulus}"
+        lines.append(f"{head}{_params_text(params, fmt)}{middle}{lhs}{after_lhs}{rhs}{tails[verdict]}")
     return "".join(lines)
-
-
-def jsonl_line(c: cg.CongruenceCheck) -> str:
-    """The JSONL record of `c`, without its newline."""
-    return _report_text([c], "jsonl")[:-1]
-
-
-def csv_row(c: cg.CongruenceCheck, texts: "_ParamsText | None" = None) -> list[str]:
-    """The CSV_HEADER columns of `c` as the strings JSON writes for them,
-    the big residues as decimal strings; csv.writer quotes what needs it."""
-    texts = _ParamsText() if texts is None else texts
-    identity, p, params, modulus, lhs, rhs, verdict = c
-    return [identity, str(p), f"[{texts[params]}]", str(modulus), str(lhs), str(rhs),
-            _JSON_BOOL[verdict], "0"]
-
-
-def _csv_text(rows) -> str:
-    # csv and io load only on runs that write CSV
-    import csv
-    import io
-
-    buf = io.StringIO()
-    csv.writer(buf).writerows(rows)
-    return buf.getvalue()
 
 
 # the order of the report's records
@@ -214,13 +197,12 @@ def _exact_checks(cfg: ScanConfig, lo: int, hi: int) -> list[cg.CongruenceCheck]
 
 
 def _scan_chunk(task: tuple) -> tuple[list[str], int, bool, "str | None"]:
-    """One task of a verify scan, (primes, lo, hi, cfg, texts) with the
-    scan's params texts: the report text of every record with
-    lo < p <= hi, sorted by (p, identity, params), one piece per prime
-    with the exact records up to it; the number of records; whether every
-    verdict holds; and the first oracle disagreement up to cfg.oracle_cap,
-    whose prime's records end the text."""
-    primes, lo, hi, cfg, texts = task
+    """One task of a verify scan, (primes, lo, hi, cfg): the report text
+    of every record with lo < p <= hi, sorted by (p, identity, params),
+    one piece per prime with the exact records up to it; the number of
+    records; whether every verdict holds; and the first oracle
+    disagreement up to cfg.oracle_cap, whose prime's records end the text."""
+    primes, lo, hi, cfg = task
     # largest p last, so each prime pops the exact records up to it
     exact = sorted(_exact_checks(cfg, lo, hi), key=_ORDER, reverse=True)
     pieces, count, ok = [], 0, True
@@ -229,7 +211,7 @@ def _scan_chunk(task: tuple) -> tuple[list[str], int, bool, "str | None"]:
         while exact and exact[-1].p <= p:
             group.append(exact.pop())
         group.sort(key=_ORDER)
-        pieces.append(_report_text(group, cfg.fmt, texts))
+        pieces.append(_report_text(group, cfg.fmt))
         count += len(group)
         ok = ok and all(map(_VERDICT, group))
         if disagreement:
@@ -385,16 +367,14 @@ class Report:
         # each task writes the records with p in (lo, hi]: its chunk of
         # primes and the exact records between the previous chunk and its
         # own last prime; the last task's interval reaches the largest p
-        # any record carries; the tasks share one params text memo, which
-        # each worker copies at the fork and fills on its own
+        # any record carries
         chunks = _chunks(cfg) or [[]]
         bounds = [0] + [c[-1] for c in chunks[:-1]] + [max(cfg.p_max, cfg.n_max)]
-        texts = _ParamsText()
-        tasks = [(c, lo, hi, cfg, texts) for c, lo, hi in zip(chunks, bounds, bounds[1:])]
+        tasks = [(c, lo, hi, cfg) for c, lo, hi in zip(chunks, bounds, bounds[1:])]
         # the CSV header goes out with the first task's text, once the
         # workers have forked: a fork flushes stdout, and a flush to a
         # reader that has left would end the scan there, with no verdict
-        header = [_csv_text([CSV_HEADER])] if cfg.fmt == "csv" else []
+        header = [",".join(CSV_HEADER) + "\r\n"] if cfg.fmt == "csv" else []
         with closing(_run(_scan_chunk, tasks, cfg.jobs)) as results:
             for pieces, count, ok, disagreement in results:
                 self.records += count

@@ -170,29 +170,48 @@ def dumped_values(c: CongruenceCheck) -> list:
     return [c.identity, c.p, list(c.params), str(c.modulus), str(c.lhs), str(c.rhs), c.verdict, 0]
 
 
+def reference_text(records: list[CongruenceCheck], fmt: str) -> str:
+    """The report lines of `records` as json.dumps writes them (JSONL) or as
+    csv.writer writes the values json.dumps writes (CSV, no header)."""
+    if fmt == "jsonl":
+        return "".join(f"{json.dumps(dict(zip(CSV_HEADER, dumped_values(c))))}\n" for c in records)
+    buf = io.StringIO()
+    csv.writer(buf).writerows([v if isinstance(v, str) else json.dumps(v) for v in dumped_values(c)] for c in records)
+    return buf.getvalue()
+
+
+def lines(text: str) -> list[str]:
+    return text.splitlines(keepends=True)
+
+
 def test_report_record_serialization():
     c = CongruenceCheck("morley", 7, (), 343, 323, 323, True)
-    obj = json.loads(cli.jsonl_line(c))
+    obj = json.loads(cli._report_text([c], "jsonl"))
     assert list(obj) == ["identity", "p", "params", "modulus", "lhs", "rhs", "match", "us"]
     assert obj["modulus"] == "343" and obj["lhs"] == "323" and obj["rhs"] == "323"
     assert obj["match"] is True and obj["us"] == 0
-    row = cli.csv_row(c)
+    row = next(csv.reader([cli._report_text([c], "csv")]))
     assert row == ["morley", "7", "[]", "343", "323", "323", "true", "0"]
 
 
-def test_jsonl_line_matches_json_dumps():
-    # the line template writes what json.dumps writes for the record's dict:
-    # no params, several params, a failed verdict and the negative lhs of
-    # an exact identity
+def test_one_record_lines_match_json_dumps_and_csv_writer():
+    # params of 0, 1, 2 and 3 ints, where CSV quotes the cell from two on
+    # (no real record has two), a failed verdict and the negative lhs of an
+    # exact identity, each alone and all in one call
     records = [
         CongruenceCheck("morley", 7, (), 343, 323, 323, True),
+        CongruenceCheck("theorem_1_1", 7, (3,), 2401, 2381, 2381, True),
+        CongruenceCheck("theorem_1_1", 7, (3, 1000000007), 2401, 2381, 2380, False),
         CongruenceCheck("chamberland_dilcher", 13, (1, 0, 1), 2197, 0, 2196, False),
         cg.exact_identity_1_3(3),
         *verify_records(ScanConfig(p_max=40, identities=tuple(cli.IDENTITIES), n_max=5))[0],
     ]
-    assert records[2].lhs < 0
-    for c in records:
-        assert cli.jsonl_line(c) == json.dumps(dict(zip(cli.CSV_HEADER, dumped_values(c))))
+    assert records[4].lhs < 0
+    for fmt in ("jsonl", "csv"):
+        for c in records:
+            assert cli._report_text([c], fmt) == reference_text([c], fmt), (fmt, c)
+        assert cli._report_text(records, fmt) == reference_text(records, fmt)
+    assert cli._report_text(records[2:3], "csv").startswith('theorem_1_1,7,"[3, 1000000007]",2401,')
 
 
 # every identity over 3 <= p <= 200 with a = 1..8, n_max = 50 and the default
@@ -201,21 +220,28 @@ EVERY_IDENTITY = ScanConfig(p_max=200, identities=tuple(cli.IDENTITIES), n_max=5
                             cd_triples=DEFAULT_CD_TRIPLES + ((1, 0, 1),))
 
 
-def test_report_text_of_whole_groups_matches_json_dumps_and_csv_writer(monkeypatch):
-    # the formatter shares a prefix across a run of records with one
-    # (identity, p, modulus) and each params text across a scan: fed the
-    # groups a task formats, it writes the json.dumps lines and csv.writer's rows
+def scan_groups(monkeypatch, cfg: ScanConfig):
+    """run_verify(cfg)'s report, its text, and the groups of records the
+    scan's tasks handed the formatter, in order."""
     groups = []
     report_text = cli._report_text
 
-    def kept(records, fmt, texts):
+    def kept(records, fmt):
         groups.append(list(records))
-        return report_text(records, fmt, texts)
+        return report_text(records, fmt)
 
-    monkeypatch.setattr(cli, "_report_text", kept)
-    report = run_verify(EVERY_IDENTITY)
-    text = "".join(report)
-    monkeypatch.undo()
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_report_text", kept)
+        report = run_verify(cfg)
+        text = "".join(report)
+    return report, text, groups
+
+
+def test_report_text_of_whole_groups_matches_json_dumps_and_csv_writer(monkeypatch):
+    # the formatter shares a prefix across a run of records with one
+    # (identity, p, modulus): fed the groups a task formats, it writes the
+    # json.dumps lines and csv.writer's rows
+    report, text, groups = scan_groups(monkeypatch, EVERY_IDENTITY)
     records = [r for group in groups for r in group]
     assert report.code == 1 and len(records) == len(report) and cli._report_text(records, "jsonl") == text
     # what the groups hold: one prime's records alternate identities, lemma
@@ -228,23 +254,30 @@ def test_report_text_of_whole_groups_matches_json_dumps_and_csv_writer(monkeypat
     assert any(r.modulus == 0 and r.lhs < 0 for r in records)
     assert any(len({r.p for r in group if r.modulus == 0}) > 1 for group in groups)
     assert not all(r.verdict for r in records)
-
-    def csv_text(rows):
-        buf = io.StringIO()
-        csv.writer(buf).writerows(rows)
-        return buf.getvalue()
-
     # each identity's share of a group is what a scan of that identity alone
     # formats: there, exact_1_3 runs over several p with one modulus, 0
     shares = [[r for r in group if r.identity == tag] for group in groups for tag in {r.identity for r in group}]
     assert any(len({r.p for r in share}) > 1 and {r.modulus for r in share} == {0} for share in shares)
-    # one scan's params texts, shared by every group as a scan shares them
-    texts = cli._ParamsText()
+    # compared line by line, so a failure names its first differing line
     for group in [*groups, *shares, records]:
-        lines = "".join(f"{json.dumps(dict(zip(CSV_HEADER, dumped_values(c))))}\n" for c in group)
-        rows = csv_text([v if isinstance(v, str) else json.dumps(v) for v in dumped_values(c)] for c in group)
-        assert cli._report_text(group, "jsonl", texts) == lines
-        assert cli._report_text(group, "csv", texts) == rows
+        for fmt in ("jsonl", "csv"):
+            assert lines(cli._report_text(group, fmt)) == lines(reference_text(group, fmt))
+
+
+def test_params_past_the_memo_bound_match_json_dumps_and_csv_writer(monkeypatch):
+    # 10^4 a values of theorem_1_1 and cai_granville, the u-sum triples and
+    # lemma 2.1's empty params are more distinct params than the memo of
+    # params texts holds, so it drops texts and makes them again
+    a_values = tuple(range(1, cli.A_VALUES_LIMIT + 1))
+    tags = ("theorem_1_1", "cai_granville", "lemma_2_1", "chamberland_dilcher")
+    buf = io.StringIO()
+    csv.writer(buf).writerow(CSV_HEADER)
+    for fmt, header in (("jsonl", ""), ("csv", buf.getvalue())):
+        report, text, groups = scan_groups(monkeypatch, ScanConfig(p_max=13, a_values=a_values, identities=tags, fmt=fmt))
+        records = [r for group in groups for r in group]
+        assert report.code == 0 and len(records) == len(report)
+        assert len({r.params for r in records}) > cli._params_text.cache_info().maxsize
+        assert lines(text) == lines(header + reference_text(records, fmt))
 
 
 def test_run_verify_identity_filters():
@@ -1103,7 +1136,8 @@ def test_a_scan_leaves_no_process_behind(capsys):
 
 
 # a fresh interpreter runs the CLI, then prints its exit code and which of
-# the modules of a forking scan, of the CSV writer and of JSON the run loaded
+# the modules of a forking scan, of the CSV writer and of JSON the run loaded:
+# the report's formatter writes both formats itself
 _LOADED_PROBE = """
 import sys
 from carlitzscan import cli
@@ -1117,11 +1151,11 @@ print(code, *sorted(m for m in ("concurrent.futures", "multiprocessing", "csv", 
     (("sums", "1009"), []),
     # one task runs without a fork
     (("verify", "--p-min", "97", "--p-max", "100", "--jobs", "2"), []),
-    (("verify", "--p-max", "200", "--format", "csv"), ["csv"]),
+    (("verify", "--p-max", "200", "--format", "csv"), []),
     pytest.param(("verify", "--p-max", "200", "--jobs", "2"), ["multiprocessing"],
                  marks=pytest.mark.skipif(len(cli._allowed_cpus()) < 2, reason="needs at least 2 CPUs to run on")),
 ], ids=["jsonl-jobs-1", "sums", "one-task-jobs-2", "csv", "two-tasks-jobs-2"])
-def test_a_run_loads_the_pool_and_the_csv_writer_only_to_use_them(args, loaded):
+def test_a_run_loads_the_pool_only_to_use_it(args, loaded):
     proc = subprocess.run([sys.executable, "-c", _LOADED_PROBE, *args], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1].split() == ["0", *loaded]
@@ -1291,7 +1325,7 @@ def test_a_task_holds_about_a_record_budget_of_text(monkeypatch):
     chunk = cli._chunks(cfg)[0]
     tracemalloc.start()
     try:
-        pieces, count, ok, _ = cli._scan_chunk((chunk, 0, chunk[-1], cfg, cli._ParamsText()))
+        pieces, count, ok, _ = cli._scan_chunk((chunk, 0, chunk[-1], cfg))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
