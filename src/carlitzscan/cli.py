@@ -19,7 +19,6 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import chain
 from math import ceil
 from operator import attrgetter
@@ -118,16 +117,18 @@ _LINE = {
 }
 
 
-# a scan's params are (), its a values, its u-sum triples and the n of lemma
-# 2.1(ii) and of the exact identities; past the bound the memo drops the
-# least recently used text and makes it again when asked; a forked worker
-# fills its own copy
-@lru_cache(maxsize=A_VALUES_LIMIT)
 def _params_text(params: tuple, fmt: str) -> str:
     """The params cell of a report line in the format `fmt`, "[1, 2]" for
     (1, 2), which CSV quotes since it holds a comma."""
     text = f"[{', '.join(map(str, params))}]"
     return f'"{text}"' if fmt == "csv" and len(params) > 1 else text
+
+
+# each format's params cells keyed by params: a scan's params are (), its a
+# values, its u-sum triples and the n of lemma 2.1(ii) and of the exact
+# identities, so the memo holds one scan's texts; Report._scan empties it
+# before its workers fork, and each fills its own copy
+_PARAMS_TEXTS = {fmt: {} for fmt in _LINE}
 
 
 def _report_text(records: list[cg.CongruenceCheck], fmt: str) -> str:
@@ -141,7 +142,7 @@ def _report_text(records: list[cg.CongruenceCheck], fmt: str) -> str:
     that share (identity, p, modulus) shares the text before params and the
     text between params and lhs."""
     start, after_identity, after_p, after_params, after_modulus, after_lhs, tails = _LINE[fmt]
-    lines = []
+    texts, lines = _PARAMS_TEXTS[fmt], []
     key_identity = key_p = key_modulus = None
     for identity, p, params, modulus, lhs, rhs, verdict in records:
         # `is not` only spares comparing the tags: an equal tag that is
@@ -150,7 +151,8 @@ def _report_text(records: list[cg.CongruenceCheck], fmt: str) -> str:
             key_identity, key_p, key_modulus = identity, p, modulus
             head = f"{start}{identity}{after_identity}{p}{after_p}"
             middle = f"{after_params}{modulus}{after_modulus}"
-        lines.append(f"{head}{_params_text(params, fmt)}{middle}{lhs}{after_lhs}{rhs}{tails[verdict]}")
+        text = texts.get(params) or texts.setdefault(params, _params_text(params, fmt))
+        lines.append(f"{head}{text}{middle}{lhs}{after_lhs}{rhs}{tails[verdict]}")
     return "".join(lines)
 
 
@@ -364,6 +366,8 @@ class Report:
         self._text.close()
 
     def _scan(self, cfg: ScanConfig):
+        for texts in _PARAMS_TEXTS.values():
+            texts.clear()
         # each task writes the records with p in (lo, hi]: its chunk of
         # primes and the exact records between the previous chunk and its
         # own last prime; the last task's interval reaches the largest p

@@ -5,19 +5,20 @@ naive route and the least p it applies to.  A PrimeRange holds each
 field for a chunk of primes, keyed by p.  Most come from one sweep over
 the chunk, since they are prefix products or prefix sums of sequences
 free of p (the central binomial, Staver's sum behind the binomial
-moments, B_(p-3), the half-range sums with the Bernoulli window, and
-the even-index sums), all read through rs.walk_reads; q2 and the u-sums
-of the range's (eps, a, b) triples are computed one prime at a time.
-B_(p-3) takes two walks: its sum S(n) of x^(-3) to n = p // 6 splits by
-the power of 2 in x as S(n) = sum_a 8^(-a) O(n >> a), O summing odd x
-only, so one walk over the odd x serves every level above
+moments, B_(p-3), the half-range sums with lemma 2.1's Bernoulli window,
+and the even-index sums), all read through rs.walk_reads; q2 and the
+u-sums of the range's (eps, a, b) triples are computed one prime at a
+time.  B_(p-3) takes two walks: its sum S(n) of x^(-3) to n = p // 6
+splits by the power of 2 in x as S(n) = sum_a 8^(-a) O(n >> a), O
+summing odd x only, so one walk over the odd x serves every level above
 bn.PM3_FULL = 128, and a walk over every x to PM3_FULL takes the rest
 (128 < 997 // 6, so primes under the oracle's cap of 1000 read the odd
 walk too).  A PrimeContext holds the values at one prime, read from its
 range.  Both build a field on its first read and keep it, so every
-check at a prime shares one value.  What a context holds is also what
-`oracle` compares: the fields the selected checks populated, each with
-its naive route.
+check at a prime shares one value; PrimeRange.__getattr__ is the one
+place that calls a field's producer and stores its values, once per
+chunk and field.  What a context holds is also what `oracle` compares:
+the fields the selected checks populated, each with its naive route.
 IDENTITIES declares each identity once: its tag, where it applies,
 whether `verify` runs it by default, and its check function.
 """
@@ -76,14 +77,6 @@ def _moments(r: "PrimeRange", primes) -> dict[int, tuple[int, int, int]]:
     return out
 
 
-def _inverse_powers(r: "PrimeRange", primes, name: str) -> dict:
-    """The half-range sums or the window keyed by p, as `name` says.  One
-    hm.inverse_power_sweep yields both, so the first read keeps both."""
-    pairs = hm.inverse_power_sweep(primes)
-    vars(r).update(half_sums={p: h for p, (h, _) in pairs.items()}, window={p: w for p, (_, w) in pairs.items()})
-    return vars(r)[name]
-
-
 def _naive_moments(p: int, moments: tuple[int, int, int]) -> "str | None":
     """The power sums the verdicts read (theorem_row over the range's
     moments) against direct powers for a <= 10.  S_a = 1 + a M1 +
@@ -119,14 +112,6 @@ def _naive_bernoulli(p: int, values: dict[int, int], name: str) -> "str | None":
     return None
 
 
-def _naive_window(p: int, window: dict[int, int]) -> "str | None":
-    """The offsets against the odd j in 5..min(N_CAP + 1, p - 2) that lemma
-    2.1 reads beside B_(p-3), then each B_(p-j) against power-sum extraction."""
-    if sorted(window) != list(range(5, min(hm.N_CAP + 1, p - 2) + 1, 2)):
-        return f"bern_offsets(p={p})"
-    return _naive_bernoulli(p, window, "bern(p={p}, j={j})")
-
-
 def _naive_q2(p: int, q2: int) -> "str | None":
     if q2 != (pow(2, p - 1) - 1) // p % p**3:
         return f"fermat_quotient_2(p={p})"
@@ -134,8 +119,15 @@ def _naive_q2(p: int, q2: int) -> "str | None":
 
 
 def _naive_half_sums(p: int, half: hm.HalfSums) -> "str | None":
-    """The range's half-range sums against term-by-term inversion, after
-    their exponents against the n = 2..min(N_CAP, p-2) lemma 2.1 reads."""
+    """The window's offsets against the odd j in 5..min(N_CAP + 1, p - 2)
+    that lemma 2.1 reads beside B_(p-3), and each B_(p-j) against
+    power-sum extraction; then the half-range sums against term-by-term
+    inversion, after their exponents against the n = 2..min(N_CAP, p-2)
+    lemma 2.1 reads."""
+    if sorted(half.window) != list(range(5, min(hm.N_CAP + 1, p - 2) + 1, 2)):
+        return f"bern_offsets(p={p})"
+    if bad := _naive_bernoulli(p, half.window, "bern(p={p}, j={j})"):
+        return bad
     if sorted(half.hn) != list(range(2, min(hm.N_CAP, p - 2) + 1)):
         return f"half_hn_keys(p={p})"
     if half.h1 != hm.naive_half_harmonic(p, 1, 3):
@@ -176,11 +168,10 @@ FIELDS: dict[str, Field] = {
     # B_(p-3) mod p (at p = 3 the checks use B_0 = 1)
     "bpm3": Field(lambda p, v: _naive_bernoulli(p, {3: v}, "bernoulli_pm3(p={p})"),
                   lambda r, primes: bn.bernoulli_pm3_mod_primes(primes), 5),
-    # B_(p-j) mod p keyed by lemma 2.1's odd offsets 5 <= j <= min(N_CAP + 1, p - 2)
-    "window": Field(_naive_window, lambda r, primes: _inverse_powers(r, primes, "window"), 5),
+    # the half-range sums with B_(p-j) mod p at lemma 2.1's odd offsets 5 <= j <= min(N_CAP + 1, p - 2)
+    "half_sums": Field(_naive_half_sums, lambda r, primes: hm.inverse_power_sweep(primes), 5),
     # the Fermat quotient (2^(p-1) - 1)/p mod p^3
     "q2": Field(_naive_q2, lambda r, primes: {p: bn.fermat_quotient_2(p) for p in primes}),
-    "half_sums": Field(_naive_half_sums, lambda r, primes: _inverse_powers(r, primes, "half_sums"), 5),
     "even_sums": Field(_naive_even_sums, lambda r, primes: hm.even_index_sweep(primes), 5),
     # the u-sum mod p^3 keyed by its (eps, a, b) triple, for each of the range's triples
     "cd": Field(_naive_cd, lambda r, primes: {p: cg.chamberland_dilcher_sums(p, r.cd_triples) for p in primes}, 5),

@@ -1,13 +1,13 @@
 """Harmonic-type sums over 1..p-1, plain and parity-restricted.
 
-The half-range sums (HalfSums) and the double and triple sums with even
-largest index (EvenSums) come from two sweeps over a chunk of primes at
-once: inverse_power_sweep, which also yields lemma 2.1's Bernoulli
-window, and even_index_sweep.  The single sums over even k are the
-half-range sums scaled by 2^-n, so neither sweep sums them again.  The
-naive loops (builtin modular inversion) are the oracle's routes.  The
-verify_* functions read those sums from a context.PrimeContext and
-compare them with their closed forms, which involve the Fermat quotient
+The half-range sums with lemma 2.1's Bernoulli window (HalfSums) and the
+double and triple sums with even largest index (EvenSums) come from two
+sweeps over a chunk of primes at once: inverse_power_sweep and
+even_index_sweep.  The single sums over even k are the half-range sums
+scaled by 2^-n, so neither sweep sums them again.  The naive loops
+(builtin modular inversion) are the oracle's routes.  The verify_*
+functions read those sums from a context.PrimeContext and compare them
+with their closed forms, which involve the Fermat quotient
 q2 = (2^(p-1)-1)/p and Bernoulli residues mod p (also read from the
 context).
 """
@@ -48,10 +48,13 @@ def _validate(p: int) -> int:
 class HalfSums(NamedTuple):
     """Half-range sums over k <= (p-1)/2: h1 = sum 1/k mod p^3, and
     hn[n] = sum 1/k^n for 2 <= n <= min(N_CAP, p-2), mod p^2 for even n
-    and mod p for odd n."""
+    and mod p for odd n; with window[j] = B_(p-j) mod p for the odd
+    j in 5..min(N_CAP + 1, p - 2), which lemma 2.1 reads beside B_(p-3)
+    on the right-hand sides of those sums."""
 
     h1: int
     hn: dict[int, int]
+    window: dict[int, int]
 
 
 class EvenSums(NamedTuple):
@@ -83,9 +86,9 @@ def _power_sums(es: list[int], m: int) -> list[int]:
     return ps
 
 
-def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
-    """(the half-range sums, {j: B_(p-j) mod p for lemma 2.1's offsets j >= 5})
-    for each prime p >= 5 of `primes`, from one sweep.
+def inverse_power_sweep(primes) -> dict[int, HalfSums]:
+    """The half-range sums and lemma 2.1's Bernoulli window (HalfSums) for
+    each prime p >= 5 of `primes`, from one sweep.
 
     The power sums of 1/1, ..., 1/x follow by Newton's identities from the
     elementary symmetric sums e_j = c_j / x!, where c_j(x) = x c_j(x-1) +
@@ -126,7 +129,7 @@ def inverse_power_sweep(primes) -> dict[int, tuple[HalfSums, dict[int, int]]]:
         ps = _power_sums([1] + [v * g % p2 for v in c[1 : n_top + 1]], p2)
         hn = {n: ps[n] if n % 2 == 0 else ps[n] % p for n in range(2, n_top + 1)}
         window = {j: voronoi_bernoulli(p, j, folds[p, j], totals[p, j]) for j in _window_offsets(p)}
-        out[p] = HalfSums(c[1] * g % p3, hn), window
+        out[p] = HalfSums(c[1] * g % p3, hn, window)
     return out
 
 
@@ -213,11 +216,11 @@ def verify_lemma_2_1(c: "PrimeContext") -> list[CongruenceCheck]:
         even n, mod p^2:  n (2^(n+1) - 1) / (2(n+1)) * p * B_(p-n-1);
         odd n,  mod p:    -(2 (2^(n-1) - 1) / n) * B_(p-n).
 
-    B_(p-3) is read from c.bpm3, the other B_(p-j) from c.window.
+    B_(p-3) is read from c.bpm3, the other B_(p-j) from c.half_sums.window.
     """
     p = _validate(c.p)
     m3, m2 = p**3, p * p
-    half, bern = c.half_sums, {3: c.bpm3, **c.window}
+    half, bern = c.half_sums, {3: c.bpm3, **c.half_sums.window}
     q = c.q2 % m3
     rhs1 = (
         -2 * q

@@ -104,7 +104,7 @@ def test_bernoulli_window_matches_single_extractions():
     for p in (11, 13, 31, 61, 101):
         offsets = [j for j in range(3, 14, 2) if j <= p - 2]
         ctx = PrimeContext(p)
-        window = {3: ctx.bpm3, **ctx.window}
+        window = {3: ctx.bpm3, **ctx.half_sums.window}
         assert sorted(window) == sorted(offsets)
         for j in offsets:
             assert window[j] == bernoulli_mod_p(p, p - j), (p, j)
@@ -152,7 +152,7 @@ def _range_windows(primes) -> dict:
     windows = {}
     for i in range(0, len(primes), CHUNK):
         r = PrimeRange(primes[i : i + CHUNK])
-        windows.update({p: {3: r.bpm3[p], **r.window[p]} for p in r.primes})
+        windows.update({p: {3: r.bpm3[p], **r.half_sums[p].window} for p in r.primes})
     return windows
 
 

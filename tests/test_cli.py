@@ -266,8 +266,8 @@ def test_report_text_of_whole_groups_matches_json_dumps_and_csv_writer(monkeypat
 
 def test_params_past_the_memo_bound_match_json_dumps_and_csv_writer(monkeypatch):
     # 10^4 a values of theorem_1_1 and cai_granville, the u-sum triples and
-    # lemma 2.1's empty params are more distinct params than the memo of
-    # params texts holds, so it drops texts and makes them again
+    # lemma 2.1's empty params are more distinct params than A_VALUES_LIMIT,
+    # all held in the memo of params texts
     a_values = tuple(range(1, cli.A_VALUES_LIMIT + 1))
     tags = ("theorem_1_1", "cai_granville", "lemma_2_1", "chamberland_dilcher")
     buf = io.StringIO()
@@ -276,8 +276,34 @@ def test_params_past_the_memo_bound_match_json_dumps_and_csv_writer(monkeypatch)
         report, text, groups = scan_groups(monkeypatch, ScanConfig(p_max=13, a_values=a_values, identities=tags, fmt=fmt))
         records = [r for group in groups for r in group]
         assert report.code == 0 and len(records) == len(report)
-        assert len({r.params for r in records}) > cli._params_text.cache_info().maxsize
+        assert len({r.params for r in records}) > cli.A_VALUES_LIMIT
         assert lines(text) == lines(header + reference_text(records, fmt))
+
+
+def test_a_scan_makes_each_params_text_once(monkeypatch):
+    # the memo holds one scan's params texts: the 10,006 distinct params of
+    # this scan are each made once, and the next scan, which starts from an
+    # empty memo, makes each once again; both write the bytes of the report
+    # made by the earlier memo, which held at most 10^4 texts
+    cfg = ScanConfig(p_max=13, a_values=tuple(range(1, cli.A_VALUES_LIMIT + 1)),
+                     identities=("theorem_1_1", "cai_granville", "lemma_2_1", "chamberland_dilcher"))
+    made = Counter()
+    params_text = cli._params_text
+
+    def counted(params, fmt):
+        made[params, fmt] += 1
+        return params_text(params, fmt)
+
+    monkeypatch.setattr(cli, "_params_text", counted)
+    for _ in range(2):
+        made.clear()
+        report = run_verify(cfg)
+        text = "".join(report)
+        distinct = {tuple(json.loads(line)["params"]) for line in lines(text)}
+        assert report.code == 0 and len(distinct) == 10006
+        assert made == Counter({(params, "jsonl"): 1 for params in distinct})
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fc2ece469d6594a94dc3bab3aac7d80cf08fc49cef3386c9319ab4e538dceace")
 
 
 def test_run_verify_identity_filters():
@@ -641,11 +667,11 @@ def test_oracle_reads_the_half_sums_behind_the_verdicts(monkeypatch, damage, fai
     def corrupted(primes):
         values = fast(primes)
         if 13 in values:
-            half, window = values[13]
+            half = values[13]
             if damage == "hn_value":
                 half.hn[4] = (half.hn[4] + 13) % 13**2
             elif damage == "window_value":
-                window[5] = (window[5] + 1) % 13
+                half.window[5] = (half.window[5] + 1) % 13
             else:
                 del half.hn[11]
         return values
@@ -660,6 +686,25 @@ def test_oracle_reads_the_half_sums_behind_the_verdicts(monkeypatch, damage, fai
     kept = {r.params[0] for r in records if r.p == 13 and r.identity == "lemma_2_1_ii"}
     assert kept == set(range(2, 11 if damage == "hn_key" else 12))
     assert run_oracle_quantities(cfg) == name
+
+
+def test_the_oracle_names_the_half_sums_before_q2(monkeypatch):
+    # the oracle compares the fields in FIELDS order, the half-range sums
+    # (lemma 2.1's window with them) before q2: with q2 wrong at p = 13 it
+    # names q2, and with a half-range sum wrong there too, the half-range sum
+    fast_sweep, fast_q2 = hm.inverse_power_sweep, bn.fermat_quotient_2
+
+    def corrupted(primes):
+        values = fast_sweep(primes)
+        if 13 in values:
+            values[13].hn[4] = (values[13].hn[4] + 13) % 13**2
+        return values
+
+    monkeypatch.setattr(bn, "fermat_quotient_2", lambda p: (fast_q2(p) + (p == 13)) % p**3)
+    cfg = ScanConfig(p_min=5, p_max=31, identities=("lemma_2_1",))
+    assert run_oracle_quantities(cfg) == "fermat_quotient_2(p=13)"
+    monkeypatch.setattr(hm, "inverse_power_sweep", corrupted)
+    assert run_oracle_quantities(cfg) == "half_hn(p=13, n=4)"
 
 
 def test_every_context_field_has_one_oracle(monkeypatch):
@@ -696,7 +741,7 @@ def test_unknown_names_fail_before_the_lookup_reads_the_instance():
     assert twin.q2 == ctx.q2 == bn.fermat_quotient_2(7) and twin.prime_range is ctx.prime_range
     assert "q2" in vars(twin) and "q2" in vars(ctx)
     back = pickle.loads(pickle.dumps(PrimeContext(11)))
-    assert (back.p, back.bpm3, back.window) == (11, bn.bernoulli_mod_p(11, 8), PrimeContext(11).window)
+    assert (back.p, back.bpm3, back.half_sums.window) == (11, bn.bernoulli_mod_p(11, 8), PrimeContext(11).half_sums.window)
     assert pickle.loads(pickle.dumps(r)).central4 == r.central4
 
 
@@ -1315,9 +1360,10 @@ def test_a_task_holds_about_a_record_budget_of_text(monkeypatch):
     # the cut leaves the report as it is
     cfg = ScanConfig(p_max=400, a_values=a4[:400], identities=("theorem_1_1", "morley", "exact_1_3"))
     assert len(cli._chunks(cfg)) == 2
-    text = "".join(run_verify(cfg))
+    # compared line by line, so a failure names its first differing line
+    text = lines("".join(run_verify(cfg)))
     monkeypatch.setattr(cli, "RECORD_BUDGET", 10**9)
-    assert len(cli._chunks(cfg)) == 1 and "".join(run_verify(cfg)) == text
+    assert len(cli._chunks(cfg)) == 1 and lines("".join(run_verify(cfg))) == text
     # one task of theorem_1_1 over a = 1..10^4 holds one prime's 10^4 records,
     # some 1.7 MB of text, where a task of CHUNK primes would hold 200 MB
     monkeypatch.undo()

@@ -1,6 +1,7 @@
 """Tests for the chunk-wide sweeps of PrimeRange against one reference route per field."""
 
 import tracemalloc
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -35,14 +36,13 @@ def per_prime(p: int, bernoulli_window) -> dict:
     values = {"moments": tuple(cg.lhs_power_sums_batch(p, 3)[1:]), "central4": (-1) ** mid * comb(p - 1, mid) % p**4,
               "q2": (pow(2, p - 1) - 1) // p % p**3}
     if p > 3:
-        half = hm.HalfSums(
-            hm.naive_half_harmonic(p, 1, 3),
-            {n: hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1) for n in range(2, min(hm.N_CAP, p - 2) + 1)},
-        )
         window = dict(bernoulli_window(p))
         values["bpm3"] = window.pop(3)
-        values["window"] = window
-        values["half_sums"] = half
+        values["half_sums"] = hm.HalfSums(
+            hm.naive_half_harmonic(p, 1, 3),
+            {n: hm.naive_half_harmonic(p, n, 2 if n % 2 == 0 else 1) for n in range(2, min(hm.N_CAP, p - 2) + 1)},
+            window,
+        )
         values["even_sums"] = even_index_sums(p)
         if p <= CD_P_MAX:
             values["cd"] = {t: cg.chamberland_dilcher_exact(p, *t) for t in CD_TRIPLES}
@@ -89,13 +89,13 @@ def test_range_at_the_degenerate_primes(bernoulli_window):
         assert alone.moments == r.moments[p]
         assert alone.q2 == r.q2[p]
         if p > 3:
-            assert (alone.bpm3, alone.window, alone.half_sums, alone.even_sums) == (
-                r.bpm3[p], r.window[p], r.half_sums[p], r.even_sums[p])
+            assert (alone.bpm3, alone.half_sums.window, alone.half_sums, alone.even_sums) == (
+                r.bpm3[p], r.half_sums[p].window, r.half_sums[p], r.even_sums[p])
     for sweep in (bn.bernoulli_pm3_mod_primes, hm.inverse_power_sweep, hm.even_index_sweep):
         with pytest.raises(ValueError):
             sweep([3, 5])
     # a field is None below its least p, and the range sweeps it from there
-    for name in ("bpm3", "window", "half_sums", "even_sums", "cd"):
+    for name in ("bpm3", "half_sums", "even_sums", "cd"):
         assert getattr(PrimeContext(3), name) is None
         assert 3 not in getattr(r, name)
     with pytest.raises(ValueError):
@@ -144,7 +144,7 @@ def test_contexts_read_their_range():
     assert {c.p: c.moments for c in contexts} == r.moments
     assert {c.p: c.central4 for c in contexts} == r.central4
     assert {c.p: c.bpm3 for c in contexts} == r.bpm3
-    assert {c.p: c.window for c in contexts} == r.window
+    assert {c.p: c.half_sums.window for c in contexts} == {p: half.window for p, half in r.half_sums.items()}
     assert {c.p: c.half_sums for c in contexts} == r.half_sums
     assert {c.p: c.even_sums for c in contexts} == r.even_sums
     assert {c.p: c.q2 for c in contexts} == r.q2
@@ -170,25 +170,40 @@ def test_contexts_read_the_triples_of_their_range():
     assert alone.cd == r.cd[7]
 
 
-def test_inverse_power_sweep_runs_once_per_range(monkeypatch):
-    # the half-range sums and the window come from one sweep: reading
-    # either first keeps both on the range
+def test_each_field_is_stored_by_one_producer_call(monkeypatch):
+    # PrimeRange.__getattr__ is the one place that stores a field: the first
+    # read of a field runs its producer once, over the range's primes from
+    # its p_min, and the range gains that one name; the moments read q2 and
+    # central4 through the same door, so they are read first there
     calls = []
-    fast = hm.inverse_power_sweep
-    pairs = fast([5, 7, 11])
-    want = {"half_sums": {p: v[0] for p, v in pairs.items()}, "window": {p: v[1] for p, v in pairs.items()}}
+    for name, field in list(FIELDS.items()):
+        def counted(r, primes, name=name, by_prime=field.by_prime):
+            calls.append((name, list(primes)))
+            return by_prime(r, primes)
 
-    def counted(primes):
-        calls.append(list(primes))
-        return fast(primes)
-
-    monkeypatch.setattr(hm, "inverse_power_sweep", counted)
-    for first, second in (("window", "half_sums"), ("half_sums", "window")):
+        monkeypatch.setitem(FIELDS, name, replace(field, by_prime=counted))
+    primes = (3, 5, 7, 13, 41)
+    inputs = {"moments": ("q2", "central4")}
+    for name, field in FIELDS.items():
+        r = PrimeRange(primes)
+        for first in inputs.get(name, ()):
+            getattr(r, first)
         calls.clear()
-        r = PrimeRange([3, 5, 7, 11])
-        assert getattr(r, first) == want[first]
-        assert getattr(r, second) == want[second]
-        assert calls == [[5, 7, 11]]
+        held = set(vars(r))
+        value = getattr(r, name)
+        assert calls == [(name, [p for p in primes if p >= field.p_min])], name
+        assert set(vars(r)) == held | {name} and vars(r)[name] is value, name
+        assert getattr(r, name) is value and len(calls) == 1, name
+    # read first on a fresh range, the moments run each of the three
+    # producers once, and the range gains those three names
+    calls.clear()
+    r = PrimeRange(primes)
+    r.moments
+    assert sorted(name for name, _ in calls) == ["central4", "moments", "q2"]
+    assert set(vars(r)) == {"primes", "cd_triples", "central4", "moments", "q2"}
+    # the half-range sums carry the window from the same sweep
+    assert r.half_sums == hm.inverse_power_sweep([5, 7, 13, 41])
+    assert [sorted(half.window) for half in r.half_sums.values()] == [[], [5], [5, 7, 9, 11], [5, 7, 9, 11, 13]]
 
 
 def test_bernoulli_window_holds_the_range_value():
@@ -197,7 +212,7 @@ def test_bernoulli_window_holds_the_range_value():
     for p in (5, 7, 13, 41, 61, 73, 101):
         ctx = PrimeContext(p)
         top = min(13, p - 2)
-        assert ctx.window == {j: bn.bernoulli_mod_p(p, p - j) for j in range(5, top + 1, 2)}
+        assert ctx.half_sums.window == {j: bn.bernoulli_mod_p(p, p - j) for j in range(5, top + 1, 2)}
         assert ctx.bpm3 == bn.bernoulli_mod_p(p, p - 3)
 
 
@@ -209,9 +224,9 @@ def test_context_keeps_no_ladder():
     try:
         ctx = PrimeContext(100003)
         before = tracemalloc.get_traced_memory()[0]
-        assert ctx.bpm3 is not None and ctx.window
+        assert ctx.bpm3 is not None and ctx.half_sums.window
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert sorted(ctx.window) == [5, 7, 9, 11, 13]
+    assert sorted(ctx.half_sums.window) == [5, 7, 9, 11, 13]
     assert held < 64 * 1024, held
