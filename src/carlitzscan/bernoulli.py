@@ -13,7 +13,6 @@ __all__ = [
     "power_sum_mod",
     "smallest_prime_factors",
     "voronoi_fold",
-    "voronoi_bernoulli",
 ]
 
 BERNOULLI_CAP = 400
@@ -188,34 +187,29 @@ def bernoulli_pm3_mod_primes(primes) -> dict[int, int]:
 
 
 def voronoi_fold(p: int, j: int) -> tuple[int, list[int]]:
-    """The c of Voronoi's congruence for B_(p-j) mod p at the odd offset j
-    (3 <= j <= p-2), and its cuts floor(i p / c) for i = 1..(c-1)/2.
+    """The factor 2j / (c - c^j) mod p of Voronoi's congruence for
+    B_(p-j) mod p at the odd offset j (3 <= j <= p-2), and its cuts
+    floor(i p / c) for i = 1..(c-1)/2: B_(p-j) is the factor times the
+    sum over the cuts n of S(n) = sum_{x=1}^{n} x^(-j) mod p.
 
     For an odd c coprime to p, with k = p - j even and x^(k-1) == x^(-j),
     Voronoi's congruence (c^k - 1) B_k == k c^(k-1) sum_x x^(k-1) floor(cx/p)
     folds under x -> p - x to
 
-        (c - c^j) B_(p-j) == 2 j sum_{i=1}^{(c-1)/2} S(floor(i p / c))  (mod p),
+        (c - c^j) B_(p-j) == 2 j sum_{i=1}^{(c-1)/2} S(floor(i p / c))  (mod p).
 
-    where S(n) = sum_{x=1}^{n} x^(-j).  At c = 3 this is
-    2 j T_j / (3 - 3^j) with T_j the sum of x^(-j) over x < p/3.  The
-    third-range sum appears in no checked identity (c = 2 would give the
-    half-range sum of Lemma 2.1(ii)).  Where 3^(j-1) == 1 (mod p)
-    (p = 13, 41, 61, 73 for j <= 13) the next odd c with c^(j-1) != 1
-    takes over; one exists below p, since the x with x^(j-1) == 1 form a
-    proper subgroup, which cannot be {1, 3, 5, ..., p-2}: that set would
-    be the squares, yet 4 is a square.
+    At c = 3 this is 2 j T_j / (3 - 3^j) with T_j the sum of x^(-j) over
+    x < p/3.  The third-range sum appears in no checked identity (c = 2
+    would give the half-range sum of Lemma 2.1(ii)).  Where 3^(j-1) == 1
+    (mod p) (p = 13, 41, 61, 73 for j <= 13) the next odd c with
+    c^(j-1) != 1 takes over; one exists below p, since the x with
+    x^(j-1) == 1 form a proper subgroup, which cannot be
+    {1, 3, 5, ..., p-2}: that set would be the squares, yet 4 is a square.
     """
     c = 3
-    while (c - pow(c, j, p)) % p == 0:
+    while (d := (c - pow(c, j, p)) % p) == 0:
         c += 2
-    return c, [i * p // c for i in range(1, c // 2 + 1)]
-
-
-def voronoi_bernoulli(p: int, j: int, c: int, total: int) -> int:
-    """B_(p-j) mod p from `total`, the sum over voronoi_fold's cuts n of
-    S(n) = sum_{x=1}^{n} x^(-j) mod p."""
-    return 2 * j * total * pow(c - pow(c, j, p), -1, p) % p
+    return 2 * j * pow(d, -1, p) % p, [i * p // c for i in range(1, c // 2 + 1)]
 
 
 def fermat_quotient_2(p: int) -> int:

@@ -92,16 +92,17 @@ COROLLARY_COEFFICIENTS = {3: Fraction(5, 8), 4: Fraction(2), 5: Fraction(55, 12)
 
 
 def staver_sweep(primes) -> dict[int, int]:
-    """W = sum_{k=1}^{p-1} 2^k / k mod p^3 for each odd prime p of `primes`,
-    from one sweep.
+    """S_(-1) = sum_{k=0}^{p-1} 1/C(p-1, k) mod p^4, the alternating power
+    sum at a = -1, for each odd prime p of `primes`, from one sweep.
 
     Staver's identity sum_{k=0}^{n} 1/C(n, k) = (n+1)/2^(n+1) sum_{k=1}^{n+1}
-    2^k/k at n = p-1 gives S_(-1) = sum_k 1/C(p-1, k) = 1 + p 2^(-p) W, the
-    alternating power sum at a = -1 (mod p^4).  W is a prefix sum free of
-    p: with g = 2^(k+1) k!, the numerator num = k! sum_{j<=k} 2^j/j steps
-    as num = k num + g, so every step multiplies by k or 2k only, and at
-    k = p-1 the denominator k! = g / 2^p gives W = 2^p num / g.  The state
-    is kept modulo the product of the p^3 still to be read (walk_reads).
+    2^k/k at n = p-1 gives S_(-1) = 1 + p 2^(-p) W, W = sum_{k=1}^{p-1} 2^k/k.
+    W is a prefix sum free of p: with g = 2^(k+1) k!, the numerator
+    num = k! sum_{j<=k} 2^j/j steps as num = k num + g, so every step
+    multiplies by k or 2k only, and at k = p-1, where g = 2^p (p-1)!,
+    2^(-p) W = num / g: S_(-1) = 1 + p num / g, which reads num / g mod
+    p^3 only.  The state is kept modulo the product of the p^3 still to
+    be read (walk_reads).
     """
     num, g, out = 0, 2, {}
     for p, _, k0, k1, (m,) in walk_reads(((p - 1, p, None) for p in primes), (3,)):
@@ -111,7 +112,7 @@ def staver_sweep(primes) -> dict[int, int]:
             if k % SWEEP_RUN == 0:
                 num, g = num % m, g % m
         p3 = p**3
-        out[p] = pow(2, p, p3) * num * pow(g, -1, p3) % p3
+        out[p] = 1 + p * (num * pow(g, -1, p3) % p3)
     return out
 
 

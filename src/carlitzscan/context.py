@@ -4,7 +4,7 @@ FIELDS declares each quantity the checks read: how it is produced, its
 naive route and the least p it applies to.  A PrimeRange holds each
 field for a chunk of primes, keyed by p.  Most come from one sweep over
 the chunk, since they are prefix products or prefix sums of sequences
-free of p (the central binomial, Staver's sum behind the binomial
+free of p (the central binomial, Staver's S_(-1) behind the binomial
 moments, B_(p-3), the half-range sums with lemma 2.1's Bernoulli window,
 and the even-index sums), all read through rs.walk_reads; q2 and the
 u-sums of the range's (eps, a, b) triples are computed one prime at a
@@ -66,13 +66,12 @@ def _moments(r: "PrimeRange", primes) -> dict[int, tuple[int, int, int]]:
     cg.theorem_row's expansion S_a = 1 + a M1 + C(a,2) M2 + C(a,3) M3
     holds for every integer a, so three closed sums fix the moments:
     S_1 = 2^(p-1) = 1 + p q2, S_2 = central4 and Staver's
-    S_(-1) = 1 - M1 + M2 - M3 = 1 + p 2^(-p) W (cg.staver_sweep)."""
+    S_(-1) = 1 - M1 + M2 - M3, read from cg.staver_sweep."""
     out = {}
-    for p, w in cg.staver_sweep(primes).items():
+    for p, s_neg in cg.staver_sweep(primes).items():
         m = p**4
         m1 = p * r.q2[p]
         m2 = r.central4[p] - 1 - 2 * m1
-        s_neg = 1 + p * pow(2, -p, m) * w
         out[p] = (m1, m2 % m, (1 - m1 + m2 - s_neg) % m)
     return out
 

@@ -13,10 +13,11 @@ context).
 """
 
 from collections import defaultdict
+from fractions import Fraction
 from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
-from .bernoulli import voronoi_bernoulli, voronoi_fold
+from .bernoulli import voronoi_fold
 from .congruences import CongruenceCheck, _check
 from .residues import SWEEP_RUN, walk_reads
 
@@ -37,6 +38,10 @@ __all__ = [
 ]
 
 N_CAP = 12
+
+# lemma 2.1 (ii): the half-range sum of 1/k^n is this times p B_(p-n-1) mod p^2 (even n) or B_(p-n) mod p
+LEMMA_2_1_COEFFICIENTS = {n: Fraction(n * (2 ** (n + 1) - 1), 2 * (n + 1)) if n % 2 == 0
+                          else Fraction(-2 * (2 ** (n - 1) - 1), n) for n in range(2, N_CAP + 1)}
 
 
 def _validate(p: int) -> int:
@@ -95,10 +100,11 @@ def inverse_power_sweep(primes) -> dict[int, HalfSums]:
     c_(j-1)(x-1) and c_0 = x! are free of p, so one sweep of c_0..c_13 over
     x, multiplying by x only, serves every p.  It is read at x = (p-1)/2
     for the half-range sums, and at voronoi_fold's cuts (x = p // 3 but at
-    p = 13, 41, 61, 73) for the window.  All of c_0..c_13 are kept modulo
-    the product of the p^3 (h1 is read mod p^3): c_(j-1) is added into c_j
-    at each step, so a narrower modulus for the higher c_j would divide
-    c_1's wide carries by it at every reduction.
+    p = 13, 41, 61, 73) for the window: B_(p-j) is voronoi_fold's factor
+    times the sum of x^(-j) read at the cuts.  All of c_0..c_13 are kept
+    modulo the product of the p^3 (h1 is read mod p^3): c_(j-1) is added
+    into c_j at each step, so a narrower modulus for the higher c_j would
+    divide c_1's wide carries by it at every reduction.
     """
     def reads():  # (x, p, the offsets j read); p's middle first, so walk_reads proves p before voronoi_fold
         for p in set(primes):
@@ -111,7 +117,7 @@ def inverse_power_sweep(primes) -> dict[int, HalfSums]:
                     cuts[x].append(j)
             yield from ((x, p, offsets) for x, offsets in cuts.items())
 
-    folds, totals, out = {}, defaultdict(int), {}  # folds[p, j] = voronoi_fold(p, j)[0]
+    folds, totals, out = {}, defaultdict(int), {}  # folds[p, j]: voronoi_fold's factor
     c = [1] + [0] * (N_CAP + 1)
     for p, offsets, x0, x, (m,) in walk_reads(reads(), (3,)):
         for k in range(x0 + 1, x + 1):
@@ -128,7 +134,7 @@ def inverse_power_sweep(primes) -> dict[int, HalfSums]:
         g = pow(c[0], -1, p3)
         ps = _power_sums([1] + [v * g % p2 for v in c[1 : n_top + 1]], p2)
         hn = {n: ps[n] if n % 2 == 0 else ps[n] % p for n in range(2, n_top + 1)}
-        window = {j: voronoi_bernoulli(p, j, folds[p, j], totals[p, j]) for j in _window_offsets(p)}
+        window = {j: folds[p, j] * totals[p, j] % p for j in _window_offsets(p)}
         out[p] = HalfSums(c[1] * g % p3, hn, window)
     return out
 
@@ -211,32 +217,30 @@ def verify_lemma_2_1(c: "PrimeContext") -> list[CongruenceCheck]:
     """Closed forms for the half-range sums sum_{k <= (p-1)/2} 1/k^n.
 
     Part (i), n = 1 mod p^3:
-        -2 q2 + p q2^2 - (2/3) p^2 q2^3 - (7/12) p^2 B_(p-3).
-    Part (ii), 2 <= n <= min(p-2, N_CAP):
+        -2 q2 + p q2^2 - (2/3) p^2 q2^3 - (7/12) p^2 B_(p-3)
+        = (-24 q2 + 12 p q2^2 - 8 p^2 q2^3 - 7 p^2 B_(p-3)) / 12.
+    Part (ii), 2 <= n <= min(p-2, N_CAP), with LEMMA_2_1_COEFFICIENTS[n]:
         even n, mod p^2:  n (2^(n+1) - 1) / (2(n+1)) * p * B_(p-n-1);
         odd n,  mod p:    -(2 (2^(n-1) - 1) / n) * B_(p-n).
 
-    B_(p-3) is read from c.bpm3, the other B_(p-j) from c.half_sums.window.
+    Each side takes one inverse: of 12 mod p^3, or of the coefficient's
+    denominator mod p.  B_(p-3) is read from c.bpm3, the other B_(p-j)
+    from c.half_sums.window.
     """
     p = _validate(c.p)
     m3, m2 = p**3, p * p
     half, bern = c.half_sums, {3: c.bpm3, **c.half_sums.window}
     q = c.q2 % m3
-    rhs1 = (
-        -2 * q
-        + p * q * q
-        - 2 * p * p * pow(q, 3, m3) * pow(3, -1, m3)
-        - 7 * p * p * bern[3] * pow(12, -1, m3)
-    ) % m3
+    qq = q * q
+    rhs1 = (-24 * q + 12 * p * qq - 8 * p * p * qq * q - 7 * p * p * bern[3]) * pow(12, -1, m3) % m3
     checks = [_check("lemma_2_1_i", p, (), m3, half.h1, rhs1)]
     for n, lhs in half.hn.items():
+        f = LEMMA_2_1_COEFFICIENTS[n]
+        coef = f.numerator * pow(f.denominator, -1, p)
         if n % 2 == 0:
-            coef = n * (pow(2, n + 1, p) - 1) % p * pow(2 * (n + 1), -1, p) % p
-            rhs = p * (coef * bern[n + 1] % p) % m2
-            modulus = m2
+            rhs, modulus = p * (coef * bern[n + 1] % p), m2
         else:
-            rhs = (-2 * (pow(2, n - 1, p) - 1) * pow(n, -1, p) * bern[n]) % p
-            modulus = p
+            rhs, modulus = coef * bern[n] % p, p
         checks.append(_check("lemma_2_1_ii", p, (n,), modulus, lhs, rhs))
     return checks
 
@@ -269,23 +273,22 @@ def verify_derived_sums(c: "PrimeContext") -> list[CongruenceCheck]:
         T == -(1/6) q2^3 - (7/48) B_(p-3)                         (mod p)
 
     The first two tie D to T with coefficients 1 and 2; eliminating T
-    from the pair yields the last two, so all four are checked.
+    from the pair yields the last two, so all four are checked.  Over
+    the common denominator 48 their right sides are, with B = B_(p-3),
+    (48 p T + 24 q2^2 - 16 p q2^3 - 14 p B)/48, (96 p T + 24 q2^2 - 8 p q2^3
+    - 7 p B)/48, (24 q2^2 - 24 p q2^3 - 21 p B)/48 and (-8 q2^3 - 7 B)/48,
+    so one inverse of 48 mod p^2 serves all four.
     """
-    p, q2, bpm3 = _validate(c.p), c.q2, c.bpm3
+    p, bpm3 = _validate(c.p), c.bpm3
     m2 = p * p
     d, t = c.even_sums.double[(1, 1, 2)], c.even_sums.triple
-
-    def inv(n: int, m: int = p) -> int:
-        return pow(n, -1, m)
-
-    q = q2 % m2
-    q3p = pow(q2, 3, p)
-    qq = q * q % m2
-    half_qq = qq * inv(2, m2) % m2
-    rhs_2_7 = (p * t + half_qq - p * (q3p * inv(3) % p) - 7 * p * (bpm3 * inv(24) % p)) % m2
-    rhs_2_8 = (2 * p * t + half_qq - p * (q3p * inv(6) % p) - 7 * p * (bpm3 * inv(48) % p)) % m2
-    rhs_2_9 = ((qq - p * q3p) * inv(2, m2) - 7 * p * (bpm3 * inv(16) % p)) % m2
-    rhs_2_10 = (-q3p * inv(6) - 7 * bpm3 * inv(48)) % p
+    q = c.q2 % m2
+    qq, q3, inv48 = q * q, q * q * q, pow(48, -1, m2)
+    # the numerators over 48: 1/2 = 24/48, 1/3 = 16/48, 1/6 = 8/48, 7/16 = 21/48, 7/24 = 14/48
+    rhs_2_7 = (48 * p * t + 24 * qq - 16 * p * q3 - 14 * p * bpm3) * inv48 % m2
+    rhs_2_8 = (96 * p * t + 24 * qq - 8 * p * q3 - 7 * p * bpm3) * inv48 % m2
+    rhs_2_9 = (24 * qq - 24 * p * q3 - 21 * p * bpm3) * inv48 % m2
+    rhs_2_10 = (-8 * q3 - 7 * bpm3) * inv48 % p
 
     return [
         _check("eq_2_7", p, (), m2, d, rhs_2_7),

@@ -36,7 +36,7 @@ from carlitzscan.cli import (
     run_verify,
 )
 from carlitzscan.congruences import CongruenceCheck
-from carlitzscan.context import CHUNK, DEFAULT_CD_TRIPLES, FIELDS, Field, PrimeContext, PrimeRange
+from carlitzscan.context import CHUNK, DEFAULT_CD_TRIPLES, FIELDS, IDENTITIES, Field, PrimeContext, PrimeRange
 from carlitzscan.residues import is_odd_prime, sieve_odd_primes
 
 
@@ -369,6 +369,20 @@ def test_oracle_disagreement_keeps_records_sorted(monkeypatch, jobs):
     assert keys == sorted(keys)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_oracle_disagreement_ends_the_exact_records_at_its_prime(monkeypatch, jobs):
+    # the exact identities carry p = n: a scan stopped at p = 13 writes
+    # their records for n <= 13 beside the per-prime ones, and none beyond
+    monkeypatch.setitem(FIELDS, "moments", replace(FIELDS["moments"], naive=lambda p, m: f"injected(p={p})" if p == 13 else None))
+    tags = ("theorem_1_1", "exact_1_3", "exact_1_4", "p3_special")
+    records, code = verify_records(ScanConfig(p_max=60, identities=tags, n_max=50, oracle_cap=31, jobs=jobs))
+    assert code == 1
+    assert records[-1].p == 13
+    for tag in ("exact_1_3", "exact_1_4"):
+        assert [r.p for r in records if r.identity == tag] == list(range(1, 14)), tag
+    assert len(records) == 5 * 8 + 2 * 13 + 8
+
+
 def _lines_through(text: str, fmt: str, p_last: int) -> list[str]:
     """The lines of a report (the CSV header included) up to its last record
     with p <= p_last."""
@@ -576,15 +590,15 @@ def test_oracle_reads_the_range_behind_the_verdicts(monkeypatch):
 
 
 def test_oracle_reads_the_moments_behind_the_verdicts(monkeypatch):
-    # shift the range's W by p^2 at p = 13, which moves S_(-1) and so M3
-    # by a unit times p^3: only the mod-p^4 power sums with C(a, 3) != 0
-    # (mod 13) move, and the oracle must name the first
+    # shift the range's S_(-1) by p^3 at p = 13, which moves M3 by p^3:
+    # only the mod-p^4 power sums with C(a, 3) != 0 (mod 13) move, and the
+    # oracle must name the first
     fast = cg.staver_sweep
 
     def corrupted(primes):
         values = fast(primes)
         if 13 in values:
-            values[13] = (values[13] + 13**2) % 13**3
+            values[13] = (values[13] + 13**3) % 13**4
         return values
 
     monkeypatch.setattr(cg, "staver_sweep", corrupted)
@@ -1433,10 +1447,16 @@ def test_unwritable_out_fails_before_the_scan(monkeypatch, tmp_path, capsys):
 @pytest.mark.parametrize("p", [1093, 3511, 16843])
 def test_default_set_matches_at_degenerate_primes(p):
     # q2 == 0 (mod p) at the Wieferich primes 1093 and 3511, and
-    # B_(p-3) == 0 (mod p) at 16843, so those correction terms vanish
-    records, code = verify_records(ScanConfig(p_min=p, p_max=p))
+    # B_(p-3) == 0 (mod p) at 16843, so those correction terms vanish: in
+    # the default set and in every other identity checked at each prime
+    tags = tuple(tag for tag, e in IDENTITIES.items() if e.over == "p")
+    records, code = verify_records(ScanConfig(p_min=p, p_max=p, identities=tags))
     assert code == 0
-    assert {r.identity for r in records} >= {"theorem_1_1", "carlitz", "lemma_2_2_a", "eq_2_10"}
+    assert {r.identity for r in records} >= {"theorem_1_1", "carlitz", "lemma_2_2_a", "eq_2_10", "eq_2_7", "eq_2_8",
+                                             "corollary_a3", "cai_granville", "chamberland_dilcher"}
+    # theorem_1_1 and cai_granville at a = 1..8, the corollary at a = 3..5, morley,
+    # carlitz, five u-sums, lemma 2.1 at n = 1..12, lemma 2.2's two and eq_2_7..eq_2_10
+    assert len(records) == 8 + 8 + 3 + 1 + 1 + 5 + 12 + 2 + 4
     assert all(r.verdict for r in records)
 
 
